@@ -372,10 +372,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         },
     )
     columns = ["k", "probability", "lower", "upper", "covered"]
-    rows = [
-        [o.k, o.probability, o.interval.lower, o.interval.upper, o.covered]
-        for o in report.per_outcome
-    ]
+    outcomes = (report.probability, report.lower, report.upper, report.covered)
+    rows = list(zip(range(report.n + 1), *outcomes))
     footer = [f"coverage: {format_fixed(report.coverage, digits)}"]
     sys.stdout.write(
         render_table(columns, rows, manifest, args.format, digits, footer=footer)

@@ -26,7 +26,9 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .data import InputError
-from .wilson import binomial_pmf
+# binomial_pmf stays importable from this module: perfbench/tracing.py
+# wraps the scalar pmf at this name as well as in wilson
+from .wilson import binomial_pmf, binomial_pmf_array  # noqa: F401
 
 _MEAN_MATCH_TOL = 1e-12
 #: Designs with fewer than this many total observations also get a
@@ -119,10 +121,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.sample_size, int) or self.sample_size < 1:
-            raise InputError(f"sample_size must be an integer >= 1")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
-            raise InputError(f"repeats must be an integer >= 1")
+        for name in ("sample_size", "repeats"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InputError(f"seed must be an integer, got {self.seed!r}")
 
@@ -175,7 +177,7 @@ def exact_count_distribution(spec: ScenarioSpec) -> np.ndarray:
         )
     mu = spec.risk_distribution.mean()
     n = spec.sample_size
-    return np.array([binomial_pmf(k, n, mu) for k in range(n + 1)])
+    return binomial_pmf_array(n, mu)
 
 
 def marginal_equivalence_check(

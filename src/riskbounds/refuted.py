@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import expit
-from scipy.stats import t as _student_t
+from scipy.special import expit, stdtrit
 
 from .wilson import IntervalEstimate, WilsonInput, wilson_interval
 
@@ -85,7 +84,7 @@ def student_t_quantile(p: float, df: int) -> float:
         raise ValueError(f"quantile argument must be in (0,1), got {p}")
     if not isinstance(df, int) or isinstance(df, bool) or df < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
-    return float(_student_t.ppf(p, df))
+    return float(stdtrit(df, p))
 
 
 def hmc_individual_interval(theta_hat: float, alpha: float = 0.05) -> IntervalEstimate:

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import gammaln, ndtri
 
-#: Interval construction tags.  ``wald`` is reserved for completeness; no
-#: operation in this package currently emits it.
-METHODS = frozenset(
-    {"wilson", "wald", "logistic_delta", "fictitious_wilson", "cm1_pseudo"}
-)
+#: Interval construction tags, one per construction this package emits.
+METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseudo"})
 #: Constructions that are reproduced for demonstration but are not
 #: statistically legitimate; estimates carrying these tags are permanently
 #: flagged valid=False.
@@ -108,13 +107,46 @@ class CoverageOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Exact coverage of the score interval at one (n, p_true, level)."""
+    """Exact coverage of the score interval at one (n, p_true, level).
+
+    ``probability``, ``lower``, ``upper`` and ``covered`` hold one Python
+    float (bool for ``covered``) per outcome k = 0..n.  ``per_outcome``
+    builds the matching validated ``CoverageOutcome`` objects on first
+    access and keeps them.
+    """
 
     n: int
     p_true: float
     level: float
     coverage: float
-    per_outcome: tuple[CoverageOutcome, ...]
+    probability: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    covered: tuple[bool, ...]
+
+    @cached_property
+    def per_outcome(self) -> tuple[CoverageOutcome, ...]:
+        # k and n are integers, so every outcome is a real sample; the level
+        # is rebuilt through alpha exactly as wilson_interval reports it
+        level = 1.0 - (1.0 - self.level)
+        return tuple(
+            CoverageOutcome(
+                k,
+                prob,
+                IntervalEstimate(
+                    point=k / self.n,
+                    lower=lower,
+                    upper=upper,
+                    level=level,
+                    method="wilson",
+                    valid=True,
+                ),
+                covered,
+            )
+            for k, (prob, lower, upper, covered) in enumerate(
+                zip(self.probability, self.lower, self.upper, self.covered)
+            )
+        )
 
 
 def standard_normal_quantile(p: float) -> float:
@@ -128,6 +160,17 @@ def _is_integral(x: float) -> bool:
     return abs(x - round(x)) <= _INTEGRAL_TOL
 
 
+def _score_terms(th, n, z2):
+    """Center, squared half-width over z^2, and denominator of the bounds.
+
+    Arithmetic operators only, so floats and arrays take the same rounding
+    steps; the caller applies the (correctly rounded) square root.
+    """
+    center = th + z2 / (2.0 * n)
+    spread = th * (1.0 - th) / n + z2 / (4.0 * n * n)
+    return center, spread, 1.0 + z2 / n
+
+
 def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
     """Score interval for a binomial proportion.
 
@@ -139,10 +182,8 @@ def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
     """
     z = standard_normal_quantile(1.0 - inp.alpha / 2.0)
     n, th = inp.n, inp.theta_hat
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = th + z2 / (2.0 * n)
-    half = z * math.sqrt(th * (1.0 - th) / n + z2 / (4.0 * n * n))
+    center, spread, denom = _score_terms(th, n, z * z)
+    half = z * math.sqrt(spread)
     lower = max(0.0, (center - half) / denom)
     upper = min(1.0, (center + half) / denom)
     # The formula contains theta_hat by construction; snap away float dust
@@ -195,13 +236,44 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
     return math.exp(log_pmf)
 
 
+def binomial_pmf_array(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) mass at every k in 0..n, as a float array.
+
+    Element k equals ``binomial_pmf(k, n, p)`` bit for bit: the edge cases
+    keep their direct powers, the interior log-masses come from array
+    ``gammaln`` in the same operation order, and each is exponentiated by
+    ``math.exp`` (``np.exp`` may round differently in the last bit).
+    """
+    masses = np.zeros(n + 1)
+    if p == 0.0:
+        masses[0] = 1.0
+    elif p == 1.0:
+        masses[n] = 1.0
+    else:
+        masses[0] = (1.0 - p) ** n
+        masses[n] = p**n
+        k = np.arange(1, n)
+        log_pmf = (
+            gammaln(n + 1)
+            - gammaln(k + 1)
+            - gammaln(n - k + 1)
+            + k * math.log(p)
+            + (n - k) * math.log1p(-p)
+        )
+        masses[1:n] = list(map(math.exp, log_pmf.tolist()))
+    return masses
+
+
 def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     """Exact probability that the score interval covers p_true.
 
-    Enumerates every possible outcome k in {0..n}, builds the interval for
-    theta_hat = k/n, and sums the binomial probabilities of the outcomes
+    Enumerates every possible outcome k in {0..n} in one vectorized O(n)
+    pass: the score bounds for theta_hat = k/n (same arithmetic, clamp and
+    snap as ``wilson_interval``, bit for bit), the binomial masses from
+    ``binomial_pmf_array``, and the exact (``fsum``) total of the masses
     whose interval contains p_true.  No simulation is involved; the answer
-    is exact up to float arithmetic.  Cost is O(n).
+    is exact up to float arithmetic.  The validated per-outcome objects are
+    built only when ``per_outcome`` is first read.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -210,20 +282,44 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
     alpha = 1.0 - level
-    outcomes = []
-    covered_mass = []
-    for k in range(n + 1):
-        interval = wilson_interval(WilsonInput(theta_hat=k / n, n=n, alpha=alpha))
-        prob = binomial_pmf(k, n, p_true)
-        covered = interval.lower <= p_true <= interval.upper
-        outcomes.append(CoverageOutcome(k, prob, interval, covered))
-        if covered:
-            covered_mass.append(prob)
-    coverage = math.fsum(covered_mass)
+    if not 0.0 < alpha < 1.0:  # as WilsonInput checks it
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    z = standard_normal_quantile(1.0 - alpha / 2.0)
+    th = np.arange(n + 1) / n
+    center, spread, denom = _score_terms(th, n, z * z)
+    half = z * np.sqrt(spread)
+    # np.where with these comparisons is exactly Python's max/min, -0.0
+    # and NaN included
+    lower = (center - half) / denom
+    lower = np.where(lower > 0.0, lower, 0.0)
+    upper = (center + half) / denom
+    upper = np.where(upper < 1.0, upper, 1.0)
+    # the same snap-or-raise as wilson_interval, for every k at once
+    if (lower - th > 1e-9).any():
+        k = int(np.argmax(lower - th))
+        raise AssertionError(f"wilson lower bound {lower[k]} above point {th[k]}")
+    lower = np.where(lower > th, th, lower)
+    if (th - upper > 1e-9).any():
+        k = int(np.argmax(th - upper))
+        raise AssertionError(f"wilson upper bound {upper[k]} below point {th[k]}")
+    upper = np.where(upper < th, th, upper)
+    # the IntervalEstimate invariants, checked once for all outcomes
+    ordered = (0.0 <= lower) & (lower <= th) & (th <= upper) & (upper <= 1.0)
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise ValueError(
+            f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
+            f"({lower[k]}, {th[k]}, {upper[k]}) at k={k}"
+        )
+    masses = binomial_pmf_array(n, p_true)
+    covered = (lower <= p_true) & (p_true <= upper)
     return CoverageReport(
         n=n,
         p_true=p_true,
         level=level,
-        coverage=coverage,
-        per_outcome=tuple(outcomes),
+        coverage=math.fsum(masses[covered].tolist()),
+        probability=tuple(masses.tolist()),
+        lower=tuple(lower.tolist()),
+        upper=tuple(upper.tolist()),
+        covered=tuple(covered.tolist()),
     )

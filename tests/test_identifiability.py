@@ -16,6 +16,7 @@ from riskbounds import (
     ThresholdModelSpec,
     ThresholdScenario,
     TwoPointRisk,
+    binomial_pmf,
     clustering_test,
     exact_count_distribution,
     icc_estimate,
@@ -77,6 +78,12 @@ class TestExactCountDistribution:
     def test_rejects_repeated_designs(self):
         with pytest.raises(InputError):
             exact_count_distribution(ScenarioSpec(PointRisk(0.5), 2, repeats=3))
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 0.2, 0.5, 0.13, 1e-300, 1.0 - 2.0**-53])
+    def test_equals_scalar_pmf_bit_for_bit(self, mu):
+        for n in (1, 2, 7, 40, 997):
+            dist = exact_count_distribution(ScenarioSpec(PointRisk(mu), n))
+            assert dist.tolist() == [binomial_pmf(k, n, mu) for k in range(n + 1)]
 
     @settings(deadline=None, max_examples=100)
     @given(mixture=discrete_mixtures(), n=st.integers(min_value=1, max_value=40))
@@ -158,6 +165,16 @@ class TestSimulateRepeated:
         data = simulate_repeated(ScenarioSpec(PointRisk(0.4), 3, repeats=2, seed=4))
         with pytest.raises(ValueError):
             data.outcomes[0, 0] = 1
+
+
+class TestScenarioSpecType:
+    def test_rejects_bool_sample_size(self):
+        with pytest.raises(InputError):
+            ScenarioSpec(PointRisk(0.5), sample_size=True)
+
+    def test_rejects_bool_repeats(self):
+        with pytest.raises(InputError):
+            ScenarioSpec(PointRisk(0.5), 2, repeats=True)
 
 
 class TestRepeatedOutcomesType:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import goldens
 import oracles
 from riskbounds import (
+    CoverageOutcome,
     IntervalEstimate,
     WilsonInput,
     binomial_pmf,
@@ -18,6 +20,16 @@ from riskbounds import (
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
     return wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=alpha))
+
+
+def coverage_by_scalar_calls(n: int, p: float, level: float):
+    """Coverage and per-outcome (probability, interval, covered), built one k
+    at a time from the scalar interval and pmf."""
+    outcomes = []
+    for k in range(n + 1):
+        est = interval_for(k / n, n, 1.0 - level)
+        outcomes.append((binomial_pmf(k, n, p), est, est.lower <= p <= est.upper))
+    return math.fsum(prob for prob, _, covered in outcomes if covered), outcomes
 
 
 class TestNormalQuantile:
@@ -51,6 +63,9 @@ class TestIntervalEstimate:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             IntervalEstimate(0.5, 0.4, 0.6, 0.95, "bayes", valid=True)
+        # no construction emits a Wald interval, so the tag is not accepted
+        with pytest.raises(ValueError):
+            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "wald", valid=True)
 
     def test_valid_interval_must_contain_point(self):
         with pytest.raises(ValueError):
@@ -202,6 +217,32 @@ class TestExactCoverage:
         report = exact_coverage(2000, 0.13, 0.95)
         assert abs(report.coverage - 0.95) < 0.01
 
+    def test_equals_scalar_construction_bit_for_bit(self):
+        rng = random.Random(401)
+        levels = (0.80, 0.90, 0.95, 0.99)
+        cases = [(1, 0.2, 0.95), (10_000, 0.2, 0.9), (4096, rng.random(), 0.95)]
+        for n in (1, 2, 37):
+            cases += [(n, p, rng.choice(levels)) for p in (0.0, 0.2, 1.0)]
+        for _ in range(12):
+            n = round(math.exp(rng.uniform(0.0, math.log(10_000))))
+            cases.append((n, rng.random(), rng.choice(levels)))
+        for n, p, level in cases:
+            report = exact_coverage(n, p, level)
+            coverage, outcomes = coverage_by_scalar_calls(n, p, level)
+            assert report.coverage == coverage, (n, p, level)
+            fields = zip(report.probability, report.lower, report.upper, report.covered)
+            assert list(fields) == [
+                (prob, est.lower, est.upper, covered) for prob, est, covered in outcomes
+            ], (n, p, level)
+            assert all(type(flag) is bool for flag in report.covered)
+            assert report.per_outcome == tuple(
+                CoverageOutcome(k, *outcome) for k, outcome in enumerate(outcomes)
+            )
+            for outcome in report.per_outcome:
+                assert isinstance(outcome.interval, IntervalEstimate)
+                assert outcome.interval.method == "wilson"
+                assert outcome.interval.valid is True
+
     def test_per_outcome_probabilities_sum_to_one(self):
         report = exact_coverage(40, 0.37, 0.9)
         assert math.fsum(o.probability for o in report.per_outcome) == pytest.approx(
@@ -215,3 +256,5 @@ class TestExactCoverage:
             exact_coverage(10, 1.2, 0.95)
         with pytest.raises(ValueError):
             exact_coverage(10, 0.2, 1.0)
+        with pytest.raises(ValueError):  # 1 - level rounds to 1
+            exact_coverage(10, 0.2, 1e-20)
