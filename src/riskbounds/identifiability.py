@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.special import gammaincc
@@ -35,6 +35,112 @@ _MEAN_MATCH_TOL = 1e-12
 #: permutation p-value next to the asymptotic chi-square one.
 SMALL_DESIGN_THRESHOLD = 40
 PERMUTATION_COUNT = 10_000
+
+
+# ---------------------------------------------------------------------------
+# per-person substreams
+#
+# Person i of a run seeded with s draws from child i of
+# SeedSequence(s).spawn(n) through PCG64, as default_rng(child) would.
+# Building that generator per person is nearly all SeedSequence hashing,
+# done one child at a time.  The children differ only in their spawn key
+# (i,), which is the last word SeedSequence hashes, so the seed is mixed
+# once and the key word of every child in one numpy pass.
+# The constants are numpy's (numpy/random/bit_generator.pyx and
+# numpy/random/src/pcg64/pcg64.h); tests/test_identifiability.py compares
+# the result with PCG64(child).state, so an upstream change fails there.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_multipliers(init: int, mult: int, count: int) -> list[int]:
+    """SeedSequence's running hash multiplier over ``count`` hashes."""
+    out = [init]
+    for _ in range(count):
+        out.append((out[-1] * mult) & _MASK32)
+    return out
+
+
+def _hashmix(value, before, after):
+    """One SeedSequence hash of 32-bit words (ints or uint64 arrays)."""
+    value = ((value ^ before) * after) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+# generate_state(4, np.uint64) hashes 8 words, cycling through the pool
+_OUT_MULTIPLIERS = _hash_multipliers(_INIT_B, _MULT_B, 8)
+_OUT_BEFORE = np.array(_OUT_MULTIPLIERS[:-1], dtype=np.uint64)[:, None]
+_OUT_AFTER = np.array(_OUT_MULTIPLIERS[1:], dtype=np.uint64)[:, None]
+_OUT_POOL_WORD = np.arange(8) % _POOL_SIZE
+
+
+def _substream_states(seed: int, n: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of each child of ``SeedSequence(seed).spawn(n)``.
+
+    ``seed`` must be a non-negative int and n at most 2**32, so that every
+    spawn key is the single 32-bit word i.
+    """
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # a spawned sequence pads the seed to the pool size before its key
+    words += [0] * (_POOL_SIZE - len(words))
+    # every hash advances the multiplier; the last _POOL_SIZE hash the key
+    mults = _hash_multipliers(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 1))
+    steps = iter(zip(mults, mults[1:]))
+    pool = [_hashmix(word, *next(steps)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    before, after = np.array(list(steps), dtype=np.uint64).T[:, :, None]
+    key = _hashmix(np.arange(n, dtype=np.uint64), before, after)
+    pool = _mix(np.array(pool, dtype=np.uint64)[:, None], key)
+    out = _hashmix(pool[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
+    # little-endian pairs of 32-bit words: state high/low, sequence high/low
+    words64 = (out[0::2] | (out[1::2] << 32)).tolist()
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*words64):
+        # pcg_setseq_128_srandom_r: odd increment, then two LCG steps with
+        # the seed added to the state in between
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """Yield a Generator set to person i's substream, for i = 0..n-1.
+
+    One Generator is re-set for every person: finish with it before asking
+    for the next.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for pcg_state, inc in _substream_states(seed, n):
+        state["state"] = {"state": pcg_state, "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +217,11 @@ class BetaRisk:
 RiskDistribution = Union[PointRisk, TwoPointRisk, BetaRisk]
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A population to experiment on: risk mixture, design, and seed."""
@@ -125,8 +236,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InputError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,15 +247,17 @@ class RepeatedOutcomes:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.outcomes, dtype=np.int64)
+        arr = np.asarray(self.outcomes)
         if arr.ndim != 2:
             raise InputError("outcomes must be a 2-D (individuals x repeats) array")
         if arr.shape[0] != len(self.individual_ids):
             raise InputError("one row of outcomes per individual id required")
         if arr.shape[1] < 1:
             raise InputError("each individual needs at least one observation")
-        if not np.isin(arr, (0, 1)).all():
+        # checked before the cast, which would truncate 0.5 to 0
+        if not ((arr == 0) | (arr == 1)).all():
             raise InputError("outcomes must be 0 or 1")
+        arr = np.array(arr, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
         object.__setattr__(self, "individual_ids", tuple(self.individual_ids))
@@ -219,13 +331,13 @@ def simulate_repeated(spec: ScenarioSpec) -> RepeatedOutcomes:
     scenario seed, so results are reproducible bit-for-bit and individuals
     can be simulated independently.
     """
-    root = np.random.SeedSequence(spec.seed)
     n, m = spec.sample_size, spec.repeats
-    rows = np.empty((n, m), dtype=np.int64)
-    for i, child in enumerate(root.spawn(n)):
-        rng = np.random.default_rng(child)
-        risk = spec.risk_distribution.sample(rng)
-        rows[i] = rng.random(m) < risk
+    uniforms = np.empty((n, m))
+    risks = []
+    for i, rng in enumerate(_substreams(spec.seed, n)):
+        risks.append(spec.risk_distribution.sample(rng))
+        rng.random(out=uniforms[i])
+    rows = uniforms < np.array(risks)[:, None]
     return RepeatedOutcomes(individual_ids=tuple(range(n)), outcomes=rows)
 
 
@@ -285,8 +397,12 @@ def clustering_test(
     if n * m < SMALL_DESIGN_THRESHOLD:
         rng = np.random.default_rng(permutation_seed)
         flat = np.tile(data.outcomes.ravel(), (permutations, 1))
-        shuffled = rng.permuted(flat, axis=1).reshape(permutations, n, m)
-        perm_counts = shuffled.sum(axis=2)
+        rng.permuted(flat, axis=1, out=flat)
+        shuffled = flat.reshape(permutations, n, m)
+        # adding m columns beats a reduction over a short inner axis
+        perm_counts = shuffled[:, :, 0].copy()
+        for j in range(1, m):
+            perm_counts += shuffled[:, :, j]
         expected = m * p_hat
         perm_stats = ((perm_counts - expected) ** 2).sum(axis=1) / (
             m * p_hat * (1.0 - p_hat)
@@ -405,14 +521,13 @@ def simulate_threshold_cohort(
     latent risk given their drawn threshold, so simulations can be checked
     against closed-form expectations rather than against themselves.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"cohort size must be an integer >= 1, got {n!r}")
-    root = np.random.SeedSequence(seed)
+    _check_seed(seed)
     outcomes = np.zeros((n, 1), dtype=np.int64)
     risks = np.empty(n)
     intensity = spec.provocation_rate * spec.follow_up
-    for i, child in enumerate(root.spawn(n)):
-        rng = np.random.default_rng(child)
+    for i, rng in enumerate(_substreams(seed, n)):
         threshold = (
             spec.threshold_location + spec.threshold_spread * rng.standard_normal()
         )
@@ -424,7 +539,7 @@ def simulate_threshold_cohort(
                 + spec.strength_spread * rng.standard_normal(count)
             )
             fluctuations = spec.fluctuation_sd * rng.standard_normal(count)
-            outcomes[i, 0] = int(np.any(strengths - fluctuations > threshold))
+            outcomes[i, 0] = int((strengths - fluctuations > threshold).any())
     risks.setflags(write=False)
     return ThresholdCohort(
         outcomes=RepeatedOutcomes(

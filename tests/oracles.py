@@ -309,3 +309,52 @@ def homogeneity_statistic_contingency(counts: np.ndarray, repeats: int) -> float
     col_totals = observed.sum(axis=0, keepdims=True)
     expected = row_totals @ col_totals / observed.sum()
     return float(((observed - expected) ** 2 / expected).sum())
+
+
+# ---------------------------------------------------------------------------
+# the README's substream contract, through public numpy only: person i of a
+# run seeded with s draws from default_rng(child i of SeedSequence(s).spawn(n))
+
+
+def substream_generators(seed: int, n: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+def repeated_outcomes(draw_risk, n: int, m: int, seed: int) -> np.ndarray:
+    """n x m binary outcomes; ``draw_risk(rng)`` draws one person's risk."""
+    rows = np.empty((n, m), dtype=np.int64)
+    for i, rng in enumerate(substream_generators(seed, n)):
+        risk = draw_risk(rng)
+        rows[i] = rng.random(m) < risk
+    return rows
+
+
+def threshold_cohort(
+    n: int,
+    seed: int,
+    *,
+    threshold_location: float,
+    threshold_spread: float,
+    fluctuation_sd: float,
+    provocation_rate: float,
+    strength_location: float,
+    strength_spread: float,
+    follow_up: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One outcome and the drawn mean threshold per person.
+
+    A person has an event when any of a Poisson(rate * follow-up) number of
+    normal provocation strengths, less normal fluctuations, tops the
+    threshold.
+    """
+    outcomes = np.zeros(n, dtype=np.int64)
+    thresholds = np.empty(n)
+    intensity = provocation_rate * follow_up
+    for i, rng in enumerate(substream_generators(seed, n)):
+        thresholds[i] = threshold_location + threshold_spread * rng.standard_normal()
+        count = rng.poisson(intensity) if intensity > 0.0 else 0
+        if count > 0:
+            strengths = strength_location + strength_spread * rng.standard_normal(count)
+            fluctuations = fluctuation_sd * rng.standard_normal(count)
+            outcomes[i] = np.any(strengths - fluctuations > thresholds[i])
+    return outcomes, thresholds

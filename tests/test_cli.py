@@ -399,6 +399,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "RISKBOUNDS_SEED" in err
 
+    @pytest.mark.parametrize(
+        "config", ["scenarios_repeated.cfg", "threshold_demo.cfg"]
+    )
+    def test_negative_seed_exits_2(self, capsys, data_dir, config):
+        code, out, err = run(capsys, "simulate", str(data_dir / config), "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_determinism_across_runs(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"
         _, first, _ = run(capsys, "simulate", str(config), "--format", "csv")

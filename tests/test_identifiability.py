@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -26,6 +28,7 @@ from riskbounds import (
     simulate_repeated,
     simulate_threshold_cohort,
 )
+from riskbounds.identifiability import _substream_states
 
 SCENARIO_A = ScenarioSpec(PointRisk(0.6), sample_size=2)
 SCENARIO_B = ScenarioSpec(TwoPointRisk(p1=1.0, w1=0.6, p2=0.0), sample_size=2)
@@ -176,11 +179,24 @@ class TestScenarioSpecType:
         with pytest.raises(InputError):
             ScenarioSpec(PointRisk(0.5), 2, repeats=True)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="non-negative integer, got -1$"):
+            ScenarioSpec(PointRisk(0.5), 2, seed=-1)
+
 
 class TestRepeatedOutcomesType:
     def test_rejects_non_binary(self):
         with pytest.raises(InputError):
             RepeatedOutcomes((0, 1), np.array([[0, 2], [1, 0]]))
+
+    def test_rejects_fractions_instead_of_truncating_them(self):
+        with pytest.raises(InputError, match="0 or 1"):
+            RepeatedOutcomes((0, 1), [[0.5, 1.0], [0.9, 0.0]])
+
+    def test_accepts_whole_floats_and_bools_as_int64(self):
+        data = RepeatedOutcomes((0, 1), [[0.0, 1.0], [True, False]])
+        assert data.outcomes.dtype == np.int64
+        assert data.outcomes.tolist() == [[0, 1], [1, 0]]
 
     def test_rejects_mismatched_ids(self):
         with pytest.raises(InputError):
@@ -189,6 +205,27 @@ class TestRepeatedOutcomesType:
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(InputError):
             RepeatedOutcomes((0, 1), np.array([0, 1]))
+
+
+def _permutation_route_reference(
+    data: RepeatedOutcomes, permutation_seed: int, permutations: int
+) -> tuple[float, float]:
+    """clustering_test's statistic and permutation p-value as first built:
+    a shuffled copy of the tiled outcomes, summed over the inner axis."""
+    n, m = data.outcomes.shape
+    counts = data.outcomes.sum(axis=1)
+    p_hat = float(counts.sum()) / (n * m)
+    expected = m * p_hat
+    stat = float(np.sum((counts - expected) ** 2) / (m * p_hat * (1.0 - p_hat)))
+    rng = np.random.default_rng(permutation_seed)
+    flat = np.tile(data.outcomes.ravel(), (permutations, 1))
+    shuffled = rng.permuted(flat, axis=1).reshape(permutations, n, m)
+    perm_counts = shuffled.sum(axis=2)
+    perm_stats = ((perm_counts - expected) ** 2).sum(axis=1) / (
+        m * p_hat * (1.0 - p_hat)
+    )
+    exceed = int(np.sum(perm_stats >= stat - 1e-12))
+    return stat, (1 + exceed) / (1 + permutations)
 
 
 class TestClusteringTest:
@@ -254,6 +291,22 @@ class TestClusteringTest:
         spec = ScenarioSpec(TwoPointRisk(1.0, 0.5, 0.0), 5, repeats=4, seed=11)
         result = clustering_test(simulate_repeated(spec), permutations=100)
         assert result.p_value_permutation >= 1.0 / 101.0
+
+    @pytest.mark.parametrize("permutations", [1, 100, 10_000])
+    @pytest.mark.parametrize("design", [(6, 5), (2, 2), (13, 3), (3, 12)])
+    def test_permutation_route_matches_first_construction(self, design, permutations):
+        tested = 0
+        for seed in range(4):
+            spec = ScenarioSpec(TwoPointRisk(0.2, 0.5, 0.8), *design, seed=seed)
+            data = simulate_repeated(spec)
+            result = clustering_test(data, permutation_seed=seed, permutations=permutations)
+            if result.undefined:
+                continue
+            statistic, p_value = _permutation_route_reference(data, seed, permutations)
+            assert result.statistic == statistic
+            assert result.p_value_permutation == p_value
+            tested += 1
+        assert tested >= 2
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(InputError):
@@ -390,6 +443,75 @@ class TestThresholdModel:
             ThresholdModelSpec(0.0, -1.0, 0.5, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(InputError):
             simulate_threshold_cohort(self.BASE, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (10, None, "seed must be a non-negative integer, got None"),
+            (10, -1, "seed must be a non-negative integer, got -1"),
+            (10, True, "seed must be a non-negative integer, got True"),
+            (10, 1.0, "seed must be a non-negative integer, got 1.0"),
+            (True, 1, "cohort size must be an integer >= 1, got True"),
+            (2.0, 1, "cohort size must be an integer >= 1, got 2.0"),
+        ],
+    )
+    def test_rejects_bad_size_or_seed(self, n, seed, message):
+        with pytest.raises(InputError) as excinfo:
+            simulate_threshold_cohort(self.BASE, n, seed)
+        assert str(excinfo.value) == message
+
+
+# the substream contract at seeds of every word count the seeding can see:
+# one 32-bit word, the edges of two, three words, five words, plus random
+# seeds of 1 to 160 bits
+_seed_rng = random.Random(20151)
+CONTRACT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17] + [
+    _seed_rng.getrandbits(_seed_rng.randint(1, 160)) for _ in range(30)
+]
+CONTRACT_SIZES = (1, 2, 10, 600)
+CONTRACT_RISKS = [
+    (PointRisk(0.3), lambda rng: 0.3),
+    (TwoPointRisk(0.1, 0.4, 0.7), lambda rng: 0.1 if rng.random() < 0.4 else 0.7),
+    (BetaRisk(0.5, 1.5), lambda rng: float(rng.beta(0.5, 1.5))),
+]
+
+
+@pytest.mark.parametrize("seed", CONTRACT_SEEDS)
+class TestSubstreamContract:
+    """Person i draws from default_rng(child i of SeedSequence(seed).spawn(n))."""
+
+    def test_states_equal_numpy_pcg64_seeding(self, seed):
+        for n in CONTRACT_SIZES:
+            children = np.random.SeedSequence(seed).spawn(n)
+            expected = [
+                (state["state"], state["inc"])
+                for state in (np.random.PCG64(c).state["state"] for c in children)
+            ]
+            got = _substream_states(seed, n)
+            mismatched = [i for i in range(n) if got[i] != expected[i]]
+            assert not mismatched, (
+                f"numpy {np.__version__} seeds PCG64 from SeedSequence({seed})"
+                f".spawn({n}) differently from _substream_states: children "
+                f"{mismatched[:5]} differ"
+            )
+
+    def test_repeated_outcomes_follow_the_contract(self, seed):
+        for n in CONTRACT_SIZES:
+            for dist, draw_risk in CONTRACT_RISKS:
+                data = simulate_repeated(ScenarioSpec(dist, n, repeats=5, seed=seed))
+                expected = oracles.repeated_outcomes(draw_risk, n, 5, seed)
+                assert np.array_equal(data.outcomes, expected), (dist, n)
+
+    def test_threshold_cohort_follows_the_contract(self, seed):
+        model = TestThresholdModel.BASE
+        for n in CONTRACT_SIZES:
+            cohort = simulate_threshold_cohort(model, n, seed)
+            outcomes, thresholds = oracles.threshold_cohort(
+                n, seed, **dataclasses.asdict(model)
+            )
+            assert np.array_equal(cohort.outcomes.outcomes[:, 0], outcomes), n
+            risks = [latent_risk(model, t) for t in thresholds]
+            assert np.array_equal(cohort.latent_risks, risks), n
 
 
 class TestScenarioConfig:
