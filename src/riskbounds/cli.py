@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -44,7 +45,7 @@ from .refuted import (
     cm1_pseudo_interval,
     hmc_individual_interval,
 )
-from .rounding import format_fixed
+from .rounding import MAX_DIGITS, format_fixed
 from .wilson import WilsonInput, exact_coverage, wilson_interval
 
 FORMATS = ("csv", "tsv", "pretty")
@@ -162,6 +163,16 @@ def _read_table_file(path: str):
     return parse_category_table(text, name=Path(path).stem)
 
 
+def _digits(requested: int | None) -> int:
+    if requested is None:
+        return DEFAULT_DIGITS
+    if requested < 0:
+        raise InputError("--round must be >= 0")
+    if requested > MAX_DIGITS:
+        raise InputError(f"--round must be <= {MAX_DIGITS}")
+    return requested
+
+
 def _env_seed() -> int | None:
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
@@ -179,7 +190,7 @@ def _env_seed() -> int | None:
 
 
 def cmd_wilson(args: argparse.Namespace) -> int:
-    digits = args.round if args.round is not None else DEFAULT_DIGITS
+    digits = _digits(args.round)
     if args.fictitious is not None:
         theta_text, n_text = args.fictitious
         try:
@@ -261,7 +272,7 @@ def cmd_wilson(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    digits = args.round if args.round is not None else DEFAULT_DIGITS
+    digits = _digits(args.round)
     try:
         alphas = [float(part) for part in args.alpha.split(",") if part]
     except ValueError:
@@ -355,7 +366,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    digits = args.round if args.round is not None else DEFAULT_DIGITS
+    digits = _digits(args.round)
     try:
         report = exact_coverage(args.n, args.p, args.level)
     except ValueError as exc:
@@ -382,7 +393,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    digits = args.round if args.round is not None else DEFAULT_DIGITS
+    digits = _digits(args.round)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -490,7 +501,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_refuted(args: argparse.Namespace) -> int:
-    digits = args.round if args.round is not None else DEFAULT_DIGITS
+    digits = _digits(args.round)
     if args.mode == "hmc":
         if args.theta is None:
             raise InputError("--mode hmc requires --theta")
@@ -706,10 +717,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # build_parser reads no environment, clock or terminal state, and
+    # argparse makes a fresh formatter whenever it prints, so one parser
+    # serves every call in the process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed a usage message; keep its exit code
         return int(exc.code) if exc.code is not None else 0
@@ -718,7 +736,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError, AssertionError) as exc:
+        # ArithmeticError: float underflow or overflow in a formula;
+        # AssertionError: the Wilson bounds failed their containment snap
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -118,9 +118,7 @@ def log_likelihood(table: CategoryTable, beta0: float, beta1: float) -> float:
     return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
 
 
-def score(table: CategoryTable, beta0: float, beta1: float) -> np.ndarray:
-    """Gradient of the log-likelihood in (beta0, beta1)."""
-    x, t, e = _arrays(table)
+def _score(x, t, e, beta0, beta1) -> np.ndarray:
     resid = e - t * expit(beta0 + beta1 * x)
     return np.array([resid.sum(), (x * resid).sum()])
 
@@ -132,9 +130,7 @@ def _information(x, t, beta) -> np.ndarray:
     return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
 
 
-def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
-    """-2 log-likelihood relative to the saturated (one p per stratum) model."""
-    x, t, e = _arrays(table)
+def _deviance(x, t, e, beta0, beta1) -> float:
     mu = t * expit(beta0 + beta1 * x)
     # xlogy gives 0 for 0*log(0), which is the right convention here; at
     # extreme slopes mu can saturate to 0 or t, making the ratio inf/nan,
@@ -143,6 +139,16 @@ def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
     return float(2.0 * terms.sum())
+
+
+def score(table: CategoryTable, beta0: float, beta1: float) -> np.ndarray:
+    """Gradient of the log-likelihood in (beta0, beta1)."""
+    return _score(*_arrays(table), beta0, beta1)
+
+
+def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
+    """-2 log-likelihood relative to the saturated (one p per stratum) model."""
+    return _deviance(*_arrays(table), beta0, beta1)
 
 
 def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
@@ -165,11 +171,11 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     x, t, e = _arrays(table)
     pooled = total_events / total_subjects
     beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    dev = deviance(table, beta[0], beta[1])
+    dev = _deviance(x, t, e, beta[0], beta[1])
     trace: list[tuple[int, float, float, float]] = [(0, beta[0], beta[1], dev)]
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = score(table, beta[0], beta[1])
+        grad = _score(x, t, e, beta[0], beta[1])
         info = _information(x, t, beta)
         try:
             step = np.linalg.solve(info, grad)
@@ -179,14 +185,14 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
             ) from exc
 
         candidate = beta + step
-        new_dev = deviance(table, candidate[0], candidate[1])
+        new_dev = _deviance(x, t, e, candidate[0], candidate[1])
         halvings = 0
         while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
             halvings < _MAX_HALVINGS
         ):
             step = step / 2.0
             candidate = beta + step
-            new_dev = deviance(table, candidate[0], candidate[1])
+            new_dev = _deviance(x, t, e, candidate[0], candidate[1])
             halvings += 1
         if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
             raise NonConvergenceError(

@@ -8,13 +8,25 @@ representation surprises.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
+
+#: Decimals past which every finite double prints only zeros: the smallest
+#: subnormal, 2**-1074, has exactly 1074 digits after the point.
+MAX_DIGITS = 1074
+# Room for the 309 integer digits of the largest double plus MAX_DIGITS
+# decimals, so quantize never runs out of precision (the default context
+# keeps 28 digits).  Passed as context= rather than set per call.
+_QUANTIZE_CONTEXT = Context(prec=309 + MAX_DIGITS)
 
 
 def round_half_away(x: float, digits: int = 2) -> float:
     """Round to ``digits`` decimals with ties going away from zero."""
     quantum = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(
+        Decimal(repr(float(x))).quantize(
+            quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE_CONTEXT
+        )
+    )
 
 
 def format_fixed(x: float, digits: int) -> str:

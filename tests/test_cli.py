@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import goldens
+from riskbounds import cli
 from riskbounds.cli import main
 
 EPOCH = "1700000000"
@@ -548,3 +549,143 @@ class TestOutputFormats:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, "nosuchcmd")
         assert code == 2
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("theta,n_list", [("0.5", "1e-320"), ("0.3", "1e-300")])
+    def test_underflowing_sample_size_exits_3(self, capsys, theta, n_list):
+        # 4 * n * n underflows to 0 inside the score formula
+        code, out, err = run(capsys, "wilson", "--fictitious", theta, n_list)
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: float division by zero\n"
+
+    def test_failed_wilson_snap_exits_3(self, capsys):
+        # at n ~ 1e-161 and a level near 0 the float bounds miss the point
+        # by more than the snap tolerance, so wilson_interval raises
+        code, out, err = run(
+            capsys,
+            "wilson",
+            "--fictitious",
+            "0.9999999997808171",
+            "1.6578369151475657e-161",
+            "--alpha",
+            "0.9999999999999994",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: wilson upper bound ")
+        assert "Traceback" not in err
+
+
+class TestRoundOption:
+    def test_more_digits_than_the_default_decimal_context(self, capsys):
+        code, out, _ = run(
+            capsys, "wilson", "--fictitious", "0.5", "1", "--round", "400",
+            "--format", "csv",
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["theta_hat"] == "0.5" + "0" * 399
+        assert row["n"] == "1." + "0" * 400
+
+    @pytest.mark.parametrize(
+        "digits,message",
+        [("-1", "--round must be >= 0"), ("1075", "--round must be <= 1074")],
+    )
+    def test_out_of_range_digits_exit_2(self, capsys, vrag_path, digits, message):
+        for argv in (
+            ("wilson", "--fictitious", "0.5", "1"),
+            ("fit", str(vrag_path)),
+            ("coverage", "--n", "2", "--p", "0.5"),
+        ):
+            code, out, err = run(capsys, *argv, "--round", digits)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count build_parser calls, starting from an empty parser memo."""
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    @staticmethod
+    def _play(capsys, monkeypatch, steps, fresh):
+        results = []
+        for step in steps:
+            if isinstance(step, dict):
+                for key, value in step.items():
+                    if value is None:
+                        monkeypatch.delenv(key, raising=False)
+                    else:
+                        monkeypatch.setenv(key, value)
+                continue
+            if fresh:
+                cli._parser.cache_clear()
+            results.append(run(capsys, *step))
+        return results
+
+    def _reused_equals_fresh(self, capsys, monkeypatch, builds, steps):
+        reused = self._play(capsys, monkeypatch, steps, fresh=False)
+        assert len(builds) == 1
+        fresh = self._play(capsys, monkeypatch, steps, fresh=True)
+        assert reused == fresh
+        return reused
+
+    def test_parser_is_built_once(self, capsys, parser_builds, vrag_path):
+        for _ in range(5):
+            assert run(capsys, "wilson", str(vrag_path))[0] == 0
+            assert run(capsys, "fit", str(vrag_path), "--format", "csv")[0] == 0
+            assert run(capsys, "coverage", "--n", "3", "--p", "0.4")[0] == 0
+            assert run(capsys, "refuted", "--mode", "hmc", "--theta", "0.1")[0] == 0
+        assert len(parser_builds) == 1
+
+    def test_defaults_do_not_leak_between_calls(
+        self, capsys, monkeypatch, parser_builds, vrag_path
+    ):
+        steps = [
+            ("fit", str(vrag_path), "--expand", "3", "--format", "csv"),
+            ("fit", str(vrag_path), "--format", "csv"),
+        ]
+        expanded, plain = self._reused_equals_fresh(
+            capsys, monkeypatch, parser_builds, steps
+        )
+        assert "expand=3" in expanded[1]
+        assert "expand=1" in plain[1]
+
+    def test_usage_error_then_valid_call(
+        self, capsys, monkeypatch, parser_builds, vrag_path
+    ):
+        steps = [("fit",), ("wilson", str(vrag_path)), ("--version",), ("nosuch",)]
+        results = self._reused_equals_fresh(capsys, monkeypatch, parser_builds, steps)
+        assert [code for code, _, _ in results] == [2, 0, 0, 2]
+        assert results[0][2].startswith("usage: riskbounds fit")
+
+    def test_seed_environment_is_read_per_call(
+        self, capsys, monkeypatch, parser_builds, data_dir
+    ):
+        config = str(data_dir / "scenarios_single_outcome.cfg")
+        steps = [
+            {"RISKBOUNDS_SEED": "5"},
+            ("simulate", config, "--format", "csv"),
+            {"RISKBOUNDS_SEED": None},
+            ("simulate", config, "--format", "csv"),
+        ]
+        seeded, unseeded = self._reused_equals_fresh(
+            capsys, monkeypatch, parser_builds, steps
+        )
+        assert "# seed: 5" in comment_lines(seeded[1])
+        assert "# seed: none" in comment_lines(unseeded[1])

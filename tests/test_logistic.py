@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, xlogy
 
 import goldens
 import oracles
@@ -14,6 +15,7 @@ from riskbounds import (
     NonConvergenceError,
     NumericalError,
     SeparationError,
+    deviance,
     expand_weights,
     figure_data,
     fit_grouped_logistic,
@@ -267,3 +269,155 @@ class TestLogisticFitType:
     def test_covariance_is_read_only(self, vrag_fit):
         with pytest.raises(ValueError):
             vrag_fit.cov[0, 0] = 99.0
+
+
+# ---------------------------------------------------------------------------
+# the Newton loop as it stood when it rebuilt the arrays from the table rows
+# on every score and deviance call; the array-level fit must match it bit
+# for bit
+
+
+def _table_arrays(table):
+    x = np.array([r.category for r in table.rows], dtype=float)
+    t = np.array([r.total for r in table.rows], dtype=float)
+    e = np.array([r.events for r in table.rows], dtype=float)
+    return x, t, e
+
+
+def _table_log_likelihood(table, beta0, beta1):
+    x, t, e = _table_arrays(table)
+    eta = beta0 + beta1 * x
+    return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
+
+
+def _table_score(table, beta0, beta1):
+    x, t, e = _table_arrays(table)
+    resid = e - t * expit(beta0 + beta1 * x)
+    return np.array([resid.sum(), (x * resid).sum()])
+
+
+def _table_information(x, t, beta):
+    pi = expit(beta[0] + beta[1] * x)
+    w = t * pi * (1.0 - pi)
+    wx = w * x
+    return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
+
+
+def _table_deviance(table, beta0, beta1):
+    x, t, e = _table_arrays(table)
+    mu = t * expit(beta0 + beta1 * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
+    return float(2.0 * terms.sum())
+
+
+def _table_rebuilding_fit(table):
+    """(beta0, beta1, cov, deviance, iterations, halvings), or the error."""
+    x, t, e = _table_arrays(table)
+    pooled = table.total_events / table.total_subjects
+    beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
+    dev = _table_deviance(table, beta[0], beta[1])
+    trace = [(0, beta[0], beta[1], dev)]
+    total_halvings = 0
+    for iteration in range(1, 51):
+        grad = _table_score(table, beta[0], beta[1])
+        info = _table_information(x, t, beta)
+        step = np.linalg.solve(info, grad)
+        candidate = beta + step
+        new_dev = _table_deviance(table, candidate[0], candidate[1])
+        halvings = 0
+        while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
+            halvings < 12
+        ):
+            step = step / 2.0
+            candidate = beta + step
+            new_dev = _table_deviance(table, candidate[0], candidate[1])
+            halvings += 1
+        total_halvings += halvings
+        if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
+            return NonConvergenceError("no decrease", trace)
+        beta = candidate
+        trace.append((iteration, beta[0], beta[1], new_dev))
+        if abs(beta[1]) > 50.0:
+            return SeparationError("separated")
+        if abs(dev - new_dev) < 1e-10:
+            cov = np.linalg.inv(_table_information(x, t, beta))
+            cov = (cov + cov.T) / 2.0
+            return (
+                float(beta[0]),
+                float(beta[1]),
+                cov,
+                float(new_dev),
+                iteration,
+                total_halvings,
+            )
+        dev = new_dev
+    return NonConvergenceError("no convergence", trace)
+
+
+def _seeded_tables(seed=20151, count=60):
+    rng = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < count:
+        k = int(rng.integers(2, 41))
+        totals = rng.integers(1, 10**int(rng.integers(2, 10)), k)
+        eta = rng.uniform(-3.0, 3.0) + rng.uniform(-6.0, 6.0) / k * np.arange(k)
+        events = rng.binomial(totals, expit(eta))
+        counts = [(c + 1, int(n), int(y)) for c, (n, y) in enumerate(zip(totals, events))]
+        table = make_table(counts)
+        if 0 < table.total_events < table.total_subjects:
+            tables.append(table)
+    return tables
+
+
+HALVING_TABLES = [
+    make_table([(1, 41, 41), (2, 5, 3)]),
+    make_table([(1, 35, 34), (2, 5, 1)]),
+]
+
+
+class TestArrayLevelFit:
+    def test_halving_tables_take_halved_steps(self):
+        for table in HALVING_TABLES:
+            assert _table_rebuilding_fit(table)[5] > 0
+
+    @pytest.mark.parametrize(
+        "table",
+        _seeded_tables() + HALVING_TABLES,
+        ids=lambda table: f"{len(table.rows)}_strata",
+    )
+    def test_bit_identical_to_table_rebuilding_loop(self, table):
+        expected = _table_rebuilding_fit(table)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                fit_grouped_logistic(table)
+            if isinstance(expected, NonConvergenceError):
+                assert exc.value.trace == expected.trace
+            return
+        fit = fit_grouped_logistic(table)
+        beta0, beta1, cov, dev, iterations, _ = expected
+        assert fit.beta0 == beta0
+        assert fit.beta1 == beta1
+        assert np.array_equal(fit.cov, cov)
+        assert fit.deviance == dev
+        assert fit.iterations == iterations
+
+    def test_vrag_fit_bit_identical(self, vrag_table, vrag_fit):
+        beta0, beta1, cov, dev, iterations, _ = _table_rebuilding_fit(vrag_table)
+        assert (vrag_fit.beta0, vrag_fit.beta1) == (beta0, beta1)
+        assert np.array_equal(vrag_fit.cov, cov)
+        assert (vrag_fit.deviance, vrag_fit.iterations) == (dev, iterations)
+
+    @pytest.mark.parametrize("beta0", [-3.0, -0.7, 0.0, 1.3])
+    @pytest.mark.parametrize("beta1", [-2.5, -0.1, 0.0, 0.4, 60.0])
+    def test_public_wrappers_unchanged(self, vrag_table, beta0, beta1):
+        for table in (vrag_table, *HALVING_TABLES):
+            assert np.array_equal(
+                score(table, beta0, beta1), _table_score(table, beta0, beta1)
+            )
+            assert log_likelihood(table, beta0, beta1) == _table_log_likelihood(
+                table, beta0, beta1
+            )
+            got = deviance(table, beta0, beta1)
+            want = _table_deviance(table, beta0, beta1)
+            assert got == want or (math.isnan(got) and math.isnan(want))

@@ -1,8 +1,19 @@
+import sys
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from riskbounds import format_fixed, round_half_away
+from riskbounds.rounding import MAX_DIGITS
+
+
+def _default_context_format(x: float, digits: int) -> str:
+    """format_fixed as it reads under Decimal's default 28-digit context."""
+    quantum = Decimal(1).scaleb(-digits)
+    value = float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return f"{value + 0.0:.{digits}f}"
 
 
 class TestRoundHalfAway:
@@ -51,3 +62,24 @@ class TestFormatFixed:
 
     def test_negative_values_keep_their_sign(self):
         assert format_fixed(-0.006, 2) == "-0.01"
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 40)
+    )
+    def test_same_bytes_wherever_the_default_context_fits(self, x, digits):
+        try:
+            expected = _default_context_format(x, digits)
+        except InvalidOperation:
+            assume(False)
+        assert format_fixed(x, digits) == expected
+
+    def test_digits_beyond_the_default_context(self):
+        assert format_fixed(0.5, 400) == "0.5" + "0" * 399
+        assert format_fixed(1e6, 30) == "1000000." + "0" * 30
+
+    def test_extreme_doubles_at_max_digits(self):
+        largest = format_fixed(sys.float_info.max, MAX_DIGITS)
+        assert len(largest) == 309 + 1 + MAX_DIGITS
+        # the last decimal of the smallest subnormal is the MAX_DIGITS-th
+        smallest = format_fixed(5e-324, MAX_DIGITS)
+        assert smallest.startswith("0.000") and smallest[-1] == "5"
