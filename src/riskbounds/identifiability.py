@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .data import InputError
 # binomial_pmf stays importable from this module: perfbench/tracing.py
@@ -392,6 +391,9 @@ def clustering_test(
             undefined=True,
         )
     stat = _homogeneity_statistic(counts, m, p_hat)
+    # imported on first use: scipy.special is most of the start-up time
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc((n - 1) / 2.0, stat / 2.0))
     p_perm = None
     if n * m < SMALL_DESIGN_THRESHOLD:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, xlogy
 
+from . import _cephes
 from .data import CategoryTable, InputError, expand_weights
 from .wilson import IntervalEstimate, standard_normal_quantile
 
@@ -118,19 +118,30 @@ def log_likelihood(table: CategoryTable, beta0: float, beta1: float) -> float:
     return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
 
 
-def _score(x, t, e, beta0, beta1) -> np.ndarray:
+def _ufuncs():
+    """scipy.special's array expit and xlogy, imported on first use.
+
+    The Newton loop keeps these array forms: per-element ``math`` forms
+    give the same doubles but make a fit slower.
+    """
+    from scipy.special import expit, xlogy
+
+    return expit, xlogy
+
+
+def _score(x, t, e, beta0, beta1, expit) -> np.ndarray:
     resid = e - t * expit(beta0 + beta1 * x)
     return np.array([resid.sum(), (x * resid).sum()])
 
 
-def _information(x, t, beta) -> np.ndarray:
+def _information(x, t, beta, expit) -> np.ndarray:
     pi = expit(beta[0] + beta[1] * x)
     w = t * pi * (1.0 - pi)
     wx = w * x
     return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
 
 
-def _deviance(x, t, e, beta0, beta1) -> float:
+def _deviance(x, t, e, beta0, beta1, expit, xlogy) -> float:
     mu = t * expit(beta0 + beta1 * x)
     # xlogy gives 0 for 0*log(0), which is the right convention here; at
     # extreme slopes mu can saturate to 0 or t, making the ratio inf/nan,
@@ -143,12 +154,36 @@ def _deviance(x, t, e, beta0, beta1) -> float:
 
 def score(table: CategoryTable, beta0: float, beta1: float) -> np.ndarray:
     """Gradient of the log-likelihood in (beta0, beta1)."""
-    return _score(*_arrays(table), beta0, beta1)
+    return _score(*_arrays(table), beta0, beta1, _ufuncs()[0])
 
 
 def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
     """-2 log-likelihood relative to the saturated (one p per stratum) model."""
-    return _deviance(*_arrays(table), beta0, beta1)
+    return _deviance(*_arrays(table), beta0, beta1, *_ufuncs())
+
+
+def _check_overlap(table: CategoryTable) -> None:
+    """Raise ``SeparationError`` unless the MLE is finite.
+
+    For logit(risk) = beta0 + beta1 * category the MLE exists exactly when
+    events and non-events overlap on the category axis, i.e. neither is
+    confined to categories at or below every category of the other
+    (complete or quasi-complete separation; Albert & Anderson 1984,
+    Biometrika 71:1-10).  Decided from the integer counts alone.
+    """
+    # rows are in increasing category order
+    events = [r.category for r in table.rows if r.events > 0]
+    non_events = [r.category for r in table.rows if r.events < r.total]
+    for low, high, below, above in (
+        ("event", "non-event", events, non_events),
+        ("non-event", "event", non_events, events),
+    ):
+        if below[-1] <= above[0]:
+            raise SeparationError(
+                f"the data are separated: every {low} is in categories "
+                f"<= {below[-1]} and every {high} in categories >= {above[0]}, "
+                "so the MLE does not exist"
+            )
 
 
 def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
@@ -157,7 +192,9 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     Starts at beta0 = logit(pooled proportion), beta1 = 0 and runs Newton
     steps (with step halving if the deviance ever rises) until the
     deviance changes by less than 1e-10 or 50 iterations pass.  The
-    covariance is the inverse observed information at the MLE.
+    covariance is the inverse observed information at the MLE.  A table
+    whose MLE is at infinity (see ``_check_overlap``) raises
+    ``SeparationError`` before any Newton step.
     """
     if len(table.rows) < 2:
         raise InputError("regression fit needs at least 2 strata")
@@ -167,16 +204,18 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
         raise InputError(
             "all-zero or all-event tables carry no information about a trend"
         )
+    _check_overlap(table)
 
+    expit, xlogy = _ufuncs()
     x, t, e = _arrays(table)
     pooled = total_events / total_subjects
     beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    dev = _deviance(x, t, e, beta[0], beta[1])
+    dev = _deviance(x, t, e, beta[0], beta[1], expit, xlogy)
     trace: list[tuple[int, float, float, float]] = [(0, beta[0], beta[1], dev)]
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = _score(x, t, e, beta[0], beta[1])
-        info = _information(x, t, beta)
+        grad = _score(x, t, e, beta[0], beta[1], expit)
+        info = _information(x, t, beta, expit)
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as exc:
@@ -185,14 +224,14 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
             ) from exc
 
         candidate = beta + step
-        new_dev = _deviance(x, t, e, candidate[0], candidate[1])
+        new_dev = _deviance(x, t, e, candidate[0], candidate[1], expit, xlogy)
         halvings = 0
         while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
             halvings < _MAX_HALVINGS
         ):
             step = step / 2.0
             candidate = beta + step
-            new_dev = _deviance(x, t, e, candidate[0], candidate[1])
+            new_dev = _deviance(x, t, e, candidate[0], candidate[1], expit, xlogy)
             halvings += 1
         if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
             raise NonConvergenceError(
@@ -207,7 +246,7 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
                 "completely separated and the MLE does not exist"
             )
         if abs(dev - new_dev) < DEVIANCE_TOL:
-            info = _information(x, t, beta)
+            info = _information(x, t, beta, expit)
             cov = np.linalg.inv(info)
             cov = (cov + cov.T) / 2.0
             return LogisticFit(
@@ -250,11 +289,11 @@ def predict_risk(
         var = 0.0
     se = math.sqrt(var)
     z = standard_normal_quantile(1.0 - alpha / 2.0)
-    risk = float(expit(eta))
+    risk = _cephes.expit(eta)
     interval = IntervalEstimate(
         point=risk,
-        lower=float(expit(eta - z * se)),
-        upper=float(expit(eta + z * se)),
+        lower=_cephes.expit(eta - z * se),
+        upper=_cephes.expit(eta + z * se),
         level=1.0 - alpha,
         method="logistic_delta",
         valid=True,

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import expit, stdtrit
-
+from ._cephes import expit
 from .wilson import IntervalEstimate, WilsonInput, wilson_interval
 
 NOTE_SINGLE_OUTCOME = (
@@ -84,6 +83,9 @@ def student_t_quantile(p: float, df: int) -> float:
         raise ValueError(f"quantile argument must be in (0,1), got {p}")
     if not isinstance(df, int) or isinstance(df, bool) or df < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    # imported on first use: scipy.special is most of the start-up time
+    from scipy.special import stdtrit
+
     return float(stdtrit(df, p))
 
 
@@ -121,9 +123,9 @@ def cm1_pseudo_interval(
     half = t * inp.sigma_hat * spread
     eta = inp.beta0 + inp.beta1 * inp.x_new
     return IntervalEstimate(
-        point=float(expit(eta)),
-        lower=float(expit(eta - half)),
-        upper=float(expit(eta + half)),
+        point=expit(eta),
+        lower=expit(eta - half),
+        upper=expit(eta + half),
         level=1.0 - inp.alpha,
         method="cm1_pseudo",
         valid=False,

@@ -19,17 +19,26 @@ MAX_DIGITS = 1074
 _QUANTIZE_CONTEXT = Context(prec=309 + MAX_DIGITS)
 
 
-def round_half_away(x: float, digits: int = 2) -> float:
-    """Round to ``digits`` decimals with ties going away from zero."""
-    quantum = Decimal(1).scaleb(-digits)
-    return float(
-        Decimal(repr(float(x))).quantize(
-            quantum, rounding=ROUND_HALF_UP, context=_QUANTIZE_CONTEXT
-        )
+def _quantize(x: float, digits: int) -> Decimal:
+    return Decimal(repr(float(x))).quantize(
+        Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP, context=_QUANTIZE_CONTEXT
     )
 
 
+def round_half_away(x: float, digits: int = 2) -> float:
+    """Round to ``digits`` decimals with ties going away from zero."""
+    return float(_quantize(x, digits))
+
+
 def format_fixed(x: float, digits: int) -> str:
-    """Fixed-point string with half-away-from-zero rounding."""
-    value = round_half_away(x, digits) + 0.0  # normalizes -0.0 to 0.0
-    return f"{value:.{digits}f}"
+    """Fixed-point string with half-away-from-zero rounding.
+
+    Prints the rounded decimal itself, not the double nearest to it, so
+    high ``digits`` and values above 2**53 show no binary-expansion digits.
+    """
+    quantized = _quantize(x, digits)
+    if quantized.is_nan():
+        return "nan"
+    if quantized.is_zero():
+        quantized = quantized.copy_abs()  # prints -0.00 as 0.00
+    return format(quantized, "f")

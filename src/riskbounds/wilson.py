@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+
+from ._cephes import ndtri
 
 #: Interval construction tags, one per construction this package emits.
 METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseudo"})
@@ -150,10 +151,11 @@ class CoverageReport:
 
 
 def standard_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (absolute error well below 1e-9)."""
+    """Inverse standard normal CDF: Cephes ndtri, equal to
+    ``scipy.special.ndtri`` bit for bit (tested)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0,1), got {p}")
-    return float(ndtri(p))
+    return ndtri(float(p))
 
 
 def _is_integral(x: float) -> bool:
@@ -176,9 +178,9 @@ def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
 
     Bounds solve the quadratic (theta_hat - b)^2 = z^2 b(1-b)/n in b, with
     z the standard normal quantile at 1 - alpha/2.  The result is tagged
-    ``wilson`` only when n and the implied event count theta_hat*n are both
-    integers (within 1e-9); otherwise it is tagged ``fictitious_wilson``
-    and flagged invalid.
+    ``wilson`` only when n >= 1 and n and the implied event count
+    theta_hat*n are both integers (within 1e-9); otherwise it is tagged
+    ``fictitious_wilson`` and flagged invalid.
     """
     z = standard_normal_quantile(1.0 - inp.alpha / 2.0)
     n, th = inp.n, inp.theta_hat
@@ -196,7 +198,7 @@ def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
         if th - upper > 1e-9:
             raise AssertionError(f"wilson upper bound {upper} below point {th}")
         upper = th
-    real_sample = _is_integral(n) and _is_integral(th * n)
+    real_sample = n >= 1.0 and _is_integral(n) and _is_integral(th * n)
     method = "wilson" if real_sample else "fictitious_wilson"
     return IntervalEstimate(
         point=th,
@@ -226,6 +228,9 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return (1.0 - p) ** n
     if k == n:
         return p**n
+    # imported on first use: scipy.special is most of the start-up time
+    from scipy.special import gammaln
+
     log_pmf = (
         gammaln(n + 1)
         - gammaln(k + 1)
@@ -252,6 +257,11 @@ def binomial_pmf_array(n: int, p: float) -> np.ndarray:
     else:
         masses[0] = (1.0 - p) ** n
         masses[n] = p**n
+        if n == 1:  # no interior outcomes
+            return masses
+        # imported on first use: scipy.special is most of the start-up time
+        from scipy.special import gammaln
+
         k = np.arange(1, n)
         log_pmf = (
             gammaln(n + 1)

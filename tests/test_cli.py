@@ -131,6 +131,14 @@ class TestWilsonCommand:
         assert row["method"] == "fictitious_wilson"
         assert row["valid"] == "false"
 
+    def test_sample_size_below_one_is_flagged(self, capsys):
+        code, out, _ = run(
+            capsys, "wilson", "--fictitious", "0.5", "1e-12", "--format", "csv"
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert (row["method"], row["valid"]) == ("fictitious_wilson", "false")
+
     def test_requires_table_or_fictitious(self, capsys):
         code, _, err = run(capsys, "wilson")
         assert code == 2
@@ -254,6 +262,18 @@ class TestFitCommand:
         assert code == 3
         assert err.startswith("numerical failure:")
         assert "separated" in err
+
+    def test_quasi_separated_table_exits_3_with_one_line(self, capsys, tmp_path):
+        # the Newton loop used to stop here with converged=true, se0=131072
+        table = tmp_path / "quasi.csv"
+        table.write_text("category,total,events\n1,866250,156367\n2,12,0\n")
+        code, out, err = run(capsys, "fit", str(table))
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical failure: the data are separated: every event is in "
+            "categories <= 1 and every non-event in categories >= 1, so the "
+            "MLE does not exist\n"
+        )
 
 
 class TestCoverageCommand:

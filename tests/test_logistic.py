@@ -95,11 +95,46 @@ class TestFit:
         with pytest.raises(SeparationError):
             fit_grouped_logistic(table)
 
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            # complete: the slope runs to +inf
+            (
+                [(1, 40, 0), (2, 40, 0), (3, 40, 40), (4, 40, 40)],
+                "every non-event is in categories <= 2 and every event in "
+                "categories >= 3",
+            ),
+            # quasi-complete, shared category 1: the Newton loop used to stop
+            # at beta1 = -24.65 and report converged=True, se0 = 131072
+            (
+                [(1, 866250, 156367), (2, 12, 0)],
+                "every event is in categories <= 1 and every non-event in "
+                "categories >= 1",
+            ),
+            # quasi-complete, shared category 2: used to converge at -28.25
+            (
+                [(1, 41, 41), (2, 5, 3)],
+                "every event is in categories <= 2 and every non-event in "
+                "categories >= 2",
+            ),
+        ],
+    )
+    def test_separation_decided_before_newton(self, counts, message):
+        with pytest.raises(SeparationError) as exc:
+            fit_grouped_logistic(make_table(counts))
+        assert message in str(exc.value)
+        assert "MLE does not exist" in str(exc.value)
+
+    def test_overlapping_tables_reach_newton(self):
+        # overlap in one shared category on each side is enough
+        for counts in ([(1, 10, 3), (2, 10, 10), (3, 10, 0)], [(1, 5, 1), (2, 5, 4)]):
+            assert fit_grouped_logistic(make_table(counts)).converged
+
     def test_stalled_fit_raises_with_trace(self):
-        # separated as well, but the slope saturates the float likelihood
-        # before reaching the separation threshold, so the Newton loop
-        # stalls and reports its trace instead
-        table = make_table([(1, 40, 0), (2, 40, 0), (3, 40, 40), (4, 40, 40)])
+        # the MLE is finite (events and non-events overlap in both
+        # categories), but the deviance cannot fall by 1e-12 next to it,
+        # so the Newton loop stalls and reports its trace
+        table = make_table([(1, 19, 17), (2, 2314, 36)])
         with pytest.raises(NonConvergenceError) as exc:
             fit_grouped_logistic(table)
         trace = exc.value.trace
@@ -373,7 +408,17 @@ def _seeded_tables(seed=20151, count=60):
 HALVING_TABLES = [
     make_table([(1, 41, 41), (2, 5, 3)]),
     make_table([(1, 35, 34), (2, 5, 1)]),
+    make_table([(1, 7, 1), (2, 56, 55)]),
 ]
+
+
+def _finite_mle(table):
+    """Events and non-events overlap on the category axis."""
+    with_event = [r.category for r in table.rows if r.events > 0]
+    with_non_event = [r.category for r in table.rows if r.events < r.total]
+    return max(with_non_event) > min(with_event) and max(with_event) > min(
+        with_non_event
+    )
 
 
 class TestArrayLevelFit:
@@ -387,6 +432,12 @@ class TestArrayLevelFit:
         ids=lambda table: f"{len(table.rows)}_strata",
     )
     def test_bit_identical_to_table_rebuilding_loop(self, table):
+        if not _finite_mle(table):
+            # refused before Newton; the loop copy would run to a slope of
+            # about -28 and call that converged
+            with pytest.raises(SeparationError):
+                fit_grouped_logistic(table)
+            return
         expected = _table_rebuilding_fit(table)
         if isinstance(expected, Exception):
             with pytest.raises(type(expected)) as exc:

@@ -1,5 +1,6 @@
 import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -14,6 +15,20 @@ def _default_context_format(x: float, digits: int) -> str:
     quantum = Decimal(1).scaleb(-digits)
     value = float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
     return f"{value + 0.0:.{digits}f}"
+
+
+def _rounded_decimal(x: float, digits: int) -> str:
+    """Oracle: the shortest repr of x rounded half away from zero to
+    ``digits`` decimals, in integer arithmetic (no Decimal, no float)."""
+    exact = Fraction(repr(x))
+    scaled = abs(exact) * 10**digits
+    units = int(scaled)
+    if scaled - units >= Fraction(1, 2):
+        units += 1
+    text = str(units).rjust(digits + 1, "0")
+    if digits:
+        text = f"{text[:-digits]}.{text[-digits:]}"
+    return f"-{text}" if exact < 0 and units else text
 
 
 class TestRoundHalfAway:
@@ -63,15 +78,46 @@ class TestFormatFixed:
     def test_negative_values_keep_their_sign(self):
         assert format_fixed(-0.006, 2) == "-0.01"
 
+    def test_nan_prints_as_nan(self):
+        assert format_fixed(float("nan"), 4) == "nan"
+        assert format_fixed(-float("nan"), 0) == "nan"
+
     @given(
         st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 40)
     )
     def test_same_bytes_wherever_the_default_context_fits(self, x, digits):
+        # unchanged wherever the earlier float route printed the rounded
+        # decimal; elsewhere only the rounded decimal itself is accepted
         try:
             expected = _default_context_format(x, digits)
         except InvalidOperation:
             assume(False)
-        assert format_fixed(x, digits) == expected
+        oracle = _rounded_decimal(x, digits)
+        assert format_fixed(x, digits) == oracle
+        if expected != oracle:
+            assert format_fixed(x, digits) != expected
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 400)
+    )
+    def test_prints_the_rounded_decimal(self, x, digits):
+        assert format_fixed(x, digits) == _rounded_decimal(x, digits)
+
+    @pytest.mark.parametrize(
+        "value,digits,float_route,expected",
+        [
+            (0.95, 20, "0.94999999999999995559", "0.95000000000000000000"),
+            (1e23, 4, "99999999999999991611392.0000", "100000000000000000000000.0000"),
+            (123456789012.345678, 6, "123456789012.345673", "123456789012.345670"),
+            (2.0**53 + 2.0, 0, "9007199254740994", "9007199254740994"),
+        ],
+    )
+    def test_changed_only_where_the_float_route_was_wrong(
+        self, value, digits, float_route, expected
+    ):
+        assert _default_context_format(value, digits) == float_route
+        assert format_fixed(value, digits) == expected
+        assert expected == _rounded_decimal(value, digits)
 
     def test_digits_beyond_the_default_context(self):
         assert format_fixed(0.5, 400) == "0.5" + "0" * 399
@@ -80,6 +126,7 @@ class TestFormatFixed:
     def test_extreme_doubles_at_max_digits(self):
         largest = format_fixed(sys.float_info.max, MAX_DIGITS)
         assert len(largest) == 309 + 1 + MAX_DIGITS
-        # the last decimal of the smallest subnormal is the MAX_DIGITS-th
+        assert largest.startswith("17976931348623157" + "0" * 292 + ".000")
+        # the smallest subnormal prints its shortest repr, 5e-324
         smallest = format_fixed(5e-324, MAX_DIGITS)
-        assert smallest.startswith("0.000") and smallest[-1] == "5"
+        assert smallest == "0." + "0" * 323 + "5" + "0" * (MAX_DIGITS - 324)

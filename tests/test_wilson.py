@@ -97,6 +97,20 @@ class TestWilsonInterval:
         assert est.method == "fictitious_wilson"
         assert not est.valid
 
+    @pytest.mark.parametrize(
+        "theta,n",
+        [(0.5, 1e-12), (0.5, 1e-9), (0.0, 1.0 - 1e-10), (1.0, 1.0 - 1e-10), (0.0, 0.5)],
+    )
+    def test_sample_size_below_one_is_tagged_fictitious(self, theta, n):
+        # n and theta*n within 1e-9 of integers, but no design has n < 1
+        est = interval_for(theta, n)
+        assert est.method == "fictitious_wilson"
+        assert not est.valid
+
+    def test_sample_size_one_is_real(self):
+        for theta in (0.0, 1.0):
+            assert interval_for(theta, 1.0).method == "wilson"
+
     def test_degenerate_proportions(self):
         at_zero = interval_for(0.0, 11)
         assert at_zero.lower == 0.0
