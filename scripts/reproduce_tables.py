@@ -1,105 +1,24 @@
 #!/usr/bin/env python3
 """Rebuild the headline result tables from the shipped category counts.
 
-Prints, in order: the per-category score intervals, the grouped logistic
-fit with delta-method risk intervals at two confidence levels, the Wald
+Prints, in order and through the ``riskbounds`` CLI, so every table carries
+its run manifest: the per-category score intervals, the grouped logistic
+fit with delta-method risk intervals at each confidence level and the Wald
 trend test, and the fixed-proportion sweep showing how the (invalid)
 single-outcome construction widens as the pretend sample size shrinks.
 Optionally writes the plot dataset (observed vs fitted with bounds) to a
-CSV for downstream figures.
+CSV for downstream figures.  Set SOURCE_DATE_EPOCH for byte-identical
+reruns.
 """
 
 import argparse
-import csv
-import math
 import sys
 from pathlib import Path
 
-from riskbounds import (
-    WilsonInput,
-    figure_data,
-    fit_grouped_logistic,
-    parse_category_table,
-    predict_risk,
-    trend_test,
-    wilson_interval,
-)
+from riskbounds import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TABLE = REPO_ROOT / "data" / "vrag_categories.csv"
-
-
-def print_wilson_table(table) -> None:
-    print("== score intervals per category ==")
-    print(f"{'cat':>3} {'events/total':>12} {'prop':>6} {'95% interval':>14}")
-    for row in table.rows:
-        theta = row.events / row.total
-        est = wilson_interval(WilsonInput(theta_hat=theta, n=row.total, alpha=0.05))
-        print(
-            f"{row.category:>3} {f'{row.events}/{row.total}':>12} "
-            f"{theta:>6.2f} {f'({est.lower:.2f}, {est.upper:.2f})':>14}"
-        )
-
-
-def print_fit_tables(table, alphas: list[float]) -> None:
-    fit = fit_grouped_logistic(table)
-    print("\n== grouped logistic fit ==")
-    print(
-        f"beta0 = {fit.beta0:.4f} (se {math.sqrt(fit.cov[0, 0]):.4f})   "
-        f"beta1 = {fit.beta1:.4f} (se {math.sqrt(fit.cov[1, 1]):.4f})"
-    )
-    print(
-        f"deviance = {fit.deviance:.4f} after {fit.iterations} iterations "
-        f"(converged: {fit.converged})"
-    )
-    for alpha in alphas:
-        level = 100.0 * (1.0 - alpha)
-        print(f"\n== fitted risks with {level:.0f}% intervals ==")
-        print(f"{'cat':>3} {'observed':>8} {'fitted':>7} {'interval':>14}")
-        for row in table.rows:
-            pred = predict_risk(fit, row.category, alpha)
-            print(
-                f"{row.category:>3} {row.events / row.total:>8.2f} "
-                f"{pred.risk:>7.2f} "
-                f"{f'({pred.interval.lower:.2f}, {pred.interval.upper:.2f})':>14}"
-            )
-    trend = trend_test(fit)
-    print(
-        f"\ntrend: wald chi-square = {trend.wald_chi2:.2f} on 1 df, "
-        f"p = {trend.p_value:.3g}"
-    )
-
-
-def print_fictitious_sweep(theta: float, n_list: list[float]) -> None:
-    print(f"\n== fixed proportion {theta:.2f}, shrinking pretend samples ==")
-    print("(flagged invalid: none of these sample sizes can yield the fixed")
-    print(" proportion exactly, and the n=1 row is the refuted single-outcome")
-    print(" reading)")
-    print(f"{'n':>8} {'interval':>14} {'method':>18} {'valid':>5}")
-    for n in n_list:
-        est = wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=0.05))
-        print(
-            f"{n:>8g} {f'({est.lower:.2f}, {est.upper:.2f})':>14} "
-            f"{est.method:>18} {str(est.valid).lower():>5}"
-        )
-
-
-def write_figure_csv(table, path: Path, alpha: float) -> None:
-    fit = fit_grouped_logistic(table)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["category", "observed", "fitted", "lower", "upper"])
-        for point in figure_data(fit, table, alpha):
-            writer.writerow(
-                [
-                    point.category,
-                    f"{point.observed:.4f}",
-                    f"{point.fitted:.4f}",
-                    f"{point.lower:.4f}",
-                    f"{point.upper:.4f}",
-                ]
-            )
-    print(f"\nwrote plot dataset to {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,12 +47,35 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    table = parse_category_table(args.table.read_text(), name=str(args.table))
-    print_wilson_table(table)
-    print_fit_tables(table, [float(a) for a in args.alphas.split(",")])
-    print_fictitious_sweep(args.theta, [float(n) for n in args.n_list.split(",")])
+    table = str(args.table)
+    figure = [] if args.figure is None else ["--figure", str(args.figure)]
+    sections = [
+        (
+            ["== score intervals per category =="],
+            ["wilson", table, "--round", "2"],
+        ),
+        (
+            ["", "== grouped logistic fit =="],
+            ["fit", table, "--alpha", args.alphas, *figure],
+        ),
+        (
+            [
+                "",
+                f"== fixed proportion {args.theta:.2f}, shrinking pretend samples ==",
+                "(flagged invalid: none of these sample sizes can yield the fixed",
+                " proportion exactly, and the n=1 row is the refuted single-outcome",
+                " reading)",
+            ],
+            ["wilson", "--fictitious", str(args.theta), args.n_list, "--round", "2"],
+        ),
+    ]
+    for heading, cli_argv in sections:
+        print("\n".join(heading))
+        status = cli.main(cli_argv)
+        if status != 0:
+            return status
     if args.figure is not None:
-        write_figure_csv(table, args.figure, float(args.alphas.split(",")[0]))
+        print(f"\nwrote plot dataset to {args.figure}")
     return 0
 
 

@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,28 +54,27 @@ SEED_ENV_VAR = "RISKBOUNDS_SEED"
 
 
 # ---------------------------------------------------------------------------
-# run manifest and table rendering
+# reports, run manifest and table rendering
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    inputs: tuple[str, ...]
-    parameters: tuple[tuple[str, str], ...]
-    seed: int | None
-    version: str
-    timestamp: str
+@dataclass
+class Report:
+    """A table, what its manifest records, and the csv files to write."""
 
-    def lines(self) -> list[str]:
-        params = " ".join(f"{k}={v}" for k, v in self.parameters) or "none"
-        return [
-            f"riskbounds {self.version}",
-            f"subcommand: {self.subcommand}",
-            f"inputs: {', '.join(self.inputs) or 'none'}",
-            f"parameters: {params}",
-            f"seed: {self.seed if self.seed is not None else 'none'}",
-            f"timestamp: {self.timestamp}",
-        ]
+    columns: list[str]
+    rows: list[list[object]]
+    parameters: dict[str, object]
+    inputs: tuple[str, ...] = ()
+    seed: int | None = None
+    banner: str | None = None
+    footer: list[str] = field(default_factory=list)
+    files: dict[str, Report] = field(default_factory=dict)
+
+    def render(self, command: str, fmt: str, digits: int, timestamp: str) -> str:
+        manifest = _manifest(command, self, timestamp)
+        return render_table(
+            self.columns, self.rows, manifest, fmt, digits, self.banner, self.footer
+        )
 
 
 def _timestamp() -> str:
@@ -86,21 +85,16 @@ def _timestamp() -> str:
     )
 
 
-def build_manifest(
-    subcommand: str,
-    inputs: tuple[str, ...],
-    parameters: dict[str, object],
-    seed: int | None = None,
-) -> RunManifest:
-    rendered = tuple(sorted((k, str(v)) for k, v in parameters.items()))
-    return RunManifest(
-        subcommand=subcommand,
-        inputs=inputs,
-        parameters=rendered,
-        seed=seed,
-        version=__version__,
-        timestamp=_timestamp(),
-    )
+def _manifest(command: str, report: Report, timestamp: str) -> list[str]:
+    params = sorted((k, str(v)) for k, v in report.parameters.items())
+    return [
+        f"riskbounds {__version__}",
+        f"subcommand: {command}",
+        f"inputs: {', '.join(report.inputs) or 'none'}",
+        f"parameters: {' '.join(f'{k}={v}' for k, v in params) or 'none'}",
+        f"seed: {'none' if report.seed is None else report.seed}",
+        f"timestamp: {timestamp}",
+    ]
 
 
 def _cell(value: object, digits: int) -> str:
@@ -114,7 +108,7 @@ def _cell(value: object, digits: int) -> str:
 def render_table(
     columns: list[str],
     rows: list[list[object]],
-    manifest: RunManifest,
+    manifest: list[str],
     fmt: str,
     digits: int,
     banner: str | None = None,
@@ -126,14 +120,14 @@ def render_table(
     lines: list[str] = []
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
-        lines.extend(f"# {text}" for text in manifest.lines())
+        lines.extend(f"# {text}" for text in manifest)
         if banner:
             lines.extend(f"# {text}" for text in banner.splitlines())
         lines.append(sep.join(columns))
         lines.extend(sep.join(row) for row in cells)
         lines.extend(f"# {text}" for text in footer)
     elif fmt == "pretty":
-        lines.extend(manifest.lines())
+        lines.extend(manifest)
         lines.append("")
         if banner:
             lines.extend(banner.splitlines())
@@ -189,8 +183,7 @@ def _env_seed() -> int | None:
 # subcommands
 
 
-def cmd_wilson(args: argparse.Namespace) -> int:
-    digits = _digits(args.round)
+def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
     if args.fictitious is not None:
         theta_text, n_text = args.fictitious
         try:
@@ -202,17 +195,6 @@ def cmd_wilson(args: argparse.Namespace) -> int:
             ) from None
         if not sizes:
             raise InputError("--fictitious n list is empty")
-        manifest = build_manifest(
-            "wilson",
-            inputs=(),
-            parameters={
-                "alpha": args.alpha,
-                "theta": theta,
-                "n_list": n_text,
-                "format": args.format,
-                "round": args.round,
-            },
-        )
         columns = ["n", "theta_hat", "lower", "upper", "level", "method", "valid"]
         rows = []
         for n in sizes:
@@ -220,24 +202,12 @@ def cmd_wilson(args: argparse.Namespace) -> int:
             rows.append(
                 [n, theta, est.lower, est.upper, est.level, est.method, est.valid]
             )
-        sys.stdout.write(
-            render_table(columns, rows, manifest, args.format, digits)
-        )
-        return 0
+        parameters = {"alpha": args.alpha, "theta": theta, "n_list": n_text}
+        return Report(columns, rows, parameters)
 
     if args.table is None:
         raise InputError("provide a table path or --fictitious THETA N_LIST")
     table = _read_table_file(args.table)
-    manifest = build_manifest(
-        "wilson",
-        inputs=(args.table,),
-        parameters={
-            "alpha": args.alpha,
-            "per_row": True,
-            "format": args.format,
-            "round": args.round,
-        },
-    )
     columns = [
         "category",
         "total",
@@ -267,12 +237,10 @@ def cmd_wilson(args: argparse.Namespace) -> int:
                 est.valid,
             ]
         )
-    sys.stdout.write(render_table(columns, rows, manifest, args.format, digits))
-    return 0
+    return Report(columns, rows, {"alpha": args.alpha}, inputs=(args.table,))
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    digits = _digits(args.round)
+def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
     try:
         alphas = [float(part) for part in args.alpha.split(",") if part]
     except ValueError:
@@ -285,16 +253,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fit = fit_grouped_logistic(table)
     trend = trend_test(fit)
 
-    manifest = build_manifest(
-        "fit",
-        inputs=(args.table,),
-        parameters={
-            "alpha": args.alpha,
-            "expand": args.expand,
-            "format": args.format,
-            "round": args.round,
-        },
-    )
     se0 = float(fit.cov[0, 0]) ** 0.5
     se1 = float(fit.cov[1, 1]) ** 0.5
     summary = [
@@ -333,67 +291,35 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     pred.interval.upper,
                 ]
             )
-    sys.stdout.write(
-        render_table(
-            columns, rows, manifest, args.format, digits, footer=summary
-        )
-    )
-
+    parameters = {"alpha": args.alpha, "expand": args.expand}
+    report = Report(columns, rows, parameters, inputs=(args.table,), footer=summary)
     if args.figure is not None:
+        # the figure's manifest names its one alpha and no format
+        fig_params = {"alpha": alphas[0], "expand": args.expand, "round": args.round}
         points = figure_data(fit, table, alphas[0])
-        fig_manifest = build_manifest(
-            "fit",
-            inputs=(args.table,),
-            parameters={
-                "alpha": alphas[0],
-                "expand": args.expand,
-                "figure": args.figure,
-                "round": args.round,
-            },
-        )
-        fig_rows = [
-            [p.category, p.observed, p.fitted, p.lower, p.upper] for p in points
-        ]
-        text = render_table(
+        report.files[args.figure] = Report(
             ["category", "observed", "fitted", "lower", "upper"],
-            fig_rows,
-            fig_manifest,
-            "csv",
-            digits,
+            [[p.category, p.observed, p.fitted, p.lower, p.upper] for p in points],
+            {**fig_params, "figure": args.figure},
+            inputs=(args.table,),
         )
-        Path(args.figure).write_text(text, encoding="utf-8")
-    return 0
+    return report
 
 
-def cmd_coverage(args: argparse.Namespace) -> int:
-    digits = _digits(args.round)
+def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
     try:
         report = exact_coverage(args.n, args.p, args.level)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    manifest = build_manifest(
-        "coverage",
-        inputs=(),
-        parameters={
-            "n": args.n,
-            "p": args.p,
-            "level": args.level,
-            "format": args.format,
-            "round": args.round,
-        },
-    )
     columns = ["k", "probability", "lower", "upper", "covered"]
     outcomes = (report.probability, report.lower, report.upper, report.covered)
     rows = list(zip(range(report.n + 1), *outcomes))
     footer = [f"coverage: {format_fixed(report.coverage, digits)}"]
-    sys.stdout.write(
-        render_table(columns, rows, manifest, args.format, digits, footer=footer)
-    )
-    return 0
+    parameters = {"n": args.n, "p": args.p, "level": args.level}
+    return Report(columns, rows, parameters, footer=footer)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    digits = _digits(args.round)
+def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -414,26 +340,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             name: (
                 spec
                 if isinstance(spec, ThresholdScenario)
-                else ScenarioSpec(
-                    risk_distribution=spec.risk_distribution,
-                    sample_size=spec.sample_size,
-                    repeats=args.reps,
-                    seed=spec.seed,
-                )
+                else replace(spec, repeats=args.reps)
             )
             for name, spec in specs.items()
         }
 
-    manifest = build_manifest(
-        "simulate",
-        inputs=(args.config,),
-        parameters={
-            "reps": args.reps,
-            "format": args.format,
-            "round": args.round,
-        },
-        seed=seed,
-    )
     columns = ["section", "record", "key", "value"]
     rows: list[list[object]] = []
     outcome_rows: list[list[object]] = []
@@ -486,37 +397,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             rows.append([f"{name_a}|{name_b}", "tv_distance", "value", tv])
 
-    sys.stdout.write(render_table(columns, rows, manifest, args.format, digits))
-
+    inputs, parameters = (args.config,), {"reps": args.reps}
+    report = Report(columns, rows, parameters, inputs=inputs, seed=seed)
     if args.outcomes is not None:
-        text_out = render_table(
-            ["section", "individual", "rep", "outcome"],
-            outcome_rows,
-            manifest,
-            "csv",
-            digits,
+        # one parameters dict, so the file repeats the manifest of stdout
+        outcome_columns = ["section", "individual", "rep", "outcome"]
+        report.files[args.outcomes] = Report(
+            outcome_columns, outcome_rows, parameters, inputs=inputs, seed=seed
         )
-        Path(args.outcomes).write_text(text_out, encoding="utf-8")
-    return 0
+    return report
 
 
-def cmd_refuted(args: argparse.Namespace) -> int:
-    digits = _digits(args.round)
+def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
     if args.mode == "hmc":
         if args.theta is None:
             raise InputError("--mode hmc requires --theta")
         est = hmc_individual_interval(args.theta, args.alpha)
-        manifest = build_manifest(
-            "refuted",
-            inputs=(),
-            parameters={
-                "mode": "hmc",
-                "theta": args.theta,
-                "alpha": args.alpha,
-                "format": args.format,
-                "round": args.round,
-            },
-        )
+        parameters = {"mode": "hmc", "theta": args.theta, "alpha": args.alpha}
         columns = ["theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
             [
@@ -532,15 +429,15 @@ def cmd_refuted(args: argparse.Namespace) -> int:
         ]
     else:
         required = {
-            "--sigma": args.sigma,
-            "--beta0": args.beta0,
-            "--beta1": args.beta1,
-            "--n": args.n,
-            "--x-bar": args.x_bar,
-            "--ss-x": args.ss_x,
-            "--x-new": args.x_new,
+            "sigma": args.sigma,
+            "beta0": args.beta0,
+            "beta1": args.beta1,
+            "n": args.n,
+            "x_bar": args.x_bar,
+            "ss_x": args.ss_x,
+            "x_new": args.x_new,
         }
-        missing = [flag for flag, value in required.items() if value is None]
+        missing = ["--" + k.replace("_", "-") for k, v in required.items() if v is None]
         if missing:
             raise InputError(
                 f"--mode cm1 requires {', '.join(missing)} (sigma has no "
@@ -560,39 +457,12 @@ def cmd_refuted(args: argparse.Namespace) -> int:
             est = cm1_pseudo_interval(inp, df=args.df)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        manifest = build_manifest(
-            "refuted",
-            inputs=(),
-            parameters={
-                "mode": "cm1",
-                "beta0": args.beta0,
-                "beta1": args.beta1,
-                "sigma": args.sigma,
-                "n": args.n,
-                "x_bar": args.x_bar,
-                "ss_x": args.ss_x,
-                "x_new": args.x_new,
-                "alpha": args.alpha,
-                "df": args.df,
-                "format": args.format,
-                "round": args.round,
-            },
-        )
+        parameters = {"mode": "cm1", **required, "alpha": args.alpha, "df": args.df}
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
             [est.point, est.lower, est.upper, est.level, est.method, est.valid, est.note]
         ]
-    sys.stdout.write(
-        render_table(
-            columns,
-            rows,
-            manifest,
-            args.format,
-            digits,
-            banner=REFUTATION_BANNER,
-        )
-    )
-    return 0
+    return Report(columns, rows, parameters, banner=REFUTATION_BANNER)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wilson.add_argument("table", nargs="?", help="category,total,events CSV")
     p_wilson.add_argument("--alpha", type=float, default=0.05)
-    p_wilson.add_argument(
-        "--per-row",
-        action="store_true",
-        help="one interval per stratum (the default for table input)",
-    )
     p_wilson.add_argument(
         "--fictitious",
         nargs=2,
@@ -732,19 +597,21 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed a usage message; keep its exit code
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        digits = _digits(args.round)
+        report = args.func(args, digits)
+        report.parameters.update(format=args.format, round=args.round)
+        timestamp = _timestamp()
+        sys.stdout.write(report.render(args.command, args.format, digits, timestamp))
+        for path, written in report.files.items():
+            text = written.render(args.command, "csv", digits, timestamp)
+            Path(path).write_text(text, encoding="utf-8")
+        return 0
     except (NumericalError, ArithmeticError, AssertionError) as exc:
         # ArithmeticError: float underflow or overflow in a formula;
         # AssertionError: the Wilson bounds failed their containment snap
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

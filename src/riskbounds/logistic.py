@@ -25,10 +25,6 @@ from .wilson import IntervalEstimate, standard_normal_quantile
 
 DEVIANCE_TOL = 1e-10
 MAX_ITERATIONS = 50
-#: Slope magnitude beyond which we declare complete separation; on the
-#: log-odds scale a one-category step of 50 is astronomically past any
-#: finite MLE that real grouped data can produce.
-SEPARATION_SLOPE = 50.0
 _MAX_HALVINGS = 12
 
 
@@ -240,11 +236,6 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
 
         beta = candidate
         trace.append((iteration, beta[0], beta[1], new_dev))
-        if abs(beta[1]) > SEPARATION_SLOPE:
-            raise SeparationError(
-                f"slope {beta[1]:.3g} exceeds {SEPARATION_SLOPE}; the data are "
-                "completely separated and the MLE does not exist"
-            )
         if abs(dev - new_dev) < DEVIANCE_TOL:
             info = _information(x, t, beta, expit)
             cov = np.linalg.inv(info)

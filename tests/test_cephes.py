@@ -150,7 +150,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         status = main(argv)
     files = {}
-    for name in ("figure.csv",):
+    for name in ("figure.csv", "outcomes.csv"):
         path = os.path.join(sys.argv[2], name)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -220,6 +220,21 @@ def test_fit_still_loads_scipy_and_prints_the_same_bytes(tmp_path):
     assert status == 0
     assert _body(stdout) == bodies["fit"]["stdout"]
     assert _body(files["figure.csv"]) == bodies["fit"]["figure.csv"]
+
+
+# the README calls no other test compares with the benchmark's bodies
+SCIPY_CALLS = ("simulate_single", "simulate_repeated", "refuted_cm1")
+
+
+def test_scipy_readme_calls_print_the_same_bytes(tmp_path):
+    calls = _readme_calls()
+    bodies = json.loads((PERFBENCH / "cli_bodies.json").read_text(encoding="utf-8"))
+    results, _ = _fresh_run([calls[key] for key in SCIPY_CALLS], tmp_path)
+    for key, (status, stdout, files) in zip(SCIPY_CALLS, results):
+        assert status == 0, key
+        assert _body(stdout) == bodies[key]["stdout"], key
+        written = {name: _body(text) for name, text in files.items()}
+        assert written == {k: v for k, v in bodies[key].items() if k != "stdout"}, key
 
 
 def test_coverage_above_one_still_loads_scipy(tmp_path):

@@ -125,6 +125,20 @@ class TestFit:
         assert message in str(exc.value)
         assert "MLE does not exist" in str(exc.value)
 
+    @pytest.mark.parametrize("total", [10**13, 10**15])
+    def test_steep_overlapping_table_is_not_called_separated(self, total):
+        # events and non-events overlap in both categories, so the MLE is
+        # finite, with a slope of 2 * log(total - 1) (about 59.9 at 1e13);
+        # a bound of 50 on the slope used to call this table separated
+        table = make_table([(1, total, 1), (2, total, total - 1)])
+        try:
+            fit = fit_grouped_logistic(table)
+        except SeparationError as exc:
+            pytest.fail(f"an overlapping table was called separated: {exc}")
+        except NumericalError:
+            return  # whether Newton converges here is not this test's concern
+        assert fit.beta1 == pytest.approx(2.0 * math.log(total - 1), rel=1e-6)
+
     def test_overlapping_tables_reach_newton(self):
         # overlap in one shared category on each side is enough
         for counts in ([(1, 10, 3), (2, 10, 10), (3, 10, 0)], [(1, 5, 1), (2, 5, 4)]):
@@ -373,8 +387,6 @@ def _table_rebuilding_fit(table):
             return NonConvergenceError("no decrease", trace)
         beta = candidate
         trace.append((iteration, beta[0], beta[1], new_dev))
-        if abs(beta[1]) > 50.0:
-            return SeparationError("separated")
         if abs(dev - new_dev) < 1e-10:
             cov = np.linalg.inv(_table_information(x, t, beta))
             cov = (cov + cov.T) / 2.0

@@ -8,9 +8,12 @@ from the file's source, without importing or executing it.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from riskbounds import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -38,3 +41,24 @@ def test_sites_were_found():
 @pytest.mark.parametrize("module,attr", SITES, ids=lambda v: v)
 def test_span_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_render_table_takes_columns_then_rows():
+    # the benchmark's cli.render_cells counter reads a call's args[0] and
+    # args[1] as the columns and rows of render_table
+    names = list(inspect.signature(cli.render_table).parameters)
+    assert names[:2] == ["columns", "rows"]
+
+
+def test_main_passes_columns_and_rows_positionally(monkeypatch, tmp_path, vrag_path):
+    calls = []
+    render = cli.render_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "render_table", spy)
+    figure = tmp_path / "figure.csv"
+    assert cli.main(["fit", str(vrag_path), "--figure", str(figure)]) == 0
+    assert [(len(args[0]), len(args[1])) for args in calls] == [(8, 9), (5, 9)]
