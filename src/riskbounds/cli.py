@@ -65,7 +65,7 @@ class Report:
     rows: list[list[object]]
     parameters: dict[str, object]
     inputs: tuple[str, ...] = ()
-    seed: int | None = None
+    seed: int | str | None = None
     banner: str | None = None
     footer: list[str] = field(default_factory=list)
     files: dict[str, Report] = field(default_factory=dict)
@@ -77,9 +77,19 @@ class Report:
         )
 
 
+def _env_int(name: str, kind: str) -> int | None:
+    text = os.environ.get(name)
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{name} must be {kind}, got {text!r}") from None
+
+
 def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    moment = int(epoch) if epoch is not None else int(time.time())
+    epoch = _env_int("SOURCE_DATE_EPOCH", "an integer number of seconds")
+    moment = int(time.time()) if epoch is None else epoch
     return datetime.fromtimestamp(moment, tz=timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
     )
@@ -98,6 +108,12 @@ def _manifest(command: str, report: Report, timestamp: str) -> list[str]:
 
 
 def _cell(value: object, digits: int) -> str:
+    # exact types first, for speed; subclasses (bool, numpy scalars) below
+    kind = type(value)
+    if kind is float:
+        return format_fixed(value, digits)
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -165,18 +181,6 @@ def _digits(requested: int | None) -> int:
     if requested > MAX_DIGITS:
         raise InputError(f"--round must be <= {MAX_DIGITS}")
     return requested
-
-
-def _env_seed() -> int | None:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(
-            f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +330,12 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
         raise InputError(f"cannot read {args.config}: {exc}") from exc
     # precedence: --seed beats each section's seed key, which beats the
     # RISKBOUNDS_SEED fallback, which beats the built-in default of 0
-    env_seed = _env_seed()
+    env_seed = _env_int(SEED_ENV_VAR, "an integer")
     specs = read_scenario_config(
         text,
         seed_override=args.seed,
         fallback_seed=env_seed if env_seed is not None else 0,
     )
-    seed = args.seed if args.seed is not None else env_seed
     if args.reps is not None:
         if args.reps < 1:
             raise InputError("--reps must be >= 1")
@@ -349,9 +352,11 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     rows: list[list[object]] = []
     outcome_rows: list[list[object]] = []
     single_outcome: list[tuple[str, ScenarioSpec]] = []
+    drawn: dict[str, int] = {}  # seed of each section that draws numbers
 
     for name, spec in specs.items():
         if isinstance(spec, ThresholdScenario):
+            drawn[name] = spec.seed
             cohort = simulate_threshold_cohort(
                 spec.model, spec.cohort_size, spec.seed
             )
@@ -370,6 +375,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
                 rows.append([name, "count_distribution", k, float(prob)])
             single_outcome.append((name, spec))
             continue
+        drawn[name] = spec.seed
         data = simulate_repeated(spec)
         cluster = clustering_test(data)
         icc = icc_estimate(data)
@@ -397,6 +403,11 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             )
             rows.append([f"{name_a}|{name_b}", "tv_distance", "value", tv])
 
+    # the manifest names the seeds the sections that drew numbers ran with
+    if len(set(drawn.values())) > 1:
+        seed = " ".join(f"{name}={value}" for name, value in drawn.items())
+    else:
+        seed = next(iter(drawn.values()), None)
     inputs, parameters = (args.config,), {"reps": args.reps}
     report = Report(columns, rows, parameters, inputs=inputs, seed=seed)
     if args.outcomes is not None:
@@ -598,9 +609,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         digits = _digits(args.round)
+        timestamp = _timestamp()
         report = args.func(args, digits)
         report.parameters.update(format=args.format, round=args.round)
-        timestamp = _timestamp()
         sys.stdout.write(report.render(args.command, args.format, digits, timestamp))
         for path, written in report.files.items():
             text = written.render(args.command, "csv", digits, timestamp)

@@ -9,6 +9,7 @@ import csv
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goldens
@@ -411,7 +412,7 @@ class TestSimulateCommand:
         # every section in this config pins its own seed, so the fallback
         # must not change any data row
         assert data_lines(fallback) == data_lines(base)
-        assert "# seed: 777" in comment_lines(fallback)
+        assert "# seed: 42" in comment_lines(fallback)
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch, data_dir):
         config = data_dir / "scenarios_repeated.cfg"
@@ -434,6 +435,42 @@ class TestSimulateCommand:
         _, first, _ = run(capsys, "simulate", str(config), "--format", "csv")
         _, second, _ = run(capsys, "simulate", str(config), "--format", "csv")
         assert first == second
+
+    def test_manifest_seed_is_the_one_sections_ran_with(
+        self, capsys, monkeypatch, data_dir
+    ):
+        # both sections pin seed = 42, so the fallback -4 is never used
+        monkeypatch.setenv("RISKBOUNDS_SEED", "-4")
+        code, out, _ = run(capsys, "simulate", str(data_dir / "scenarios_repeated.cfg"))
+        assert code == 0
+        assert "seed: 42" in out.splitlines()
+        code, out, _ = run(capsys, "simulate", str(data_dir / "threshold_demo.cfg"))
+        assert code == 0
+        assert "seed: 7" in out.splitlines()
+
+    def test_manifest_seed_names_each_section_when_they_differ(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        config = tmp_path / "mixed.cfg"
+        config.write_text(
+            "[rep]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+            "repeats = 3\nseed = 1\n"
+            "[exact]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+            "[cohort]\nmodel = threshold\nthreshold_location = 0.5\n"
+            "provocation_rate = 2.0\nstrength_location = 0.0\n"
+            "follow_up = 1.0\ncohort_size = 5\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("RISKBOUNDS_SEED", "9")
+        _, out, _ = run(capsys, "simulate", str(config), "--format", "csv")
+        # the exact section draws nothing; cohort falls back to the env seed
+        assert "# seed: rep=1 cohort=9" in comment_lines(out)
+        _, out, _ = run(capsys, "simulate", str(config), "--format", "csv", "--seed", "3")
+        assert "# seed: 3" in comment_lines(out)
+        _, out, _ = run(
+            capsys, "simulate", str(config), "--format", "csv", "--reps", "1"
+        )
+        assert "# seed: 9" in comment_lines(out)
 
 
 class TestRefutedCommand:
@@ -570,6 +607,73 @@ class TestOutputFormats:
         code, _, _ = run(capsys, "nosuchcmd")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "fmt,digits,expected",
+        [
+            ("csv", 0, "# m\na,b,c,d,e,f,g,h,i\ntrue,false,3,7,x,0,0,0,nan\n"),
+            (
+                "csv",
+                2,
+                "# m\na,b,c,d,e,f,g,h,i\ntrue,false,3,7,x,0.13,0.13,0.00,nan\n",
+            ),
+            (
+                "csv",
+                4,
+                "# m\na,b,c,d,e,f,g,h,i\n"
+                "true,false,3,7,x,0.1250,0.1250,-0.0001,nan\n",
+            ),
+            (
+                "tsv",
+                0,
+                "# m\na\tb\tc\td\te\tf\tg\th\ti\n"
+                "true\tfalse\t3\t7\tx\t0\t0\t0\tnan\n",
+            ),
+            (
+                "tsv",
+                2,
+                "# m\na\tb\tc\td\te\tf\tg\th\ti\n"
+                "true\tfalse\t3\t7\tx\t0.13\t0.13\t0.00\tnan\n",
+            ),
+            (
+                "tsv",
+                4,
+                "# m\na\tb\tc\td\te\tf\tg\th\ti\n"
+                "true\tfalse\t3\t7\tx\t0.1250\t0.1250\t-0.0001\tnan\n",
+            ),
+            (
+                "pretty",
+                0,
+                "m\n\n"
+                "a     b      c  d  e  f  g  h  i  \n"
+                "----  -----  -  -  -  -  -  -  ---\n"
+                "true  false  3  7  x  0  0  0  nan\n",
+            ),
+            (
+                "pretty",
+                2,
+                "m\n\n"
+                "a     b      c  d  e  f     g     h     i  \n"
+                "----  -----  -  -  -  ----  ----  ----  ---\n"
+                "true  false  3  7  x  0.13  0.13  0.00  nan\n",
+            ),
+            (
+                "pretty",
+                4,
+                "m\n\n"
+                "a     b      c  d  e  f       g       h        i  \n"
+                "----  -----  -  -  -  ------  ------  -------  ---\n"
+                "true  false  3  7  x  0.1250  0.1250  -0.0001  nan\n",
+            ),
+        ],
+    )
+    def test_cell_types_render_as_pinned(self, fmt, digits, expected):
+        # bool and numpy scalars are subclasses of the exact types that
+        # _cell dispatches on first, so each must still print as before
+        row = [True, False, 3, np.int64(7), "x", 0.125, np.float64(0.125)]
+        row += [-0.0001, float("nan")]
+        rendered = cli.render_table(list("abcdefghi"), [row], ["m"], fmt, digits)
+        assert rendered == expected
+
 
 class TestNumericalFailures:
     @pytest.mark.parametrize("theta,n_list", [("0.5", "1e-320"), ("0.3", "1e-300")])
@@ -596,6 +700,35 @@ class TestNumericalFailures:
         assert out == ""
         assert err.startswith("numerical failure: wilson upper bound ")
         assert "Traceback" not in err
+
+
+class TestSourceDateEpoch:
+    @pytest.mark.parametrize("value", ["zz", "1.5", ""])
+    def test_non_integer_exits_2_before_any_work(
+        self, capsys, monkeypatch, tmp_path, data_dir, vrag_path, value
+    ):
+        calls = []
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        monkeypatch.setattr(cli, "wilson_interval", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "simulate_repeated", lambda *a: calls.append(a))
+        outcomes = tmp_path / "outcomes.csv"
+        message = (
+            "error: SOURCE_DATE_EPOCH must be an integer number of seconds, "
+            f"got {value!r}\n"
+        )
+        for argv in (
+            ("wilson", str(vrag_path)),
+            ("wilson", "--fictitious", "0.5", "1e-320"),
+            (
+                "simulate",
+                str(data_dir / "scenarios_repeated.cfg"),
+                "--outcomes",
+                str(outcomes),
+            ),
+        ):
+            assert run(capsys, *argv) == (2, "", message)
+        assert calls == []
+        assert not outcomes.exists()
 
 
 class TestRoundOption:
@@ -707,5 +840,6 @@ class TestParserReuse:
         seeded, unseeded = self._reused_equals_fresh(
             capsys, monkeypatch, parser_builds, steps
         )
-        assert "# seed: 5" in comment_lines(seeded[1])
+        # the single-outcome sections are exact and draw no random numbers
+        assert "# seed: none" in comment_lines(seeded[1])
         assert "# seed: none" in comment_lines(unseeded[1])

@@ -1,3 +1,4 @@
+import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from fractions import Fraction
@@ -130,3 +131,78 @@ class TestFormatFixed:
         # the smallest subnormal prints its shortest repr, 5e-324
         smallest = format_fixed(5e-324, MAX_DIGITS)
         assert smallest == "0." + "0" * 323 + "5" + "0" * (MAX_DIGITS - 324)
+
+
+def _neighbours(x: float, steps: int) -> list[float]:
+    """x and its ``steps`` nearest doubles on either side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def _fast_path_grid(digits: int) -> list[float]:
+    """Deterministic inputs around every place the %-format route of
+    format_fixed could part from the Decimal route at ``digits``."""
+    bound = 2**51 / 10 ** (digits + 1)
+    # half-way points (k + 1/2) / 10**digits: every k below 200, then k
+    # log-spaced to 1e18, past the bound (2**51 / 10 is about 2.3e14) into
+    # magnitudes where "%.*f" prints digits the shortest repr does not have
+    ks = set(range(200))
+    ks.update(int(10 ** (e / 4)) for e in range(4 * 18))
+    values = []
+    for k in sorted(ks):
+        tie = float(Fraction(2 * k + 1, 2 * 10**digits))
+        values.extend(_neighbours(tie, 4))
+    # short decimals whose shortest repr is itself a tie
+    values += [2.675, 0.125, 0.05, 0.95, 0.5, 1.5, 2.5, 1.005, 0.015]
+    values += _neighbours(bound, 3)
+    # zeros, values that round to -0, and subnormals
+    values += [0.0, 0.4 / 10**digits, 0.49 / 10**digits, 5e-324, 2.5e-320]
+    values += [sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
+    return values + [-x for x in values]
+
+
+class TestFormatFixedFastPath:
+    """The %-format route must print exactly what the Decimal route does."""
+
+    @pytest.mark.parametrize("digits", range(21))
+    def test_grid_matches_the_oracle(self, digits):
+        grid = _fast_path_grid(digits)
+        wrong = [
+            (x, format_fixed(x, digits), _rounded_decimal(x, digits))
+            for x in grid
+            if format_fixed(x, digits) != _rounded_decimal(x, digits)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "value,digits,expected",
+        [
+            (2.675, 2, "2.68"),
+            (0.125, 2, "0.13"),
+            (0.05, 1, "0.1"),
+            (0.95, 1, "1.0"),
+            (-0.125, 2, "-0.13"),
+            (0.5, 0, "1"),
+            (-2.5, 0, "-3"),
+        ],
+    )
+    def test_repr_ties_round_away_from_zero(self, value, digits, expected):
+        # "%.*f" rounds the binary value half to even: 0.125 -> "0.12"
+        assert format_fixed(value, digits) == expected
+
+    @pytest.mark.parametrize("digits", [0, 2, 4, 20])
+    def test_rounding_to_zero_prints_no_sign(self, digits):
+        for x in (-0.0, -0.4 / 10**digits, -5e-324):
+            assert format_fixed(x, digits) == "0" + ("." + "0" * digits) * bool(digits)
+
+    @pytest.mark.parametrize("digits", [0, 4, 20, 21])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinity_still_raises(self, value, digits):
+        # main maps this ArithmeticError to exit 3
+        with pytest.raises(InvalidOperation):
+            format_fixed(value, digits)

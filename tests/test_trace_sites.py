@@ -62,3 +62,33 @@ def test_main_passes_columns_and_rows_positionally(monkeypatch, tmp_path, vrag_p
     figure = tmp_path / "figure.csv"
     assert cli.main(["fit", str(vrag_path), "--figure", str(figure)]) == 0
     assert [(len(args[0]), len(args[1])) for args in calls] == [(8, 9), (5, 9)]
+
+
+def test_every_float_cell_goes_through_cli_format_fixed(monkeypatch, vrag_path):
+    # the benchmark's rounding.format_calls counts calls of
+    # riskbounds.cli.format_fixed, so rendering must keep looking it up there
+    formatted = []
+    rendered = []
+    format_fixed, render = cli.format_fixed, cli.render_table
+
+    def format_spy(*args, **kwargs):
+        formatted.append(args)
+        return format_fixed(*args, **kwargs)
+
+    def render_spy(*args, **kwargs):
+        rendered.append(args)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "format_fixed", format_spy)
+    monkeypatch.setattr(cli, "render_table", render_spy)
+    assert cli.main(["fit", str(vrag_path), "--alpha", "0.05,0.20"]) == 0
+    ((_, rows, *_),) = rendered
+    float_cells = sum(
+        isinstance(value, float) and not isinstance(value, bool)
+        for row in rows
+        for value in row
+    )
+    # 18 rows of alpha, observed, fitted, lower and upper
+    assert float_cells == 90
+    # the footer: beta0, se0, beta1, se1, deviance and wald_chi2
+    assert len(formatted) == float_cells + 6
