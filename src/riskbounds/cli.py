@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import InputError, expand_weights, parse_category_table
 from .identifiability import (
@@ -46,7 +48,7 @@ from .refuted import (
     hmc_individual_interval,
 )
 from .rounding import MAX_DIGITS, format_fixed
-from .wilson import WilsonInput, exact_coverage, wilson_interval
+from .wilson import WilsonInput, exact_coverage, score_bounds, wilson_interval
 
 FORMATS = ("csv", "tsv", "pretty")
 DEFAULT_DIGITS = 4
@@ -223,24 +225,19 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
         "method",
         "valid",
     ]
-    rows = []
-    for row in table.rows:
-        est = wilson_interval(
-            WilsonInput(theta_hat=row.proportion, n=row.total, alpha=args.alpha)
-        )
-        rows.append(
-            [
-                row.category,
-                row.total,
-                row.events,
-                row.proportion,
-                est.lower,
-                est.upper,
-                est.level,
-                est.method,
-                est.valid,
-            ]
-        )
+    # every row is a real sample: CategoryRow holds integer counts with
+    # 1 <= total and 0 <= events <= total; float() in Python converts
+    # totals above 2**63 too
+    lower, upper = score_bounds(
+        np.array([row.proportion for row in table.rows]),
+        np.array([float(row.total) for row in table.rows]),
+        args.alpha,
+    )
+    level, real = 1.0 - args.alpha, ("wilson", True)  # method, valid
+    rows = [
+        [row.category, row.total, row.events, row.proportion, lo, hi, level, *real]
+        for row, lo, hi in zip(table.rows, lower.tolist(), upper.tolist())
+    ]
     return Report(columns, rows, {"alpha": args.alpha}, inputs=(args.table,))
 
 
@@ -377,7 +374,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             continue
         drawn[name] = spec.seed
         data = simulate_repeated(spec)
-        cluster = clustering_test(data)
+        cluster = clustering_test(data, permutation_seed=spec.seed)
         icc = icc_estimate(data)
         rows.append([name, "clustering", "statistic", cluster.statistic])
         rows.append([name, "clustering", "df", cluster.df])

@@ -4,11 +4,18 @@ The score interval for a binomial proportion inverts the normal score test
 of H0: p = p0, which keeps the bounds inside [0, 1] and behaves sensibly at
 observed proportions of 0 or 1, unlike the Wald interval.
 
-Real designs have an integer sample size and an integer event count.  The
-input type nevertheless allows real-valued n so that "what if" calls with
-fractional implied event counts (theta_hat * n not an integer) can be
-computed; such calls are tagged ``fictitious_wilson`` and flagged invalid,
-because no actual sample could have produced them.
+``score_bounds`` computes the bounds for arrays, and nothing else does:
+``exact_coverage``, the CLI's table route and the scalar wrapper
+``wilson_interval`` all call it.
+
+Real designs have an integer sample size and an integer event count, so
+the rows of a category table are real samples: ``CategoryRow`` holds
+integer counts with 1 <= total and 0 <= events <= total.  The only float
+route is ``wilson_interval`` (the CLI's ``--fictitious`` sweep and the
+refuted n = 1 reading).  Its input allows real-valued n so that "what if"
+calls with fractional implied event counts (theta_hat * n not an integer)
+can be computed; such calls are tagged ``fictitious_wilson`` and flagged
+invalid, because no actual sample could have produced them.
 """
 
 from __future__ import annotations
@@ -162,48 +169,75 @@ def _is_integral(x: float) -> bool:
     return abs(x - round(x)) <= _INTEGRAL_TOL
 
 
-def _score_terms(th, n, z2):
-    """Center, squared half-width over z^2, and denominator of the bounds.
+def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Score bounds (lower, upper) for proportions ``theta`` at sizes ``n``.
 
-    Arithmetic operators only, so floats and arrays take the same rounding
-    steps; the caller applies the (correctly rounded) square root.
+    The bounds solve (theta - b)^2 = z^2 b(1-b)/n in b, with z the standard
+    normal quantile at 1 - alpha/2, clamped to [0, 1].  ``theta`` and ``n``
+    are float arrays, or Python floats from ``wilson_interval``.  The terms
+    use arithmetic operators only, so floats and arrays take the same
+    rounding steps, and two floats stay Python floats: a scalar call raises
+    Python's ``ZeroDivisionError`` where 4 n^2 underflows and prints no
+    numpy warning.  Returns float arrays (0-d for two floats).  Internal:
+    not in ``riskbounds.__all__``.
     """
-    center = th + z2 / (2.0 * n)
-    spread = th * (1.0 - th) / n + z2 / (4.0 * n * n)
-    return center, spread, 1.0 + z2 / n
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    z = standard_normal_quantile(1.0 - alpha / 2.0)
+    z2 = z * z
+    # numpy overflows to inf silently, as Python floats do (4 n^2 at
+    # totals above about 1e154)
+    with np.errstate(over="ignore"):
+        center = theta + z2 / (2.0 * n)
+        spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        denom = 1.0 + z2 / n
+        half = z * np.sqrt(spread)
+        lower = (center - half) / denom
+        upper = (center + half) / denom
+    # np.where with these comparisons is exactly Python's max/min, -0.0
+    # and NaN included
+    lower = np.where(lower > 0.0, lower, 0.0)
+    upper = np.where(upper < 1.0, upper, 1.0)
+    # The formula contains theta by construction; snap away float dust
+    # so the containment invariant cannot trip at the boundaries.
+    th = np.asarray(theta, dtype=float)
+    if (lower - th > 1e-9).any():
+        k = int(np.argmax(lower - th))
+        raise AssertionError(
+            f"wilson lower bound {lower.flat[k]} above point {th.flat[k]}"
+        )
+    lower = np.where(lower > th, th, lower)
+    if (th - upper > 1e-9).any():
+        k = int(np.argmax(th - upper))
+        raise AssertionError(
+            f"wilson upper bound {upper.flat[k]} below point {th.flat[k]}"
+        )
+    upper = np.where(upper < th, th, upper)
+    ordered = (0.0 <= lower) & (lower <= th) & (th <= upper) & (upper <= 1.0)
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise ValueError(
+            f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
+            f"({lower.flat[k]}, {th.flat[k]}, {upper.flat[k]}) at index {k}"
+        )
+    return lower, upper
 
 
 def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
-    """Score interval for a binomial proportion.
+    """Score interval for one proportion: ``score_bounds`` at one point.
 
-    Bounds solve the quadratic (theta_hat - b)^2 = z^2 b(1-b)/n in b, with
-    z the standard normal quantile at 1 - alpha/2.  The result is tagged
-    ``wilson`` only when n >= 1 and n and the implied event count
-    theta_hat*n are both integers (within 1e-9); otherwise it is tagged
-    ``fictitious_wilson`` and flagged invalid.
+    The result is tagged ``wilson`` only when n >= 1 and n and the implied
+    event count theta_hat*n are both integers (within 1e-9); otherwise it
+    is tagged ``fictitious_wilson`` and flagged invalid.
     """
-    z = standard_normal_quantile(1.0 - inp.alpha / 2.0)
-    n, th = inp.n, inp.theta_hat
-    center, spread, denom = _score_terms(th, n, z * z)
-    half = z * math.sqrt(spread)
-    lower = max(0.0, (center - half) / denom)
-    upper = min(1.0, (center + half) / denom)
-    # The formula contains theta_hat by construction; snap away float dust
-    # so the containment invariant cannot trip at the boundaries.
-    if lower > th:
-        if lower - th > 1e-9:
-            raise AssertionError(f"wilson lower bound {lower} above point {th}")
-        lower = th
-    if upper < th:
-        if th - upper > 1e-9:
-            raise AssertionError(f"wilson upper bound {upper} below point {th}")
-        upper = th
+    n, th = float(inp.n), float(inp.theta_hat)
+    lower, upper = score_bounds(th, n, inp.alpha)
     real_sample = n >= 1.0 and _is_integral(n) and _is_integral(th * n)
     method = "wilson" if real_sample else "fictitious_wilson"
     return IntervalEstimate(
         point=th,
-        lower=lower,
-        upper=upper,
+        lower=float(lower),
+        upper=float(upper),
         level=1.0 - inp.alpha,
         method=method,
         valid=real_sample,
@@ -212,42 +246,21 @@ def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
 
 
 def binomial_pmf(k: int, n: int, p: float) -> float:
-    """Binomial(n, p) mass at k.
-
-    Edge cases (k in {0, n}, p in {0, 1}) use direct powers so that, e.g.,
-    pmf(0, 1, 0.2) is the float 0.8 bit-exactly; interior terms go through
-    log-gamma to stay finite at large n.
-    """
+    """Binomial(n, p) mass at k: element k of ``binomial_pmf_array``, and
+    0.0 outside 0..n.  Each call costs O(n); for many k, use the array."""
     if not 0 <= k <= n:
         return 0.0
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    if k == 0:
-        return (1.0 - p) ** n
-    if k == n:
-        return p**n
-    # imported on first use: scipy.special is most of the start-up time
-    from scipy.special import gammaln
-
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    return float(binomial_pmf_array(n, p)[k])
 
 
 def binomial_pmf_array(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) mass at every k in 0..n, as a float array.
 
-    Element k equals ``binomial_pmf(k, n, p)`` bit for bit: the edge cases
-    keep their direct powers, the interior log-masses come from array
-    ``gammaln`` in the same operation order, and each is exponentiated by
-    ``math.exp`` (``np.exp`` may round differently in the last bit).
+    Edge cases (k in {0, n}, p in {0, 1}) use direct powers so that, e.g.,
+    the mass at k = 0 of Binomial(1, 0.2) is the float 0.8 bit-exactly;
+    interior log-masses come from ``gammaln`` to stay finite at large n,
+    and each is exponentiated by ``math.exp`` (``np.exp`` may round
+    differently in the last bit).
     """
     masses = np.zeros(n + 1)
     if p == 0.0:
@@ -278,12 +291,11 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     """Exact probability that the score interval covers p_true.
 
     Enumerates every possible outcome k in {0..n} in one vectorized O(n)
-    pass: the score bounds for theta_hat = k/n (same arithmetic, clamp and
-    snap as ``wilson_interval``, bit for bit), the binomial masses from
-    ``binomial_pmf_array``, and the exact (``fsum``) total of the masses
-    whose interval contains p_true.  No simulation is involved; the answer
-    is exact up to float arithmetic.  The validated per-outcome objects are
-    built only when ``per_outcome`` is first read.
+    pass: the score bounds for theta_hat = k/n from ``score_bounds``, the
+    binomial masses from ``binomial_pmf_array``, and the exact (``fsum``)
+    total of the masses whose interval contains p_true.  No simulation is
+    involved; the answer is exact up to float arithmetic.  The validated
+    per-outcome objects are built only when ``per_outcome`` is first read.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -291,36 +303,7 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
         raise ValueError(f"p_true must be in [0,1], got {p_true}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    alpha = 1.0 - level
-    if not 0.0 < alpha < 1.0:  # as WilsonInput checks it
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    z = standard_normal_quantile(1.0 - alpha / 2.0)
-    th = np.arange(n + 1) / n
-    center, spread, denom = _score_terms(th, n, z * z)
-    half = z * np.sqrt(spread)
-    # np.where with these comparisons is exactly Python's max/min, -0.0
-    # and NaN included
-    lower = (center - half) / denom
-    lower = np.where(lower > 0.0, lower, 0.0)
-    upper = (center + half) / denom
-    upper = np.where(upper < 1.0, upper, 1.0)
-    # the same snap-or-raise as wilson_interval, for every k at once
-    if (lower - th > 1e-9).any():
-        k = int(np.argmax(lower - th))
-        raise AssertionError(f"wilson lower bound {lower[k]} above point {th[k]}")
-    lower = np.where(lower > th, th, lower)
-    if (th - upper > 1e-9).any():
-        k = int(np.argmax(th - upper))
-        raise AssertionError(f"wilson upper bound {upper[k]} below point {th[k]}")
-    upper = np.where(upper < th, th, upper)
-    # the IntervalEstimate invariants, checked once for all outcomes
-    ordered = (0.0 <= lower) & (lower <= th) & (th <= upper) & (upper <= 1.0)
-    if not ordered.all():
-        k = int(np.argmin(ordered))
-        raise ValueError(
-            f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
-            f"({lower[k]}, {th[k]}, {upper[k]}) at k={k}"
-        )
+    lower, upper = score_bounds(np.arange(n + 1) / n, n, 1.0 - level)
     masses = binomial_pmf_array(n, p_true)
     covered = (lower <= p_true) & (p_true <= upper)
     return CoverageReport(

@@ -7,14 +7,25 @@ timestamp (and therefore the whole output) is reproducible byte for byte.
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import goldens
-from riskbounds import cli
+from riskbounds import (
+    clustering_test,
+    cli,
+    format_fixed,
+    read_scenario_config,
+    simulate_repeated,
+)
 from riskbounds.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EPOCH = "1700000000"
 TIMESTAMP = "# timestamp: 2023-11-14T22:13:20Z"
@@ -139,6 +150,36 @@ class TestWilsonCommand:
         assert code == 0
         (row,) = parse_csv(out)
         assert (row["method"], row["valid"]) == ("fictitious_wilson", "false")
+
+    def test_table_rows_are_real_samples_by_their_counts(self, capsys, tmp_path):
+        # theta_hat * n rebuilt from the float proportion misses 12376496
+        # by more than 1e-9; the integer counts make the row a real sample
+        table = tmp_path / "large.csv"
+        table.write_text("category,total,events\n2,98765432,12376496\n")
+        code, out, err = run(capsys, "wilson", str(table), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert data_lines(out)[1].endswith(",wilson,true")
+
+    @pytest.mark.parametrize(
+        "total,events,cells",
+        [
+            (2**64 + 1, 3, "0.0000,0.0000,0.0000,0.9500"),
+            # 4 * n * n overflows to inf, silently, as in Python floats
+            (10**200, 3 * 10**199, "0.3000,0.3000,0.3000,0.9500"),
+        ],
+        ids=["2**64+1", "10**200"],
+    )
+    def test_huge_totals(self, capsys, tmp_path, total, events, cells):
+        table = tmp_path / "huge.csv"
+        table.write_text(f"category,total,events\n1,{total},{events}\n")
+        code, out, err = run(capsys, "wilson", str(table), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert data_lines(out)[1] == f"1,{total},{events},{cells},wilson,true"
+
+    def test_table_alpha_out_of_range_exits_2(self, capsys, vrag_path):
+        code, out, err = run(capsys, "wilson", str(vrag_path), "--alpha", "1.5")
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must be in (0,1), got 1.5\n"
 
     def test_requires_table_or_fictitious(self, capsys):
         code, _, err = run(capsys, "wilson")
@@ -448,6 +489,24 @@ class TestSimulateCommand:
         assert code == 0
         assert "seed: 7" in out.splitlines()
 
+    def test_small_design_permutes_with_the_section_seed(self, capsys, tmp_path):
+        text = (
+            "[rep]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+            "repeats = 3\nseed = 1\n"
+        )
+        config = tmp_path / "small.cfg"
+        config.write_text(text, encoding="utf-8")
+        spec = read_scenario_config(text)["rep"]
+        data = simulate_repeated(spec)
+        expected = clustering_test(data, permutation_seed=1).p_value_permutation
+        # seed 0, the parameter's default, gives a different p-value here
+        assert expected != clustering_test(data).p_value_permutation
+        code, out, _ = run(capsys, "simulate", str(config), "--format", "csv")
+        assert code == 0
+        assert f"rep,clustering,p_value_permutation,{format_fixed(expected, 4)}" in (
+            data_lines(out)
+        )
+
     def test_manifest_seed_names_each_section_when_they_differ(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -701,6 +760,37 @@ class TestNumericalFailures:
         assert err.startswith("numerical failure: wilson upper bound ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["0.5", "1e-320"], "float division by zero"),
+            (["0.3", "1e-300"], "float division by zero"),
+            (
+                [
+                    "0.9999999997808171",
+                    "1.6578369151475657e-161",
+                    "--alpha",
+                    "0.9999999999999994",
+                ],
+                "wilson upper bound 0.9994557828665974 below point "
+                "0.9999999997808171",
+            ),
+        ],
+    )
+    def test_stderr_is_one_line_in_a_fresh_interpreter(self, argv, message):
+        # capsys does not see warnings; a child process with the default
+        # warning filters shows the whole of what a user's stderr gets
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "riskbounds.cli", "wilson", "--fictitious", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == f"numerical failure: {message}\n"
+
 
 class TestSourceDateEpoch:
     @pytest.mark.parametrize("value", ["zz", "1.5", ""])
@@ -710,6 +800,7 @@ class TestSourceDateEpoch:
         calls = []
         monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
         monkeypatch.setattr(cli, "wilson_interval", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "score_bounds", lambda *a: calls.append(a))
         monkeypatch.setattr(cli, "simulate_repeated", lambda *a: calls.append(a))
         outcomes = tmp_path / "outcomes.csv"
         message = (

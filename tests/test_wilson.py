@@ -16,6 +16,7 @@ from riskbounds import (
     standard_normal_quantile,
     wilson_interval,
 )
+from riskbounds.wilson import binomial_pmf_array
 
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
@@ -24,11 +25,13 @@ def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimat
 
 def coverage_by_scalar_calls(n: int, p: float, level: float):
     """Coverage and per-outcome (probability, interval, covered), built one k
-    at a time from the scalar interval and pmf."""
+    at a time from the scalar interval.  ``binomial_pmf(k, n, p)`` is element
+    k of ``binomial_pmf_array(n, p)``, so the masses come from one call."""
     outcomes = []
+    masses = binomial_pmf_array(n, p).tolist()
     for k in range(n + 1):
         est = interval_for(k / n, n, 1.0 - level)
-        outcomes.append((binomial_pmf(k, n, p), est, est.lower <= p <= est.upper))
+        outcomes.append((masses[k], est, est.lower <= p <= est.upper))
     return math.fsum(prob for prob, _, covered in outcomes if covered), outcomes
 
 
