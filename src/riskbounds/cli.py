@@ -38,9 +38,14 @@ from .logistic import (
     NumericalError,
     figure_data,
     fit_grouped_logistic,
-    predict_risk,
+    predict_bounds,
     trend_test,
 )
+
+# predict_risk stays importable from this module: perfbench/tracing.py
+# wraps it here for its logistic.predict span, although cmd_fit now calls
+# predict_bounds
+from .logistic import predict_risk  # noqa: F401
 from .refuted import (
     REFUTATION_BANNER,
     CM1PseudoInput,
@@ -278,20 +283,13 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
     ]
     rows = []
     for alpha in alphas:
-        for row in table.rows:
-            pred = predict_risk(fit, row.category, alpha)
-            rows.append(
-                [
-                    alpha,
-                    row.category,
-                    row.total,
-                    row.events,
-                    row.proportion,
-                    pred.risk,
-                    pred.interval.lower,
-                    pred.interval.upper,
-                ]
+        risk, lower, upper = predict_bounds(fit, table.categories, alpha)
+        rows.extend(
+            [alpha, row.category, row.total, row.events, row.proportion, p, lo, hi]
+            for row, p, lo, hi in zip(
+                table.rows, risk.tolist(), lower.tolist(), upper.tolist()
             )
+        )
     parameters = {"alpha": args.alpha, "expand": args.expand}
     report = Report(columns, rows, parameters, inputs=(args.table,), footer=summary)
     if args.figure is not None:

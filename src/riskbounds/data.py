@@ -39,10 +39,16 @@ class CategoryRow:
     events: int
 
     def __post_init__(self):
-        for name in ("category", "total", "events"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        if not (
+            type(self.category) is int
+            and type(self.total) is int
+            and type(self.events) is int
+        ):
+            # the slow check, for int subclasses and for the message
+            for name in ("category", "total", "events"):
+                value = getattr(self, name)
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InputError(f"{name} must be an integer, got {value!r}")
         if self.category < 1:
             raise InputError(f"category index must be >= 1, got {self.category}")
         if self.total < 1:
@@ -144,9 +150,9 @@ def parse_category_table(text: str, name: str = "") -> CategoryTable:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = tuple(f.strip() for f in line.split(","))
+        fields = line.split(",")
         if not header_seen:
-            if fields != _HEADER_FIELDS:
+            if tuple(f.strip() for f in fields) != _HEADER_FIELDS:
                 raise ParseError(
                     f"expected header {CSV_HEADER!r}, got {line!r}", lineno
                 )
@@ -156,8 +162,10 @@ def parse_category_table(text: str, name: str = "") -> CategoryTable:
             raise ParseError(
                 f"expected 3 comma-separated values, got {len(fields)}", lineno
             )
+        category, total, events = fields
+        # strip before int(): str.strip also removes \x1c-\x1f, int() does not
         try:
-            numbers = [int(f) for f in fields]
+            numbers = int(category.strip()), int(total.strip()), int(events.strip())
         except ValueError:
             raise ParseError(f"non-integer value in row {line!r}", lineno) from None
         try:

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _cephes
 from .data import CategoryTable, InputError, expand_weights
 from .wilson import IntervalEstimate, standard_normal_quantile
 
@@ -59,7 +58,10 @@ class LogisticFit:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError(f"covariance must be 2x2, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
+        # np.allclose(cov, cov.T, rtol=0, atol=1e-10) at scalar cost: a NaN
+        # fails, equal infinities pass, finite pairs within 1e-10 pass
+        c00, c01, c10, c11 = cov.ravel().tolist()
+        if not (c00 == c00 and c11 == c11 and (c01 == c10 or abs(c01 - c10) <= 1e-10)):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-10:
             raise ValueError("covariance must be positive semi-definite")
@@ -125,20 +127,19 @@ def _ufuncs():
     return expit, xlogy
 
 
-def _score(x, t, e, beta0, beta1, expit) -> np.ndarray:
-    resid = e - t * expit(beta0 + beta1 * x)
+def _score(x, t, e, pi) -> np.ndarray:
+    resid = e - t * pi
     return np.array([resid.sum(), (x * resid).sum()])
 
 
-def _information(x, t, beta, expit) -> np.ndarray:
-    pi = expit(beta[0] + beta[1] * x)
+def _information(x, t, pi) -> np.ndarray:
     w = t * pi * (1.0 - pi)
     wx = w * x
     return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
 
 
-def _deviance(x, t, e, beta0, beta1, expit, xlogy) -> float:
-    mu = t * expit(beta0 + beta1 * x)
+def _deviance(t, e, pi, xlogy) -> float:
+    mu = t * pi
     # xlogy gives 0 for 0*log(0), which is the right convention here; at
     # extreme slopes mu can saturate to 0 or t, making the ratio inf/nan,
     # and the fitting loop treats the resulting non-finite deviance as a
@@ -150,12 +151,15 @@ def _deviance(x, t, e, beta0, beta1, expit, xlogy) -> float:
 
 def score(table: CategoryTable, beta0: float, beta1: float) -> np.ndarray:
     """Gradient of the log-likelihood in (beta0, beta1)."""
-    return _score(*_arrays(table), beta0, beta1, _ufuncs()[0])
+    x, t, e = _arrays(table)
+    return _score(x, t, e, _ufuncs()[0](beta0 + beta1 * x))
 
 
 def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
     """-2 log-likelihood relative to the saturated (one p per stratum) model."""
-    return _deviance(*_arrays(table), beta0, beta1, *_ufuncs())
+    x, t, e = _arrays(table)
+    expit, xlogy = _ufuncs()
+    return _deviance(t, e, expit(beta0 + beta1 * x), xlogy)
 
 
 def _check_overlap(table: CategoryTable) -> None:
@@ -206,12 +210,15 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     x, t, e = _arrays(table)
     pooled = total_events / total_subjects
     beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    dev = _deviance(x, t, e, beta[0], beta[1], expit, xlogy)
+    # the fitted risks at beta, computed once and shared by the score, the
+    # information and the deviance at that beta
+    pi = expit(beta[0] + beta[1] * x)
+    dev = _deviance(t, e, pi, xlogy)
     trace: list[tuple[int, float, float, float]] = [(0, beta[0], beta[1], dev)]
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = _score(x, t, e, beta[0], beta[1], expit)
-        info = _information(x, t, beta, expit)
+        grad = _score(x, t, e, pi)
+        info = _information(x, t, pi)
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as exc:
@@ -220,25 +227,26 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
             ) from exc
 
         candidate = beta + step
-        new_dev = _deviance(x, t, e, candidate[0], candidate[1], expit, xlogy)
+        new_pi = expit(candidate[0] + candidate[1] * x)
+        new_dev = _deviance(t, e, new_pi, xlogy)
         halvings = 0
         while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
             halvings < _MAX_HALVINGS
         ):
             step = step / 2.0
             candidate = beta + step
-            new_dev = _deviance(x, t, e, candidate[0], candidate[1], expit, xlogy)
+            new_pi = expit(candidate[0] + candidate[1] * x)
+            new_dev = _deviance(t, e, new_pi, xlogy)
             halvings += 1
         if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
             raise NonConvergenceError(
                 f"deviance would not decrease at iteration {iteration}", trace
             )
 
-        beta = candidate
+        beta, pi = candidate, new_pi
         trace.append((iteration, beta[0], beta[1], new_dev))
         if abs(dev - new_dev) < DEVIANCE_TOL:
-            info = _information(x, t, beta, expit)
-            cov = np.linalg.inv(info)
+            cov = np.linalg.inv(_information(x, t, pi))
             cov = (cov + cov.T) / 2.0
             return LogisticFit(
                 beta0=float(beta[0]),
@@ -255,6 +263,62 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     )
 
 
+def predict_bounds(
+    fit: LogisticFit, categories, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fitted risks and delta-method bounds (risk, lower, upper) at once.
+
+    ``categories`` is a sequence of category indices.  One numpy pass over
+    all of them takes the scalar formula's rounding steps (scipy's array
+    ``expit`` equals ``_cephes.expit`` bit for bit), so each element equals
+    what ``predict_risk`` returns for that category, and a failure raises
+    the error of the first category that fails.  Internal: not in
+    ``riskbounds.__all__``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not fit.converged:
+        raise NumericalError("predict_risk requires a converged fit")
+    x = np.asarray(categories, dtype=float)
+    cov = fit.cov
+    eta = fit.beta0 + fit.beta1 * x
+    var = cov[0, 0] + 2.0 * x * cov[0, 1] + x * x * cov[1, 1]
+    # inverse-information matrices can carry float dust on the diagonal:
+    # variances in [-1e-12, 0) count as 0, lower ones raise, the first
+    # category's before z is computed
+    negative = var < -1e-12
+    if negative[:1].any():
+        raise NumericalError(f"negative variance {float(var[0])} for eta")
+    se = np.sqrt(np.where(var < 0.0, 0.0, var))
+    # raises where alpha/2 vanishes next to 1, which covers every alpha whose
+    # level 1 - alpha would round to 1
+    z = standard_normal_quantile(1.0 - alpha / 2.0)
+    expit = _ufuncs()[0]
+    risk = expit(eta)
+    lower = expit(eta - z * se)
+    upper = expit(eta + z * se)
+    # the IntervalEstimate invariants, checked once over the arrays
+    ordered = (0.0 <= lower) & (lower <= risk) & (risk <= upper) & (upper <= 1.0)
+    failed = negative | ~ordered
+    if failed.any():
+        k = int(np.argmax(failed))
+        if negative[k]:
+            raise NumericalError(f"negative variance {float(var[k])} for eta")
+        _interval(float(risk[k]), float(lower[k]), float(upper[k]), 1.0 - alpha)
+    return risk, lower, upper
+
+
+def _interval(risk: float, lower: float, upper: float, level: float):
+    return IntervalEstimate(
+        point=risk,
+        lower=lower,
+        upper=upper,
+        level=level,
+        method="logistic_delta",
+        valid=True,
+    )
+
+
 def predict_risk(
     fit: LogisticFit, category_index: int, alpha: float
 ) -> RiskPrediction:
@@ -262,35 +326,17 @@ def predict_risk(
 
     The interval is eta +/- z*SE(eta) on the linear-predictor scale,
     transformed through the logistic map, so its bounds always lie strictly
-    inside (0, 1) and shrink to the point estimate as alpha -> 1.
+    inside (0, 1) and shrink to the point estimate as alpha -> 1.  A
+    negative variance below -1e-12 raises; float dust above it counts as
+    zero.  The scalar wrapper of ``predict_bounds``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not fit.converged:
-        raise NumericalError("predict_risk requires a converged fit")
     xval = float(category_index)
-    eta = fit.linear_predictor(xval)
-    var = float(
-        fit.cov[0, 0] + 2.0 * xval * fit.cov[0, 1] + xval * xval * fit.cov[1, 1]
-    )
-    if var < 0.0:
-        # inverse-information matrices can carry float dust on the diagonal
-        if var < -1e-12:
-            raise NumericalError(f"negative variance {var} for eta")
-        var = 0.0
-    se = math.sqrt(var)
-    z = standard_normal_quantile(1.0 - alpha / 2.0)
-    risk = _cephes.expit(eta)
-    interval = IntervalEstimate(
-        point=risk,
-        lower=_cephes.expit(eta - z * se),
-        upper=_cephes.expit(eta + z * se),
-        level=1.0 - alpha,
-        method="logistic_delta",
-        valid=True,
-    )
+    risk, lower, upper = (float(v[0]) for v in predict_bounds(fit, [xval], alpha))
     return RiskPrediction(
-        category_index=int(category_index), eta=eta, risk=risk, interval=interval
+        category_index=int(category_index),
+        eta=fit.linear_predictor(xval),
+        risk=risk,
+        interval=_interval(risk, lower, upper, 1.0 - alpha),
     )
 
 
@@ -317,13 +363,13 @@ def interval_narrowing_experiment(
     records = []
     for k in factors:
         fit = fit_grouped_logistic(expand_weights(table, k))
-        for row in table.rows:
-            pred = predict_risk(fit, row.category, alpha)
-            records.append(
-                NarrowingRecord(
-                    factor=k, category=row.category, width=pred.interval.width
-                )
+        _, lower, upper = predict_bounds(fit, table.categories, alpha)
+        records.extend(
+            NarrowingRecord(factor=k, category=category, width=hi - lo)
+            for category, lo, hi in zip(
+                table.categories, lower.tolist(), upper.tolist()
             )
+        )
     return records
 
 
@@ -335,16 +381,10 @@ def figure_data(
     This is the plot dataset: one row per category, emitted downstream as
     CSV with columns category,observed,fitted,lower,upper.
     """
-    points = []
-    for row in table.rows:
-        pred = predict_risk(fit, row.category, alpha)
-        points.append(
-            FigurePoint(
-                category=row.category,
-                observed=row.proportion,
-                fitted=pred.risk,
-                lower=pred.interval.lower,
-                upper=pred.interval.upper,
-            )
+    risk, lower, upper = predict_bounds(fit, table.categories, alpha)
+    return [
+        FigurePoint(row.category, row.proportion, fitted, lo, hi)
+        for row, fitted, lo, hi in zip(
+            table.rows, risk.tolist(), lower.tolist(), upper.tolist()
         )
-    return points
+    ]

@@ -51,6 +51,18 @@ class TestRowValidation:
         with pytest.raises(InputError):
             CategoryRow(1, 10, True)
 
+    def test_non_integer_message_names_the_first_bad_field(self):
+        with pytest.raises(InputError) as exc:
+            CategoryRow(1, 10.0, True)
+        assert str(exc.value) == "total must be an integer, got 10.0"
+
+    def test_int_subclasses_other_than_bool_are_accepted(self):
+        class Count(int):
+            pass
+
+        row = CategoryRow(Count(2), 10, Count(3))
+        assert (row.category, row.total, row.events) == (2, 10, 3)
+
 
 class TestTableValidation:
     def test_rejects_empty(self):
@@ -120,6 +132,46 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_category_table(text)
         assert exc.value.line == 2
+
+    def test_fields_padded_with_spaces_and_tabs(self):
+        text = " category ,\ttotal\t, events\n 1 ,\t10\t, 2 \n\t2,20 ,5\t\n"
+        table = parse_category_table(text)
+        assert [(r.category, r.total, r.events) for r in table.rows] == [
+            (1, 10, 2),
+            (2, 20, 5),
+        ]
+
+    def test_field_wrapped_in_unit_separator(self):
+        # str.strip removes \x1c-\x1f and int() does not, so each field is
+        # stripped before int() reads it
+        table = parse_category_table("category,total,events\n1,\x1f10\x1f,2\n")
+        assert (table.rows[0].total, table.rows[0].events) == (10, 2)
+
+    def test_int_literal_forms(self):
+        table = parse_category_table("category,total,events\n+3,1_000,+7\n")
+        assert [(r.category, r.total, r.events) for r in table.rows] == [(3, 1000, 7)]
+
+    def test_crlf_with_bom(self):
+        text = "\ufeffcategory,total,events\r\n2,20,5\r\n1,10,2\r\n"
+        table = parse_category_table(text)
+        assert [(r.category, r.total, r.events) for r in table.rows] == [
+            (1, 10, 2),
+            (2, 20, 5),
+        ]
+
+    def test_first_bad_line_wins(self):
+        # a range error on line 3 is raised before the non-integer on line 5
+        text = "category,total,events\n1,10,2\n2,10,11\n3,10,1\n4,x,1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(text)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: category 2: events (11) exceed total (10)"
+
+    def test_totals_above_two_to_the_64_parse(self):
+        table = parse_category_table("category,total,events\n1,18446744073709551617,3\n")
+        (row,) = table.rows
+        assert type(row.total) is int
+        assert (row.total, row.events) == (18446744073709551617, 3)
 
     @given(tables())
     def test_serialize_parse_round_trip(self, table):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ import goldens
 import oracles
 from riskbounds import (
     CategoryTable,
+    FigurePoint,
     InputError,
+    IntervalEstimate,
     LogisticFit,
+    NarrowingRecord,
     NonConvergenceError,
     NumericalError,
     SeparationError,
@@ -23,8 +27,11 @@ from riskbounds import (
     log_likelihood,
     predict_risk,
     score,
+    standard_normal_quantile,
     trend_test,
 )
+from riskbounds import _cephes
+from riskbounds.logistic import RiskPrediction, predict_bounds
 
 
 def make_table(counts):
@@ -484,3 +491,213 @@ class TestArrayLevelFit:
             got = deviance(table, beta0, beta1)
             want = _table_deviance(table, beta0, beta1)
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+# ---------------------------------------------------------------------------
+# predict_risk as it stood when it built one validated interval per
+# category; the array core must match it bit for bit, errors included
+
+
+def _scalar_predict_risk(fit, category_index, alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not fit.converged:
+        raise NumericalError("predict_risk requires a converged fit")
+    xval = float(category_index)
+    eta = fit.linear_predictor(xval)
+    var = float(
+        fit.cov[0, 0] + 2.0 * xval * fit.cov[0, 1] + xval * xval * fit.cov[1, 1]
+    )
+    if var < 0.0:
+        # inverse-information matrices can carry float dust on the diagonal
+        if var < -1e-12:
+            raise NumericalError(f"negative variance {var} for eta")
+        var = 0.0
+    se = math.sqrt(var)
+    z = standard_normal_quantile(1.0 - alpha / 2.0)
+    risk = _cephes.expit(eta)
+    interval = IntervalEstimate(
+        point=risk,
+        lower=_cephes.expit(eta - z * se),
+        upper=_cephes.expit(eta + z * se),
+        level=1.0 - alpha,
+        method="logistic_delta",
+        valid=True,
+    )
+    return RiskPrediction(
+        category_index=int(category_index), eta=eta, risk=risk, interval=interval
+    )
+
+
+def _scalar_bounds(fit, categories, alpha):
+    preds = [_scalar_predict_risk(fit, c, alpha) for c in categories]
+    return (
+        [p.risk for p in preds],
+        [p.interval.lower for p in preds],
+        [p.interval.upper for p in preds],
+    )
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc)
+    return None
+
+
+def _seeded_fits():
+    fits = []
+    for table in _seeded_tables() + HALVING_TABLES:
+        if _finite_mle(table):
+            try:
+                fits.append((table, fit_grouped_logistic(table)))
+            except NonConvergenceError:
+                pass
+    return fits
+
+
+def _hand_fit(cov):
+    return LogisticFit(
+        beta0=-1.5, beta1=0.25, cov=np.array(cov), deviance=0.0, iterations=1,
+        converged=True,
+    )
+
+
+PREDICT_ALPHAS = [0.05, 0.2, 0.5, 1.0 - 1e-12]
+
+
+class TestArrayLevelPrediction:
+    @pytest.mark.parametrize("alpha", PREDICT_ALPHAS)
+    def test_bit_identical_to_scalar_predictions(self, alpha):
+        fits = _seeded_fits()
+        assert len(fits) > 40
+        for table, fit in fits:
+            got = predict_bounds(fit, table.categories, alpha)
+            want = _scalar_bounds(fit, table.categories, alpha)
+            assert [g.tolist() for g in got] == list(want)
+
+    @pytest.mark.parametrize("alpha", PREDICT_ALPHAS)
+    def test_wrapper_matches_scalar_copy(self, vrag_fit, alpha):
+        for category in (-3, 0, 1, 5, 9, 30):
+            assert predict_risk(vrag_fit, category, alpha) == _scalar_predict_risk(
+                vrag_fit, category, alpha
+            )
+
+    def test_dust_variance_is_clamped_to_zero(self):
+        # var(x) = 2 x c01: -1e-13 at category 1, zero at category 0
+        fit = _hand_fit([[0.0, -5e-14], [-5e-14, 0.0]])
+        categories = (0, 1, 2)
+        risk, lower, upper = predict_bounds(fit, categories, 0.05)
+        assert [r.tolist() for r in (risk, lower, upper)] == list(
+            _scalar_bounds(fit, categories, 0.05)
+        )
+        assert lower[1] == risk[1] == upper[1]
+
+    def test_first_bad_category_names_the_error(self):
+        # var(x) = -1e-12 x: exactly -1e-12 (clamped) at 1, -2e-12 at 2 and
+        # the minimum, -1e-11, at 10; the error names category 2's variance
+        fit = _hand_fit([[0.0, -5e-13], [-5e-13, 0.0]])
+        categories = (1, 2, 10)
+        want = _raised(_scalar_bounds, fit, categories, 0.05)
+        assert want == (NumericalError, "negative variance -2e-12 for eta")
+        assert _raised(predict_bounds, fit, categories, 0.05) == want
+        assert _raised(predict_bounds, fit, (1,), 0.05) is None
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan"), 1e-20])
+    def test_bad_alpha_raises_as_before(self, vrag_fit, vrag_table, alpha):
+        # 1e-20 passes the alpha check, and 1 - alpha/2 == 1.0 has no
+        # normal quantile
+        want = _raised(_scalar_bounds, vrag_fit, vrag_table.categories, alpha)
+        assert want is not None
+        assert _raised(predict_bounds, vrag_fit, vrag_table.categories, alpha) == want
+
+    @pytest.mark.parametrize("categories", [(2, 1), (1, 2)])
+    def test_first_variance_is_checked_before_the_quantile(self, categories):
+        # var(x) = -1e-12 x: the scalar route raises at category 2 only if
+        # it comes first; otherwise z at alpha 1e-20 raises first
+        fit = _hand_fit([[0.0, -5e-13], [-5e-13, 0.0]])
+        want = _raised(_scalar_bounds, fit, categories, 1e-20)
+        assert want[0] is (NumericalError if categories[0] == 2 else ValueError)
+        assert _raised(predict_bounds, fit, categories, 1e-20) == want
+
+    def test_unconverged_fit_is_refused(self, vrag_fit):
+        fit = LogisticFit(
+            beta0=vrag_fit.beta0, beta1=vrag_fit.beta1, cov=vrag_fit.cov,
+            deviance=vrag_fit.deviance, iterations=50, converged=False,
+        )
+        want = _raised(_scalar_predict_risk, fit, 1, 0.05)
+        assert _raised(predict_bounds, fit, (1,), 0.05) == want
+
+    def test_figure_data_matches_per_row_construction(self, vrag_table, vrag_fit):
+        for alpha in PREDICT_ALPHAS:
+            want = []
+            for row in vrag_table.rows:
+                pred = _scalar_predict_risk(vrag_fit, row.category, alpha)
+                want.append(
+                    FigurePoint(
+                        category=row.category,
+                        observed=row.proportion,
+                        fitted=pred.risk,
+                        lower=pred.interval.lower,
+                        upper=pred.interval.upper,
+                    )
+                )
+            assert figure_data(vrag_fit, vrag_table, alpha) == want
+
+    def test_narrowing_matches_per_row_construction(self, vrag_table):
+        factors = [1, 10, 100]
+        want = []
+        for k in factors:
+            fit = fit_grouped_logistic(expand_weights(vrag_table, k))
+            for row in vrag_table.rows:
+                pred = _scalar_predict_risk(fit, row.category, 0.05)
+                want.append(
+                    NarrowingRecord(
+                        factor=k, category=row.category, width=pred.interval.width
+                    )
+                )
+        assert interval_narrowing_experiment(vrag_table, factors, 0.05) == want
+
+
+def _symmetry_rejected(cov):
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            _hand_fit(cov)
+        except Exception as exc:  # noqa: BLE001 - later checks may fail too
+            return str(exc) == "covariance must be symmetric"
+    return False
+
+
+_TOL = 1e-10
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        [[1.0, 0.0], [_TOL, 1.0]],
+        [[1.0, 0.0], [math.nextafter(_TOL, 1.0), 1.0]],
+        [[1.0, 0.0], [math.nextafter(_TOL, 0.0), 1.0]],
+        [[1.0, -_TOL], [0.0, 1.0]],
+        [[1.0, -math.nextafter(_TOL, 1.0)], [0.0, 1.0]],
+        [[1.0, 0.5], [0.5 + _TOL, 1.0]],
+        [[1.0, 0.5], [0.2, 1.0]],
+        [[1.0, _NAN], [_NAN, 1.0]],
+        [[1.0, 0.0], [_NAN, 1.0]],
+        [[_NAN, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, _NAN]],
+        [[1.0, _INF], [_INF, 1.0]],
+        [[_INF, _INF], [_INF, _INF]],
+        [[1.0, -_INF], [-_INF, 1.0]],
+        [[1.0, _INF], [-_INF, 1.0]],
+        [[1.0, _INF], [1e308, 1.0]],
+        [[_INF, 0.0], [0.0, 1.0]],
+    ],
+)
+def test_symmetry_decision_matches_allclose(cov):
+    matrix = np.array(cov)
+    with np.errstate(all="ignore"):
+        symmetric = np.allclose(matrix, matrix.T, rtol=0.0, atol=_TOL)
+    assert _symmetry_rejected(cov) == (not symmetric)
