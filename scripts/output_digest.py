@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print one ``sha256 exit argv`` line per CLI call over a fixed corpus: the
 README's calls, both shipped tables in each format at five ``--round`` values,
-and ``wilson`` and ``fit`` on seeded tables, run in-process with
+``simulate`` on each shipped config in each format, ``refuted --mode cm1`` at
+the README's values and where the lower bound underflows to 0, a ``fit`` with
+``--expand``, and ``wilson`` and ``fit`` on seeded tables, run in-process with
 SOURCE_DATE_EPOCH pinned.  Two trees print the same stdout, stderr and written
 files exactly when their digests ``diff`` clean.
 """
@@ -24,6 +26,16 @@ from riskbounds import cli
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ("data/vrag_categories.csv", "data/static99_categories.csv")
 ROUNDS = (["--round", "0"], ["--round", "2"], [], ["--round", "12"], ["--round", "20"])
+CONFIGS = (
+    "data/scenarios_single_outcome.cfg",
+    "data/scenarios_repeated.cfg",
+    "data/threshold_demo.cfg",
+)
+# the README's values, and eta - half near -2e5, where exp(-x) overflows
+CM1 = (
+    "--beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 --x-bar 20 --ss-x 5000 --x-new 20",
+    "--beta0 0 --beta1 0 --sigma 1e5 --n 30 --x-bar 0 --ss-x 1 --x-new 0",
+)
 
 
 def corpus(seed: int, count: int) -> list[list[str]]:
@@ -33,6 +45,11 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     for table, fmt, digits in itertools.product(TABLES, cli.FORMATS, ROUNDS):
         for command in ("wilson", "fit"):
             calls.append([command, table, "--format", fmt, *digits])
+    for config, fmt in itertools.product(CONFIGS, cli.FORMATS):
+        calls.append(["simulate", config, "--format", fmt])
+    for values in CM1:
+        calls.append(["refuted", "--mode", "cm1", *values.split(), "--format", "csv"])
+    calls.append(["fit", TABLES[0], "--expand", "10", "--format", "csv"])
     rng = np.random.default_rng(seed)
     os.mkdir("tables")
     for i in range(count):

@@ -1,15 +1,14 @@
-"""Pure-Python ports of the two scalar special functions the CLI needs.
+"""Pure-Python port of the scalar special function the CLI needs.
 
 ``ndtri`` is Moshier's Cephes routine (Methods and Programs for
 Mathematical Functions, 1989), which ``scipy.special.ndtri`` also runs:
 the same coefficient tables, the same Horner order in ``polevl``/``p1evl``
 and the same libm ``log``/``sqrt`` (through ``math``), so the result is the
-same double.  ``expit`` is the scalar form of ``scipy.special.expit``.
-tests/test_cephes.py checks both against scipy bit for bit.
+same double.  tests/test_cephes.py checks it against scipy bit for bit.
 
-Keeping these two in Python lets the Wilson, coverage and single-outcome
-commands start without importing ``scipy.special``, which costs more than
-the rest of the start-up together.
+Keeping it in Python lets the Wilson, coverage and single-outcome commands
+start without importing ``scipy.special``, which costs more than the rest
+of the start-up together.
 """
 
 from __future__ import annotations
@@ -137,15 +136,3 @@ def ndtri(y0: float) -> float:
         x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
-
-
-def expit(x: float) -> float:
-    """Logistic function 1 / (1 + exp(-x)), ``scipy.special.expit`` bit for bit.
-
-    Where exp(-x) overflows scipy's C code divides by inf and returns 0.0;
-    ``math.exp`` raises instead, so that case is returned explicitly.
-    """
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0

@@ -172,12 +172,15 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
-def _read_table_file(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_category_table(text, name=Path(path).stem)
+
+
+def _read_table_file(path: str):
+    return parse_category_table(_read_text(path), name=Path(path).stem)
 
 
 def _digits(requested: int | None) -> int:
@@ -319,10 +322,7 @@ def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {args.config}: {exc}") from exc
+    text = _read_text(args.config)
     # precedence: --seed beats each section's seed key, which beats the
     # RISKBOUNDS_SEED fallback, which beats the built-in default of 0
     env_seed = _env_int(SEED_ENV_VAR, "an integer")

@@ -69,20 +69,6 @@ class CategoryRow:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a derived table came from: source rows and replication factor."""
-
-    source_rows: tuple[int, ...]
-    weight_factor: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.weight_factor, int) or self.weight_factor < 1:
-            raise InputError(
-                f"weight factor must be an integer >= 1, got {self.weight_factor!r}"
-            )
-
-
-@dataclass(frozen=True)
 class CategoryTable:
     """Ordered score strata with per-stratum trial and event counts.
 
@@ -94,7 +80,6 @@ class CategoryTable:
 
     name: str
     rows: tuple[CategoryRow, ...]
-    provenance: Provenance | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -126,9 +111,6 @@ class CategoryTable:
     @property
     def total_events(self) -> int:
         return sum(r.events for r in self.rows)
-
-    def proportions(self) -> tuple[float, ...]:
-        return tuple(r.proportion for r in self.rows)
 
 
 def parse_category_table(text: str, name: str = "") -> CategoryTable:
@@ -206,6 +188,4 @@ def expand_weights(table: CategoryTable, k: int) -> CategoryTable:
     rows = tuple(
         CategoryRow(r.category, r.total * k, r.events * k) for r in table.rows
     )
-    base = table.provenance.weight_factor if table.provenance else 1
-    prov = Provenance(source_rows=table.categories, weight_factor=base * k)
-    return CategoryTable(name=table.name, rows=rows, provenance=prov)
+    return CategoryTable(name=table.name, rows=rows)

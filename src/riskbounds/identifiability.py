@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Union
 
 import numpy as np
@@ -159,9 +159,6 @@ class PointRisk:
     def mean(self) -> float:
         return self.p
 
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return ((self.p, 1.0),)
-
     def sample(self, rng: np.random.Generator) -> float:
         return self.p
 
@@ -185,9 +182,6 @@ class TwoPointRisk:
     def mean(self) -> float:
         return self.w1 * self.p1 + (1.0 - self.w1) * self.p2
 
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return ((self.p1, self.w1), (self.p2, 1.0 - self.w1))
-
     def sample(self, rng: np.random.Generator) -> float:
         return self.p1 if rng.random() < self.w1 else self.p2
 
@@ -200,14 +194,14 @@ class BetaRisk:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise InputError(f"beta parameters must be > 0, got ({self.a}, {self.b})")
+        # written so that NaN fails too
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise InputError(
+                f"beta parameters must be finite and > 0, got ({self.a}, {self.b})"
+            )
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)
-
-    def atoms(self) -> None:
-        return None
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.beta(self.a, self.b))
@@ -358,9 +352,10 @@ class ClusteringTest:
     undefined: bool
 
 
-def _homogeneity_statistic(counts: np.ndarray, m: int, p_hat: float) -> float:
+def _homogeneity_statistic(counts: np.ndarray, m: int, p_hat: float) -> np.ndarray:
+    """Pearson statistic of the per-individual counts along the last axis."""
     expected = m * p_hat
-    return float(np.sum((counts - expected) ** 2) / (m * p_hat * (1.0 - p_hat)))
+    return ((counts - expected) ** 2).sum(axis=-1) / (m * p_hat * (1.0 - p_hat))
 
 
 def clustering_test(
@@ -390,7 +385,7 @@ def clustering_test(
             p_value_permutation=None,
             undefined=True,
         )
-    stat = _homogeneity_statistic(counts, m, p_hat)
+    stat = float(_homogeneity_statistic(counts, m, p_hat))
     # imported on first use: scipy.special is most of the start-up time
     from scipy.special import gammaincc
 
@@ -405,10 +400,7 @@ def clustering_test(
         perm_counts = shuffled[:, :, 0].copy()
         for j in range(1, m):
             perm_counts += shuffled[:, :, j]
-        expected = m * p_hat
-        perm_stats = ((perm_counts - expected) ** 2).sum(axis=1) / (
-            m * p_hat * (1.0 - p_hat)
-        )
+        perm_stats = _homogeneity_statistic(perm_counts, m, p_hat)
         exceed = int(np.sum(perm_stats >= stat - 1e-12))
         # add-one rule keeps the Monte Carlo p-value away from exact zero
         p_perm = (1 + exceed) / (1 + permutations)
@@ -476,6 +468,10 @@ class ThresholdModelSpec:
     follow_up: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite, got {value}")
         if self.provocation_rate < 0.0:
             raise InputError(f"provocation_rate must be >= 0")
         if self.follow_up <= 0.0:
@@ -564,18 +560,32 @@ class ThresholdScenario:
     seed: int
 
 
+def _number(
+    section: configparser.SectionProxy,
+    key: str,
+    fallback: float | None = None,
+    integer: bool = False,
+):
+    """The section's ``key`` as a float (or int); missing without a fallback raises."""
+    if key not in section:
+        if fallback is None:
+            raise InputError(f"section [{section.name}]: missing key {key!r}")
+        return fallback
+    return section.getint(key) if integer else section.getfloat(key)
+
+
 def _build_risk_distribution(section: configparser.SectionProxy) -> RiskDistribution:
     kind = section.get("distribution")
     if kind == "point":
-        return PointRisk(p=section.getfloat("p"))
+        return PointRisk(p=_number(section, "p"))
     if kind == "two_point":
         return TwoPointRisk(
-            p1=section.getfloat("p1"),
-            w1=section.getfloat("w1"),
-            p2=section.getfloat("p2"),
+            p1=_number(section, "p1"),
+            w1=_number(section, "w1"),
+            p2=_number(section, "p2"),
         )
     if kind == "beta":
-        return BetaRisk(a=section.getfloat("a"), b=section.getfloat("b"))
+        return BetaRisk(a=_number(section, "a"), b=_number(section, "b"))
     raise InputError(
         f"section [{section.name}]: unknown distribution {kind!r} "
         "(expected point, two_point, or beta)"
@@ -612,24 +622,24 @@ def read_scenario_config(
         try:
             if section.get("model") == "threshold":
                 model = ThresholdModelSpec(
-                    threshold_location=section.getfloat("threshold_location"),
-                    threshold_spread=section.getfloat("threshold_spread", 0.0),
-                    fluctuation_sd=section.getfloat("fluctuation_sd", 0.0),
-                    provocation_rate=section.getfloat("provocation_rate"),
-                    strength_location=section.getfloat("strength_location"),
-                    strength_spread=section.getfloat("strength_spread", 0.0),
-                    follow_up=section.getfloat("follow_up"),
+                    threshold_location=_number(section, "threshold_location"),
+                    threshold_spread=_number(section, "threshold_spread", 0.0),
+                    fluctuation_sd=_number(section, "fluctuation_sd", 0.0),
+                    provocation_rate=_number(section, "provocation_rate"),
+                    strength_location=_number(section, "strength_location"),
+                    strength_spread=_number(section, "strength_spread", 0.0),
+                    follow_up=_number(section, "follow_up"),
                 )
                 specs[name] = ThresholdScenario(
                     model=model,
-                    cohort_size=section.getint("cohort_size"),
+                    cohort_size=_number(section, "cohort_size", integer=True),
                     seed=seed,
                 )
             elif section.get("distribution") is not None:
                 specs[name] = ScenarioSpec(
                     risk_distribution=_build_risk_distribution(section),
-                    sample_size=section.getint("sample_size"),
-                    repeats=section.getint("repeats", fallback=1),
+                    sample_size=_number(section, "sample_size", integer=True),
+                    repeats=_number(section, "repeats", 1, integer=True),
                     seed=seed,
                 )
             else:

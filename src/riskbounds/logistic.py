@@ -55,7 +55,8 @@ class LogisticFit:
     converged: bool
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
+        # a private copy: freezing the caller's array would lock it too
+        cov = np.array(self.cov, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError(f"covariance must be 2x2, got shape {cov.shape}")
         # np.allclose(cov, cov.T, rtol=0, atol=1e-10) at scalar cost: a NaN
@@ -63,6 +64,9 @@ class LogisticFit:
         c00, c01, c10, c11 = cov.ravel().tolist()
         if not (c00 == c00 and c11 == c11 and (c01 == c10 or abs(c01 - c10) <= 1e-10)):
             raise ValueError("covariance must be symmetric")
+        # eigvalsh returns NaN for infinite entries, which the PSD test passes
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance entries must be finite")
         if np.linalg.eigvalsh(cov).min() < -1e-10:
             raise ValueError("covariance must be positive semi-definite")
         cov.setflags(write=False)
@@ -208,12 +212,16 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
 
     expit, xlogy = _ufuncs()
     x, t, e = _arrays(table)
+
+    def evaluate(b):
+        # the fitted risks at b, computed once and shared by the score, the
+        # information and the deviance at that b
+        pi = expit(b[0] + b[1] * x)
+        return pi, _deviance(t, e, pi, xlogy)
+
     pooled = total_events / total_subjects
     beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    # the fitted risks at beta, computed once and shared by the score, the
-    # information and the deviance at that beta
-    pi = expit(beta[0] + beta[1] * x)
-    dev = _deviance(t, e, pi, xlogy)
+    pi, dev = evaluate(beta)
     trace: list[tuple[int, float, float, float]] = [(0, beta[0], beta[1], dev)]
 
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -226,19 +234,15 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
                 f"information matrix singular at iteration {iteration}"
             ) from exc
 
-        candidate = beta + step
-        new_pi = expit(candidate[0] + candidate[1] * x)
-        new_dev = _deviance(t, e, new_pi, xlogy)
-        halvings = 0
-        while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
-            halvings < _MAX_HALVINGS
-        ):
-            step = step / 2.0
+        # the full step, then up to _MAX_HALVINGS halvings of it, until the
+        # deviance does not rise
+        for _ in range(_MAX_HALVINGS + 1):
             candidate = beta + step
-            new_pi = expit(candidate[0] + candidate[1] * x)
-            new_dev = _deviance(t, e, new_pi, xlogy)
-            halvings += 1
-        if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
+            new_pi, new_dev = evaluate(candidate)
+            if math.isfinite(new_dev) and new_dev <= dev + 1e-12:
+                break
+            step = step / 2.0
+        else:
             raise NonConvergenceError(
                 f"deviance would not decrease at iteration {iteration}", trace
             )
@@ -269,11 +273,10 @@ def predict_bounds(
     """Fitted risks and delta-method bounds (risk, lower, upper) at once.
 
     ``categories`` is a sequence of category indices.  One numpy pass over
-    all of them takes the scalar formula's rounding steps (scipy's array
-    ``expit`` equals ``_cephes.expit`` bit for bit), so each element equals
-    what ``predict_risk`` returns for that category, and a failure raises
-    the error of the first category that fails.  Internal: not in
-    ``riskbounds.__all__``.
+    all of them takes the per-category formula's rounding steps, so each
+    element equals what the scalar wrapper ``predict_risk`` returns for
+    that category, and a failure raises the error of the first category
+    that fails.  Internal: not in ``riskbounds.__all__``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")

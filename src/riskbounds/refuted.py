@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._cephes import expit
 from .wilson import IntervalEstimate, WilsonInput, wilson_interval
 
 NOTE_SINGLE_OUTCOME = (
@@ -119,13 +118,16 @@ def cm1_pseudo_interval(
     if df is None:
         df = inp.n - 2
     t = student_t_quantile(1.0 - inp.alpha / 2.0, df)
+    # student_t_quantile has already imported scipy.special
+    from scipy.special import expit
+
     spread = math.sqrt(1.0 + 1.0 / inp.n + (inp.x_new - inp.x_bar) ** 2 / inp.ss_x)
     half = t * inp.sigma_hat * spread
     eta = inp.beta0 + inp.beta1 * inp.x_new
     return IntervalEstimate(
-        point=expit(eta),
-        lower=expit(eta - half),
-        upper=expit(eta + half),
+        point=float(expit(eta)),
+        lower=float(expit(eta - half)),
+        upper=float(expit(eta + half)),
         level=1.0 - inp.alpha,
         method="cm1_pseudo",
         valid=False,

@@ -1,10 +1,10 @@
-"""The pure-Python ndtri/expit against scipy, and the scipy-free start-up.
+"""The pure-Python ndtri against scipy, and the scipy-free start-up.
 
 ``riskbounds._cephes`` ports the Cephes ``ndtri`` that scipy.special runs,
-and scipy's scalar ``expit``, so that the Wilson, coverage and single-
-outcome commands never import ``scipy.special``.  The ports must give the
-same double as scipy everywhere; a failure names the scipy version, so a
-scipy upgrade that changes either function shows up here.
+so that the Wilson, coverage and single-outcome commands never import
+``scipy.special``.  The port must give the same double as scipy everywhere;
+a failure names the scipy version, so a scipy upgrade that changes the
+function shows up here.
 """
 
 import ast
@@ -20,6 +20,7 @@ import pytest
 
 from riskbounds import _cephes
 from riskbounds.logistic import LogisticFit, predict_risk
+from riskbounds.refuted import CM1PseudoInput, cm1_pseudo_interval
 
 special = pytest.importorskip("scipy.special")
 scipy = pytest.importorskip("scipy")
@@ -107,28 +108,17 @@ def test_cached_ndtri_returns_the_port_value():
         assert _cephes.ndtri(p) == _cephes.ndtri.__wrapped__(p) == special.ndtri(p)
 
 
-def test_expit_equals_scipy_bit_for_bit():
-    rng = np.random.default_rng(20261)
-    overflow = -math.log(sys.float_info.max)  # exp(-x) overflows below it
-    x = np.concatenate(
-        [
-            [0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6, -2.5e5],
-            _neighbours(overflow, 100),
-            _neighbours(-overflow, 100),
-            rng.uniform(-40.0, 40.0, 100_000),
-            rng.uniform(-800.0, 800.0, 50_000),
-            rng.uniform(-1e6, 1e6, 10_000),
-        ]
-    )
-    count, detail = _mismatches(_cephes.expit, special.expit, x)
-    assert count == 0, (
-        f"scipy {scipy.__version__} expit differs from riskbounds._cephes.expit "
-        f"at {count} of {len(x)} x; {detail}"
-    )
-
-
 def test_expit_underflows_to_zero_instead_of_raising():
-    assert _cephes.expit(-2.5e5) == 0.0
+    # eta - half near -2e5 in the cm1 recipe: exp(2e5) overflows, and the
+    # lower bound is 0 rather than an OverflowError
+    interval = cm1_pseudo_interval(
+        CM1PseudoInput(
+            beta0=0.0, beta1=0.0, sigma_hat=1e5, n=30, x_bar=0.0, ss_x=1.0,
+            x_new=0.0, alpha=0.05,
+        )
+    )
+    assert (interval.lower, interval.point, interval.upper) == (0.0, 0.5, 1.0)
+    assert all(type(v) is float for v in (interval.lower, interval.upper))
     # eta - z*se near -2e5: the lower bound is 0, as with scipy's expit
     fit = LogisticFit(
         beta0=0.0, beta1=0.0, cov=np.diag([1e10, 0.0]), deviance=0.0,

@@ -471,6 +471,55 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                ("provocation_rate = 2.0", "provocation_rate = nan"),
+                "provocation_rate must be finite, got nan",
+            ),
+            (
+                ("threshold_location = 0.5", "threshold_location = nan"),
+                "threshold_location must be finite, got nan",
+            ),
+            (
+                ("provocation_rate = 2.0\n", ""),
+                "section [threshold_cohort]: missing key 'provocation_rate'",
+            ),
+        ],
+        ids=["nan_rate", "nan_location", "missing_rate"],
+    )
+    def test_bad_threshold_config_exits_2(
+        self, capsys, tmp_path, data_dir, change, message
+    ):
+        text = (data_dir / "threshold_demo.cfg").read_text(encoding="utf-8")
+        assert change[0] in text
+        config = tmp_path / "bad.cfg"
+        config.write_text(text.replace(*change), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "distribution = beta\na = nan\nb = 2.0",
+                "beta parameters must be finite and > 0, got (nan, 2.0)",
+            ),
+            (
+                "distribution = beta\na = 2.0\nb = inf",
+                "beta parameters must be finite and > 0, got (2.0, inf)",
+            ),
+            ("distribution = point", "section [s]: missing key 'p'"),
+        ],
+        ids=["nan_beta", "inf_beta", "missing_p"],
+    )
+    def test_bad_mixture_config_exits_2(self, capsys, tmp_path, body, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"[s]\n{body}\nsample_size = 4\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_determinism_across_runs(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"
         _, first, _ = run(capsys, "simulate", str(config), "--format", "csv")

@@ -184,18 +184,16 @@ class TestExpandWeights:
     def test_identity_at_one(self, vrag_table):
         expanded = expand_weights(vrag_table, 1)
         assert expanded.rows == vrag_table.rows
-        assert expanded.provenance.weight_factor == 1
 
     def test_counts_scale(self, vrag_table):
         expanded = expand_weights(vrag_table, 100)
         assert expanded.total_subjects == 100 * vrag_table.total_subjects
         assert expanded.total_events == 100 * vrag_table.total_events
-        assert expanded.provenance.weight_factor == 100
-        assert expanded.provenance.source_rows == vrag_table.categories
+        assert expanded.categories == vrag_table.categories
 
     def test_factor_chaining(self, vrag_table):
         twice = expand_weights(expand_weights(vrag_table, 10), 10)
-        assert twice.provenance.weight_factor == 100
+        assert twice.rows == expand_weights(vrag_table, 100).rows
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, True])
     def test_rejects_bad_factor(self, vrag_table, k):

@@ -61,16 +61,17 @@ class TestExactCountDistribution:
         assert float(0.5 * np.abs(dist_a - dist_b).sum()) < 1e-12
 
     def test_matches_enumeration_oracle(self):
-        for mixture, n in (
-            (PointRisk(0.6), 2),
-            (TwoPointRisk(1.0, 0.6, 0.0), 2),
-            (TwoPointRisk(0.9, 0.25, 0.1), 7),
-            (PointRisk(0.13), 8),
+        # each mixture with its (risk, weight) atoms
+        for mixture, atoms, n in (
+            (PointRisk(0.6), [(0.6, 1.0)], 2),
+            (TwoPointRisk(1.0, 0.6, 0.0), [(1.0, 0.6), (0.0, 0.4)], 2),
+            (TwoPointRisk(0.9, 0.25, 0.1), [(0.9, 0.25), (0.1, 0.75)], 7),
+            (PointRisk(0.13), [(0.13, 1.0)], 8),
         ):
             dist = exact_count_distribution(
                 ScenarioSpec(mixture, sample_size=n)
             )
-            enum = oracles.count_distribution_enumerated(list(mixture.atoms()), n)
+            enum = oracles.count_distribution_enumerated(atoms, n)
             assert oracles.total_variation(list(dist), enum) < 1e-12
 
     def test_beta_mixture_matches_quadrature_oracle(self):

@@ -30,7 +30,7 @@ from riskbounds import (
     standard_normal_quantile,
     trend_test,
 )
-from riskbounds import _cephes
+from riskbounds import logistic
 from riskbounds.logistic import RiskPrediction, predict_bounds
 
 
@@ -162,6 +162,26 @@ class TestFit:
         assert len(trace) > 1
         iteration, beta0, beta1, dev = trace[-1]
         assert iteration >= 1 and math.isfinite(dev)
+
+    @pytest.mark.parametrize("rejected", [12, 13])
+    def test_step_is_halved_at_most_twelve_times(
+        self, monkeypatch, vrag_table, rejected
+    ):
+        # the first `rejected` candidates of iteration 1 get an infinite
+        # deviance: the full step and twelve halvings are tried, no more
+        real, calls = logistic._deviance, []
+
+        def deviance(*args):
+            calls.append(args)
+            return math.inf if 1 < len(calls) <= 1 + rejected else real(*args)
+
+        monkeypatch.setattr(logistic, "_deviance", deviance)
+        if rejected == 13:
+            with pytest.raises(NonConvergenceError, match="at iteration 1$"):
+                fit_grouped_logistic(vrag_table)
+            assert len(calls) == 1 + 13
+        else:
+            assert fit_grouped_logistic(vrag_table).converged
 
     def test_weight_expansion_leaves_mle_fixed(self, vrag_table, vrag_fit):
         fit100 = fit_grouped_logistic(expand_weights(vrag_table, 100))
@@ -325,6 +345,27 @@ class TestLogisticFitType:
     def test_covariance_is_read_only(self, vrag_fit):
         with pytest.raises(ValueError):
             vrag_fit.cov[0, 0] = 99.0
+
+    def test_callers_covariance_stays_writable(self):
+        c = np.eye(2)
+        fit = LogisticFit(
+            beta0=0.0, beta1=0.0, cov=c, deviance=0.0, iterations=1, converged=True
+        )
+        c[0, 0] = 2.0
+        assert fit.cov[0, 0] == 1.0
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf])
+    def test_rejects_non_finite_covariance(self, entry):
+        # eigvalsh gives NaN here, which a PSD test alone lets through
+        with pytest.raises(ValueError, match="covariance entries must be finite"):
+            LogisticFit(
+                beta0=0.0,
+                beta1=0.0,
+                cov=np.array([[1.0, entry], [entry, 1.0]]),
+                deviance=0.0,
+                iterations=1,
+                converged=True,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +539,13 @@ class TestArrayLevelFit:
 # category; the array core must match it bit for bit, errors included
 
 
+def _expit(x):
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # where scipy's C code divides by inf
+        return 0.0
+
+
 def _scalar_predict_risk(fit, category_index, alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -515,11 +563,11 @@ def _scalar_predict_risk(fit, category_index, alpha):
         var = 0.0
     se = math.sqrt(var)
     z = standard_normal_quantile(1.0 - alpha / 2.0)
-    risk = _cephes.expit(eta)
+    risk = _expit(eta)
     interval = IntervalEstimate(
         point=risk,
-        lower=_cephes.expit(eta - z * se),
-        upper=_cephes.expit(eta + z * se),
+        lower=_expit(eta - z * se),
+        upper=_expit(eta + z * se),
         level=1.0 - alpha,
         method="logistic_delta",
         valid=True,
