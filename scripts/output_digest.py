@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one ``sha256 exit argv`` line per CLI call over a fixed corpus: the
 README's calls, both shipped tables in each format at five ``--round`` values,
-``simulate`` on each shipped config in each format, ``refuted --mode cm1`` at
+``simulate`` on each shipped config in each format and on the repeated and
+threshold configs at a two-word and a five-word seed, ``refuted --mode cm1`` at
 the README's values and where the lower bound underflows to 0, a ``fit`` with
 ``--expand``, and ``wilson`` and ``fit`` on seeded tables, run in-process with
 SOURCE_DATE_EPOCH pinned.  Two trees print the same stdout, stderr and written
@@ -31,6 +32,8 @@ CONFIGS = (
     "data/scenarios_repeated.cfg",
     "data/threshold_demo.cfg",
 )
+# seeds of two and five 32-bit words (2**32 and 2**130 + 17)
+WIDE_SEEDS = ("4294967296", "1361129467683753853853498429727072845841")
 # the README's values, and eta - half near -2e5, where exp(-x) overflows
 CM1 = (
     "--beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 --x-bar 20 --ss-x 5000 --x-new 20",
@@ -47,6 +50,8 @@ def corpus(seed: int, count: int) -> list[list[str]]:
             calls.append([command, table, "--format", fmt, *digits])
     for config, fmt in itertools.product(CONFIGS, cli.FORMATS):
         calls.append(["simulate", config, "--format", fmt])
+    for config, wide in itertools.product(CONFIGS[1:], WIDE_SEEDS):
+        calls.append(["simulate", config, "--seed", wide])
     for values in CM1:
         calls.append(["refuted", "--mode", "cm1", *values.split(), "--format", "csv"])
     calls.append(["fit", TABLES[0], "--expand", "10", "--format", "csv"])

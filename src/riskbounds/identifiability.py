@@ -18,6 +18,7 @@ the momentarily fluctuating threshold.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Union
@@ -44,13 +45,15 @@ PERMUTATION_COUNT = 10_000
 # Building that generator per person is nearly all SeedSequence hashing,
 # done one child at a time.  The children differ only in their spawn key
 # (i,), which is the last word SeedSequence hashes, so the seed is mixed
-# once and the key word of every child in one numpy pass.
-# The constants are numpy's (numpy/random/bit_generator.pyx and
-# numpy/random/src/pcg64/pcg64.h); tests/test_identifiability.py compares
-# the result with PCG64(child).state, so an upstream change fails there.
+# once and the key word of every child in one numpy pass.  That pass ends
+# with the four 64-bit words PCG64 asks its seed sequence for, and PCG64
+# seeds itself from them through a stand-in sequence that hands them over.
+# The constants are numpy's (numpy/random/bit_generator.pyx);
+# tests/test_identifiability.py compares the words with the children's
+# generate_state(4, np.uint64) and the seeded PCG64 with PCG64(child), so an
+# upstream change fails there.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -58,7 +61,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_multipliers(init: int, mult: int, count: int) -> list[int]:
@@ -87,11 +89,29 @@ _OUT_AFTER = np.array(_OUT_MULTIPLIERS[1:], dtype=np.uint64)[:, None]
 _OUT_POOL_WORD = np.arange(8) % _POOL_SIZE
 
 
-def _substream_states(seed: int, n: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of each child of ``SeedSequence(seed).spawn(n)``.
+@functools.cache
+def _pool_steps(word_count: int):
+    """The ``(before, after)`` multipliers of each hash a spawned child makes.
+
+    A seed of ``word_count`` words (at least the pool size) takes one hash
+    per pool word, one per mix of two pool words and one per later seed
+    word; the last _POOL_SIZE hash the spawn key and come back as two
+    uint64 columns for the numpy pass.
+    """
+    mults = _hash_multipliers(_INIT_A, _MULT_A, _POOL_SIZE * (word_count + 1))
+    steps = tuple(zip(mults, mults[1:]))
+    key_steps = np.array(steps[-_POOL_SIZE:], dtype=np.uint64)
+    key_steps.setflags(write=False)  # every caller shares the cached entry
+    before, after = key_steps.T[:, :, None]
+    return steps[:-_POOL_SIZE], before, after
+
+
+def _substream_states(seed: int, n: int) -> np.ndarray:
+    """Row i: ``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)``.
 
     ``seed`` must be a non-negative int and n at most 2**32, so that every
-    spawn key is the single 32-bit word i.
+    spawn key is the single 32-bit word i.  The ``(n, 4)`` uint64 array is
+    C-contiguous, so each row is the block of words PCG64 seeds from.
     """
     words = []
     while True:
@@ -101,9 +121,8 @@ def _substream_states(seed: int, n: int) -> list[tuple[int, int]]:
             break
     # a spawned sequence pads the seed to the pool size before its key
     words += [0] * (_POOL_SIZE - len(words))
-    # every hash advances the multiplier; the last _POOL_SIZE hash the key
-    mults = _hash_multipliers(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 1))
-    steps = iter(zip(mults, mults[1:]))
+    pool_steps, key_before, key_after = _pool_steps(len(words))
+    steps = iter(pool_steps)
     pool = [_hashmix(word, *next(steps)) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -112,34 +131,43 @@ def _substream_states(seed: int, n: int) -> list[tuple[int, int]]:
     for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
-    before, after = np.array(list(steps), dtype=np.uint64).T[:, :, None]
-    key = _hashmix(np.arange(n, dtype=np.uint64), before, after)
+    key = _hashmix(np.arange(n, dtype=np.uint64), key_before, key_after)
     pool = _mix(np.array(pool, dtype=np.uint64)[:, None], key)
     out = _hashmix(pool[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
-    # little-endian pairs of 32-bit words: state high/low, sequence high/low
-    words64 = (out[0::2] | (out[1::2] << 32)).tolist()
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*words64):
-        # pcg_setseq_128_srandom_r: odd increment, then two LCG steps with
-        # the seed added to the state in between
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    # little-endian pairs of 32-bit words make each 64-bit word
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+
+
+@functools.cache
+def _child_words():
+    """The stand-in seed sequence type, defined on first use.
+
+    PCG64 accepts only a SeedSequence or an ISeedSequence subclass, and
+    importing numpy.random at module level would load it on every CLI call.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChildWords(ISeedSequence):
+        """Hands PCG64 the words one child's generate_state(4, uint64) gives.
+
+        PCG64 asks once, for exactly those, and reads them through the
+        array's data pointer, so ``words`` must be 4 contiguous uint64s.
+        """
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return ChildWords
 
 
 def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """Yield a Generator set to person i's substream, for i = 0..n-1.
-
-    One Generator is re-set for every person: finish with it before asking
-    for the next.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for pcg_state, inc in _substream_states(seed, n):
-        state["state"] = {"state": pcg_state, "inc": inc}
-        rng.bit_generator.state = state
-        yield rng
+    """Yield person i's Generator, for i = 0..n-1."""
+    child_words = _child_words()
+    for words in _substream_states(seed, n):
+        yield np.random.Generator(np.random.PCG64(child_words(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +275,9 @@ class RepeatedOutcomes:
             raise InputError("one row of outcomes per individual id required")
         if arr.shape[1] < 1:
             raise InputError("each individual needs at least one observation")
-        # checked before the cast, which would truncate 0.5 to 0
-        if not ((arr == 0) | (arr == 1)).all():
+        # checked before the cast, which would truncate 0.5 to 0; a bool
+        # array holds nothing else
+        if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
             raise InputError("outcomes must be 0 or 1")
         arr = np.array(arr, dtype=np.int64)
         arr.setflags(write=False)
@@ -433,8 +462,10 @@ def icc_estimate(data: RepeatedOutcomes) -> IccEstimate:
     if m < 2:
         raise InputError("ICC needs at least 2 repeats per individual")
     y = data.outcomes.astype(float)
-    row_means = y.mean(axis=1)
-    grand = y.mean()
+    # sums of 0/1 are exact, so these equal y.mean(axis=1) and y.mean()
+    row_sums = y.sum(axis=1)
+    row_means = row_sums / m
+    grand = row_sums.sum() / (n * m)
     ms_between = m * np.sum((row_means - grand) ** 2) / (n - 1)
     ms_within = np.sum((y - row_means[:, None]) ** 2) / (n * (m - 1))
     denom = ms_between + (m - 1) * ms_within
@@ -473,12 +504,15 @@ class ThresholdModelSpec:
             if not math.isfinite(value):
                 raise InputError(f"{f.name} must be finite, got {value}")
         if self.provocation_rate < 0.0:
-            raise InputError(f"provocation_rate must be >= 0")
+            raise InputError(
+                f"provocation_rate must be >= 0, got {self.provocation_rate}"
+            )
         if self.follow_up <= 0.0:
-            raise InputError(f"follow_up must be > 0")
+            raise InputError(f"follow_up must be > 0, got {self.follow_up}")
         for name in ("threshold_spread", "fluctuation_sd", "strength_spread"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if value < 0.0:
+                raise InputError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,26 +556,30 @@ def simulate_threshold_cohort(
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"cohort size must be an integer >= 1, got {n!r}")
     _check_seed(seed)
-    outcomes = np.zeros((n, 1), dtype=np.int64)
-    risks = np.empty(n)
+    events, risks = [], []
     intensity = spec.provocation_rate * spec.follow_up
-    for i, rng in enumerate(_substreams(seed, n)):
+    loc, spread = spec.strength_location, spec.strength_spread
+    sd = spec.fluctuation_sd
+    for rng in _substreams(seed, n):
         threshold = (
             spec.threshold_location + spec.threshold_spread * rng.standard_normal()
         )
-        risks[i] = latent_risk(spec, threshold)
+        risks.append(latent_risk(spec, threshold))
         count = rng.poisson(intensity) if intensity > 0.0 else 0
-        if count > 0:
-            strengths = (
-                spec.strength_location
-                + spec.strength_spread * rng.standard_normal(count)
+        # one draw gives the strengths' normals, then the fluctuations'
+        normals = rng.standard_normal(2 * count).tolist() if count > 0 else []
+        events.append(
+            any(
+                loc + spread * a - sd * b > threshold
+                for a, b in zip(normals[:count], normals[count:])
             )
-            fluctuations = spec.fluctuation_sd * rng.standard_normal(count)
-            outcomes[i, 0] = int((strengths - fluctuations > threshold).any())
+        )
+    risks = np.array(risks)
     risks.setflags(write=False)
     return ThresholdCohort(
         outcomes=RepeatedOutcomes(
-            individual_ids=tuple(range(n)), outcomes=outcomes
+            individual_ids=tuple(range(n)),
+            outcomes=np.array(events).reshape(n, 1),
         ),
         latent_risks=risks,
     )
@@ -615,11 +653,11 @@ def read_scenario_config(
     specs: dict[str, ScenarioSpec | ThresholdScenario] = {}
     for name in parser.sections():
         section = parser[name]
-        if seed_override is not None:
-            seed = seed_override
-        else:
-            seed = section.getint("seed", fallback=fallback_seed)
         try:
+            if seed_override is not None:
+                seed = seed_override
+            else:
+                seed = _number(section, "seed", fallback_seed, integer=True)
             if section.get("model") == "threshold":
                 model = ThresholdModelSpec(
                     threshold_location=_number(section, "threshold_location"),

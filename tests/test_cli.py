@@ -486,8 +486,13 @@ class TestSimulateCommand:
                 ("provocation_rate = 2.0\n", ""),
                 "section [threshold_cohort]: missing key 'provocation_rate'",
             ),
+            (
+                ("seed = 7", "seed = abc"),
+                "section [threshold_cohort]: invalid literal for int() with "
+                "base 10: 'abc'",
+            ),
         ],
-        ids=["nan_rate", "nan_location", "missing_rate"],
+        ids=["nan_rate", "nan_location", "missing_rate", "bad_seed"],
     )
     def test_bad_threshold_config_exits_2(
         self, capsys, tmp_path, data_dir, change, message
@@ -511,8 +516,12 @@ class TestSimulateCommand:
                 "beta parameters must be finite and > 0, got (2.0, inf)",
             ),
             ("distribution = point", "section [s]: missing key 'p'"),
+            (
+                "distribution = point\np = 0.5\nseed = abc",
+                "section [s]: invalid literal for int() with base 10: 'abc'",
+            ),
         ],
-        ids=["nan_beta", "inf_beta", "missing_p"],
+        ids=["nan_beta", "inf_beta", "missing_p", "bad_seed"],
     )
     def test_bad_mixture_config_exits_2(self, capsys, tmp_path, body, message):
         config = tmp_path / "bad.cfg"
@@ -983,3 +992,21 @@ class TestParserReuse:
         # the single-outcome sections are exact and draw no random numbers
         assert "# seed: none" in comment_lines(seeded[1])
         assert "# seed: none" in comment_lines(unseeded[1])
+
+
+def test_import_leaves_numpy_random_and_scipy_special_unloaded():
+    # both load on first use; at start-up they would add to every CLI call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, riskbounds.cli; "
+            "print(sorted({'numpy.random', 'scipy.special'} & set(sys.modules)))",
+        ],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert child.stdout == "[]\n"

@@ -28,7 +28,7 @@ from riskbounds import (
     simulate_repeated,
     simulate_threshold_cohort,
 )
-from riskbounds.identifiability import _substream_states
+from riskbounds.identifiability import _child_words, _substream_states
 
 SCENARIO_A = ScenarioSpec(PointRisk(0.6), sample_size=2)
 SCENARIO_B = ScenarioSpec(TwoPointRisk(p1=1.0, w1=0.6, p2=0.0), sample_size=2)
@@ -437,13 +437,22 @@ class TestThresholdModel:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            ThresholdModelSpec(0.0, 1.0, 0.5, -1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(InputError):
-            ThresholdModelSpec(0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(InputError):
-            ThresholdModelSpec(0.0, -1.0, 0.5, 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(InputError):
             simulate_threshold_cohort(self.BASE, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("provocation_rate", -1.0, "provocation_rate must be >= 0, got -1.0"),
+            ("follow_up", 0.0, "follow_up must be > 0, got 0.0"),
+            ("threshold_spread", -1.0, "threshold_spread must be >= 0, got -1.0"),
+            ("fluctuation_sd", -0.5, "fluctuation_sd must be >= 0, got -0.5"),
+            ("strength_spread", -2.0, "strength_spread must be >= 0, got -2.0"),
+        ],
+    )
+    def test_range_messages_name_the_value(self, name, value, message):
+        with pytest.raises(InputError) as excinfo:
+            dataclasses.replace(self.BASE, **{name: value})
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "n, seed, message",
@@ -484,12 +493,16 @@ class TestSubstreamContract:
     def test_states_equal_numpy_pcg64_seeding(self, seed):
         for n in CONTRACT_SIZES:
             children = np.random.SeedSequence(seed).spawn(n)
-            expected = [
-                (state["state"], state["inc"])
-                for state in (np.random.PCG64(c).state["state"] for c in children)
-            ]
             got = _substream_states(seed, n)
-            mismatched = [i for i in range(n) if got[i] != expected[i]]
+            assert got.shape == (n, 4) and got.dtype == np.uint64
+            assert got.flags.c_contiguous
+            mismatched = [
+                i
+                for i, child in enumerate(children)
+                if not np.array_equal(got[i], child.generate_state(4, np.uint64))
+                or np.random.PCG64(_child_words()(got[i])).state
+                != np.random.PCG64(child).state
+            ]
             assert not mismatched, (
                 f"numpy {np.__version__} seeds PCG64 from SeedSequence({seed})"
                 f".spawn({n}) differently from _substream_states: children "
@@ -504,7 +517,24 @@ class TestSubstreamContract:
                 assert np.array_equal(data.outcomes, expected), (dist, n)
 
     def test_threshold_cohort_follows_the_contract(self, seed):
-        model = TestThresholdModel.BASE
+        self._check_cohort(TestThresholdModel.BASE, seed)
+
+    # no provocations (no normals drawn), counts of 20-35 per person, and
+    # strengths and fluctuations that do not vary
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"provocation_rate": 0.0},
+            {"provocation_rate": 25.0},
+            {"strength_spread": 0.0, "fluctuation_sd": 0.0},
+        ],
+        ids=["no_provocations", "high_rate", "fixed_strengths"],
+    )
+    def test_threshold_cohort_draw_split_follows_the_contract(self, seed, change):
+        self._check_cohort(dataclasses.replace(TestThresholdModel.BASE, **change), seed)
+
+    @staticmethod
+    def _check_cohort(model, seed):
         for n in CONTRACT_SIZES:
             cohort = simulate_threshold_cohort(model, n, seed)
             outcomes, thresholds = oracles.threshold_cohort(
