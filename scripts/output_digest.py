@@ -4,7 +4,8 @@ README's calls, both shipped tables in each format at five ``--round`` values,
 ``simulate`` on each shipped config in each format and on the repeated and
 threshold configs at a two-word and a five-word seed, ``refuted --mode cm1`` at
 the README's values and where the lower bound underflows to 0, a ``fit`` with
-``--expand``, and ``wilson`` and ``fit`` on seeded tables, run in-process with
+``--expand``, ``coverage`` at four designs (one printing subnormal masses in
+full), and ``wilson`` and ``fit`` on seeded tables, run in-process with
 SOURCE_DATE_EPOCH pinned.  Two trees print the same stdout, stderr and written
 files exactly when their digests ``diff`` clean.
 """
@@ -39,6 +40,13 @@ CM1 = (
     "--beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 --x-bar 20 --ss-x 5000 --x-new 20",
     "--beta0 0 --beta1 0 --sigma 1e5 --n 30 --x-bar 0 --ss-x 1 --x-new 0",
 )
+# n = 1100 at p = 0.5 has masses down to 2**-1074, printed in full by --round 1074
+COVERAGE = (
+    "--n 2 --p 0.5",
+    "--n 40 --p 0.37 --level 0.9",
+    "--n 1100 --p 0.5 --round 1074",
+    "--n 10000 --p 0.003",
+)
 
 
 def corpus(seed: int, count: int) -> list[list[str]]:
@@ -55,6 +63,7 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     for values in CM1:
         calls.append(["refuted", "--mode", "cm1", *values.split(), "--format", "csv"])
     calls.append(["fit", TABLES[0], "--expand", "10", "--format", "csv"])
+    calls += [["coverage", *values.split()] for values in COVERAGE]
     rng = np.random.default_rng(seed)
     os.mkdir("tables")
     for i in range(count):

@@ -37,6 +37,11 @@ METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseud
 INVALID_METHODS = frozenset({"fictitious_wilson", "cm1_pseudo"})
 
 _INTEGRAL_TOL = 1e-9
+#: Binomial log-masses at or below this are left at +0.0 without calling
+#: ``math.exp``.  e**-750 is under 1 % of the least subnormal 2**-1074
+#: (e**-745.13 is half of it), so an exp whose error stays under 0.99 ulp
+#: returns +0.0 there.
+_LOG_MASS_CUT = -750.0
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,21 @@ def binomial_pmf_array(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) mass at every k in 0..n, as a float array.
 
     Edge cases (k in {0, n}, p in {0, 1}) use direct powers so that, e.g.,
-    the mass at k = 0 of Binomial(1, 0.2) is the float 0.8 bit-exactly;
-    interior log-masses come from ``gammaln`` to stay finite at large n,
-    and each is exponentiated by ``math.exp`` (``np.exp`` may round
-    differently in the last bit).
+    the mass at k = 0 of Binomial(1, 0.2) is the float 0.8 bit-exactly.
+    Interior log-masses come from ``gammaln`` to stay finite at large n.
+    One row of log-factorials, ``gammaln`` at 2..n, serves as
+    ``gammaln(k + 1)`` and, reversed, as ``gammaln(n - k + 1)``: the same
+    arguments give the same doubles.  Only the run of log-masses above
+    ``_LOG_MASS_CUT`` (-750) is exponentiated, by ``math.exp`` (``np.exp``
+    may round differently in the last bit); the rest stay +0.0, which is
+    what ``math.exp`` returns there, because e**-750 is under 1 % of the
+    least subnormal double.  An ``n`` whose n + 1 outcomes cannot be
+    allocated raises ValueError.
     """
-    masses = np.zeros(n + 1)
+    try:
+        masses = np.zeros(n + 1)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise ValueError(f"n = {n}: its {n + 1} outcomes do not fit in memory") from None
     if p == 0.0:
         masses[0] = 1.0
     elif p == 1.0:
@@ -276,14 +290,22 @@ def binomial_pmf_array(n: int, p: float) -> np.ndarray:
         from scipy.special import gammaln
 
         k = np.arange(1, n)
+        log_factorial = gammaln(k + 1.0)
         log_pmf = (
             gammaln(n + 1)
-            - gammaln(k + 1)
-            - gammaln(n - k + 1)
+            - log_factorial
+            - log_factorial[::-1]
             + k * math.log(p)
             + (n - k) * math.log1p(-p)
         )
-        masses[1:n] = list(map(math.exp, log_pmf.tolist()))
+        # exponentiate from the first to the last log-mass above the cut (one
+        # is: some interior mass is at least 2**-1074 whenever 0 < p < 1);
+        # the two ends are read first, since at small n both lie above it
+        lo, hi = 0, n - 1
+        if log_pmf[0] <= _LOG_MASS_CUT or log_pmf[-1] <= _LOG_MASS_CUT:
+            above = (log_pmf > _LOG_MASS_CUT).nonzero()[0]
+            lo, hi = above[0], above[-1] + 1
+        masses[lo + 1 : hi + 1] = list(map(math.exp, log_pmf[lo:hi].tolist()))
     return masses
 
 
@@ -303,8 +325,8 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
         raise ValueError(f"p_true must be in [0,1], got {p_true}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
+    masses = binomial_pmf_array(n, p_true)  # first: it checks that n + 1 fits
     lower, upper = score_bounds(np.arange(n + 1) / n, n, 1.0 - level)
-    masses = binomial_pmf_array(n, p_true)
     covered = (lower <= p_true) & (p_true <= upper)
     return CoverageReport(
         n=n,

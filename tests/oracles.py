@@ -197,15 +197,19 @@ def wilson_bounds_by_roots(theta: float, n: float, z: float) -> tuple[float, flo
 
 
 def coverage_by_roots(n: int, p: float, level: float) -> float:
-    """Exact interval coverage from comb() mass and root-found bounds."""
+    """Exact interval coverage from comb() mass and root-found bounds.
+
+    The masses and their sum are taken at 50 digits, so that comb(n, k)
+    beyond the float range (from n of about 1030) stays exact."""
     z = normal_quantile(0.5 + level / 2.0)
-    total = 0.0
-    for k in range(n + 1):
-        mass = math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-        lower, upper = wilson_bounds_by_roots(k / n, n, z)
-        if lower <= p <= upper:
-            total += mass
-    return total
+    with mpmath.workdps(50):
+        p_mp = mpmath.mpf(p)
+        total = mpmath.mpf(0)
+        for k in range(n + 1):
+            lower, upper = wilson_bounds_by_roots(k / n, n, z)
+            if lower <= p <= upper:
+                total += math.comb(n, k) * p_mp**k * (1 - p_mp) ** (n - k)
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,14 @@ class TestCoverageCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    # 10**15 outcomes take 8 PB, so the allocation fails at once; 10**20 is
+    # beyond numpy's size limit
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_outcomes_that_do_not_fit_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "coverage", "--n", str(n), "--p", "0.2")
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n}: its {n + 1} outcomes do not fit in memory\n"
+
 
 class TestSimulateCommand:
     def test_single_outcome_distributions_and_tv(self, capsys, data_dir):
@@ -528,6 +536,17 @@ class TestSimulateCommand:
         config.write_text(f"[s]\n{body}\nsample_size = 4\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_single_outcome_design_that_does_not_fit_exits_2(self, capsys, tmp_path):
+        n = 10**15  # 8 PB of outcomes: the allocation fails at once
+        config = tmp_path / "huge.cfg"
+        config.write_text(
+            f"[s]\ndistribution = point\np = 0.6\nsample_size = {n}\nrepeats = 1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n}: its {n + 1} outcomes do not fit in memory\n"
 
     def test_determinism_across_runs(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"

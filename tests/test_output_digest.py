@@ -34,8 +34,8 @@ def test_two_table_corpus(monkeypatch):
     lines = _digest("--seed", "7", "--tables", "2")
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, 2 cm1 calls, one
-    # expanded fit, and wilson + fit on each seeded table
-    assert len(lines) == 8 + 60 + 9 + 4 + 2 + 1 + 4
+    # expanded fit, 4 coverage calls, and wilson + fit on each seeded table
+    assert len(lines) == 8 + 60 + 9 + 4 + 2 + 1 + 4 + 4
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -45,8 +45,8 @@ def test_two_table_corpus(monkeypatch):
     assert {code for argv, code in codes.items() if "static99" not in argv} == {0}
     static99 = {code for argv, code in codes.items() if "static99" in argv}
     assert static99 == {0, 2}
-    # the simulate, cm1 and expanded-fit calls all succeed
-    assert {code for _, code, _ in lines[68:84]} == {0}
+    # the simulate, cm1, expanded-fit and coverage calls all succeed
+    assert {code for _, code, _ in lines[68:88]} == {0}
     assert lines[-1][2] == "fit tables/t001.csv --alpha 0.05,0.20 --format csv"
     assert _digest("--seed", "7", "--tables", "2") == lines
     assert _digest("--seed", "8", "--tables", "2")[-4:] != lines[-4:]

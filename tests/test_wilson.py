@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,27 @@ from riskbounds.wilson import binomial_pmf_array
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
     return wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=alpha))
+
+
+def pmf_by_three_gammaln_calls(n: int, p: float) -> np.ndarray:
+    """Binomial masses for n >= 2 and 0 < p < 1 by the direct formula:
+    ``gammaln`` at n + 1, k + 1 and n - k + 1, and ``math.exp`` on every
+    interior log-mass, with no cut."""
+    from scipy.special import gammaln
+
+    masses = np.zeros(n + 1)
+    masses[0] = (1.0 - p) ** n
+    masses[n] = p**n
+    k = np.arange(1, n)
+    log_pmf = (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    masses[1:n] = list(map(math.exp, log_pmf.tolist()))
+    return masses
 
 
 def coverage_by_scalar_calls(n: int, p: float, level: float):
@@ -203,6 +225,18 @@ class TestBinomialPmf:
             assert mass == pytest.approx(direct, rel=1e-12, abs=1e-300)
         assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bit_identical_to_three_gammaln_formula(self):
+        subnormal = 0
+        for n in (2, 3, 12, 13, 14, 999, 1000, 1001, 1100, 1200, 5000, 10_000):
+            for p in (1e-300, 1e-9, 0.003, 0.13, 0.2, 0.5, 0.87, 1 - 1e-9):
+                masses = binomial_pmf_array(n, p)
+                reference = pmf_by_three_gammaln_calls(n, p)
+                assert (masses == reference).all(), (n, p)
+                assert (np.signbit(masses) == np.signbit(reference)).all(), (n, p)
+                subnormal += int(((0.0 < masses) & (masses < 2.0**-1022)).sum())
+        # masses between 2**-1074 and 2**-1022 sit at the underflow cut's edge
+        assert subnormal > 0
+
     def test_stays_finite_at_large_n(self):
         mass = binomial_pmf(13_000, 100_000, 0.13)
         assert 0.0 < mass < 1.0
@@ -225,7 +259,7 @@ class TestExactCoverage:
         assert exact_coverage(1, 0.5, 0.95).coverage == 1.0
 
     def test_agrees_with_root_finding_oracle(self):
-        for n, p in ((1, 0.2), (10, 0.3), (25, 0.13), (60, 0.5)):
+        for n, p in ((1, 0.2), (10, 0.3), (25, 0.13), (60, 0.5), (5000, 0.003)):
             assert exact_coverage(n, p, 0.95).coverage == pytest.approx(
                 oracles.coverage_by_roots(n, p, 0.95), abs=1e-12
             )
