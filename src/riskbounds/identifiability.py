@@ -381,12 +381,6 @@ class ClusteringTest:
     undefined: bool
 
 
-def _homogeneity_statistic(counts: np.ndarray, m: int, p_hat: float) -> np.ndarray:
-    """Pearson statistic of the per-individual counts along the last axis."""
-    expected = m * p_hat
-    return ((counts - expected) ** 2).sum(axis=-1) / (m * p_hat * (1.0 - p_hat))
-
-
 def clustering_test(
     data: RepeatedOutcomes,
     permutation_seed: int = 0,
@@ -414,7 +408,7 @@ def clustering_test(
             p_value_permutation=None,
             undefined=True,
         )
-    stat = float(_homogeneity_statistic(counts, m, p_hat))
+    stat = float(((counts - m * p_hat) ** 2).sum() / (m * p_hat * (1.0 - p_hat)))
     # imported on first use: scipy.special is most of the start-up time
     from scipy.special import gammaincc
 
@@ -429,8 +423,12 @@ def clustering_test(
         perm_counts = shuffled[:, :, 0].copy()
         for j in range(1, m):
             perm_counts += shuffled[:, :, j]
-        perm_stats = _homogeneity_statistic(perm_counts, m, p_hat)
-        exceed = int(np.sum(perm_stats >= stat - 1e-12))
+        # every shuffle keeps the total, so the statistic rises with the sum
+        # of squared counts alone: equal sums give statistics equal up to
+        # rounding, and unequal sums differ by at least 2, which moves the
+        # statistic by at least 8/m, so the integer sums decide exactly
+        perm_squares = np.einsum("ij,ij->i", perm_counts, perm_counts)
+        exceed = int(np.count_nonzero(perm_squares >= int(counts @ counts)))
         # add-one rule keeps the Monte Carlo p-value away from exact zero
         p_perm = (1 + exceed) / (1 + permutations)
     return ClusteringTest(

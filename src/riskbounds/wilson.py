@@ -21,7 +21,7 @@ invalid, because no actual sample could have produced them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -122,20 +122,41 @@ class CoverageOutcome(NamedTuple):
 class CoverageReport:
     """Exact coverage of the score interval at one (n, p_true, level).
 
-    ``probability``, ``lower``, ``upper`` and ``covered`` hold one Python
-    float (bool for ``covered``) per outcome k = 0..n.  ``per_outcome``
-    builds the matching validated ``CoverageOutcome`` objects on first
-    access and keeps them.
+    ``exact_coverage`` computes ``coverage`` and four arrays of n + 1
+    entries eagerly and keeps the arrays, read-only, in the private
+    fields.  ``probability``, ``lower``, ``upper`` and ``covered`` turn
+    them into tuples of Python floats (bools for ``covered``), one per
+    outcome k = 0..n, and ``per_outcome`` into validated
+    ``CoverageOutcome`` objects; each is built on first read and kept, so
+    only a caller that reads the outcomes pays for those objects.
+    Equality and hashing use (n, p_true, level, coverage): the arrays
+    are a deterministic function of the first three.
     """
 
     n: int
     p_true: float
     level: float
     coverage: float
-    probability: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    covered: tuple[bool, ...]
+    _probability: np.ndarray = field(repr=False, compare=False)
+    _lower: np.ndarray = field(repr=False, compare=False)
+    _upper: np.ndarray = field(repr=False, compare=False)
+    _covered: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def probability(self) -> tuple[float, ...]:
+        return tuple(self._probability.tolist())
+
+    @cached_property
+    def lower(self) -> tuple[float, ...]:
+        return tuple(self._lower.tolist())
+
+    @cached_property
+    def upper(self) -> tuple[float, ...]:
+        return tuple(self._upper.tolist())
+
+    @cached_property
+    def covered(self) -> tuple[bool, ...]:
+        return tuple(self._covered.tolist())
 
     @cached_property
     def per_outcome(self) -> tuple[CoverageOutcome, ...]:
@@ -316,8 +337,11 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     pass: the score bounds for theta_hat = k/n from ``score_bounds``, the
     binomial masses from ``binomial_pmf_array``, and the exact (``fsum``)
     total of the masses whose interval contains p_true.  No simulation is
-    involved; the answer is exact up to float arithmetic.  The validated
-    per-outcome objects are built only when ``per_outcome`` is first read.
+    involved; the answer is exact up to float arithmetic.  The masses,
+    bounds and covered flags are handed to the report as read-only arrays;
+    their per-outcome tuples and the validated ``per_outcome`` objects are
+    built only when first read, so a caller that reads only ``coverage``
+    (a sweep over many designs) never pays for 4(n + 1) Python objects.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -328,13 +352,15 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     masses = binomial_pmf_array(n, p_true)  # first: it checks that n + 1 fits
     lower, upper = score_bounds(np.arange(n + 1) / n, n, 1.0 - level)
     covered = (lower <= p_true) & (p_true <= upper)
+    for arr in (masses, lower, upper, covered):
+        arr.setflags(write=False)
     return CoverageReport(
         n=n,
         p_true=p_true,
         level=level,
         coverage=math.fsum(masses[covered].tolist()),
-        probability=tuple(masses.tolist()),
-        lower=tuple(lower.tolist()),
-        upper=tuple(upper.tolist()),
-        covered=tuple(covered.tolist()),
+        _probability=masses,
+        _lower=lower,
+        _upper=upper,
+        _covered=covered,
     )

@@ -12,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import goldens
+import oracles
 from riskbounds import (
     clustering_test,
     cli,
@@ -341,6 +343,45 @@ class TestCoverageCommand:
             "1,0.2000,0.2065,1.0000,false",
         ]
         assert "# coverage: 0.8000" in comment_lines(out)
+
+    def test_every_row_matches_independent_oracles(self, capsys):
+        n, p, level = 40, 0.37, 0.9
+        code, out, _ = run(
+            capsys,
+            "coverage",
+            "--n",
+            str(n),
+            "--p",
+            str(p),
+            "--level",
+            str(level),
+            "--format",
+            "csv",
+            "--round",
+            "12",
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert [int(row["k"]) for row in rows] == list(range(n + 1))
+        z = oracles.normal_quantile(0.5 + level / 2.0)
+        with mpmath.workdps(40):
+            p_mp = mpmath.mpf(p)
+            masses = [
+                float(mpmath.binomial(n, k) * p_mp**k * (1 - p_mp) ** (n - k))
+                for k in range(n + 1)
+            ]
+        for k, row in enumerate(rows):
+            lower, upper = oracles.wilson_bounds_by_roots(k / n, n, z)
+            lower, upper = max(lower, 0.0), min(upper, 1.0)
+            # 12 printed decimals: half a unit plus the oracles' float error
+            assert float(row["probability"]) == pytest.approx(masses[k], abs=1e-12)
+            assert float(row["lower"]) == pytest.approx(lower, abs=1e-12)
+            assert float(row["upper"]) == pytest.approx(upper, abs=1e-12)
+            # a numpy bool would print as True or False
+            assert row["covered"] in ("true", "false")
+            assert (row["covered"] == "true") == (lower <= p <= upper)
+        coverage = oracles.coverage_by_roots(n, p, level)
+        assert f"# coverage: {format_fixed(coverage, 12)}" in comment_lines(out)
 
     def test_rejects_degenerate_design(self, capsys):
         code, _, err = run(capsys, "coverage", "--n", "0", "--p", "0.2")

@@ -210,9 +210,12 @@ class TestRepeatedOutcomesType:
 
 def _permutation_route_reference(
     data: RepeatedOutcomes, permutation_seed: int, permutations: int
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
     """clustering_test's statistic and permutation p-value as first built:
-    a shuffled copy of the tiled outcomes, summed over the inner axis."""
+    a shuffled copy of the tiled outcomes, summed over the inner axis, with
+    exceedance decided on the float statistic less 1e-12.  Also returns how
+    many shuffles counted only through that allowance (ties whose statistic
+    rounded below the observed one)."""
     n, m = data.outcomes.shape
     counts = data.outcomes.sum(axis=1)
     p_hat = float(counts.sum()) / (n * m)
@@ -226,7 +229,8 @@ def _permutation_route_reference(
         m * p_hat * (1.0 - p_hat)
     )
     exceed = int(np.sum(perm_stats >= stat - 1e-12))
-    return stat, (1 + exceed) / (1 + permutations)
+    rescued = int(np.sum((perm_stats < stat) & (perm_stats >= stat - 1e-12)))
+    return stat, (1 + exceed) / (1 + permutations), rescued
 
 
 class TestClusteringTest:
@@ -303,11 +307,33 @@ class TestClusteringTest:
             result = clustering_test(data, permutation_seed=seed, permutations=permutations)
             if result.undefined:
                 continue
-            statistic, p_value = _permutation_route_reference(data, seed, permutations)
+            statistic, p_value, _ = _permutation_route_reference(
+                data, seed, permutations
+            )
             assert result.statistic == statistic
             assert result.p_value_permutation == p_value
             tested += 1
         assert tested >= 2
+
+    def test_integer_exceedance_equals_float_rule(self):
+        # every small design from (2, 2) to (19, 2) and (2, 19), three risk
+        # shapes each; the float rule needs its allowance on some ties
+        risks = (PointRisk(0.4), TwoPointRisk(0.9, 0.3, 0.1), BetaRisk(0.7, 1.3))
+        designs = [(n, m) for n in range(2, 20) for m in range(2, 20) if n * m < 40]
+        tested = rescued = 0
+        for i, (n, m) in enumerate(designs):
+            for j, risk in enumerate(risks):
+                seed = 3 * i + j
+                data = simulate_repeated(ScenarioSpec(risk, n, repeats=m, seed=seed))
+                result = clustering_test(data, permutation_seed=seed, permutations=1000)
+                if result.undefined:
+                    continue
+                _, p_value, ties = _permutation_route_reference(data, seed, 1000)
+                assert result.p_value_permutation == p_value, (n, m, risk, seed)
+                tested += 1
+                rescued += ties
+        assert tested >= 200
+        assert rescued > 0
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(InputError):

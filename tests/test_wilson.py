@@ -285,6 +285,8 @@ class TestExactCoverage:
             assert list(fields) == [
                 (prob, est.lower, est.upper, covered) for prob, est, covered in outcomes
             ], (n, p, level)
+            for values in (report.probability, report.lower, report.upper):
+                assert all(type(x) is float for x in values)
             assert all(type(flag) is bool for flag in report.covered)
             assert report.per_outcome == tuple(
                 CoverageOutcome(k, *outcome) for k, outcome in enumerate(outcomes)
@@ -293,6 +295,31 @@ class TestExactCoverage:
                 assert isinstance(outcome.interval, IntervalEstimate)
                 assert outcome.interval.method == "wilson"
                 assert outcome.interval.valid is True
+
+    def test_outcome_tuples_are_built_on_first_read(self):
+        report = exact_coverage(40, 0.37, 0.9)
+        lazy = ("probability", "lower", "upper", "covered", "per_outcome")
+        assert not set(lazy) & set(vars(report))
+        for name in lazy:
+            first = getattr(report, name)
+            assert len(first) == 41
+            assert getattr(report, name) is first
+
+    def test_backing_arrays_are_read_only(self):
+        report = exact_coverage(12, 0.3, 0.95)
+        for name in ("_probability", "_lower", "_upper", "_covered"):
+            array = getattr(report, name)
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    def test_reports_of_one_design_compare_and_hash_equal(self):
+        first, second = exact_coverage(300, 0.2, 0.9), exact_coverage(300, 0.2, 0.9)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != exact_coverage(300, 0.2, 0.95)
+        assert repr(first) == (
+            f"CoverageReport(n=300, p_true=0.2, level=0.9, coverage={first.coverage!r})"
+        )
 
     def test_per_outcome_probabilities_sum_to_one(self):
         report = exact_coverage(40, 0.37, 0.9)
