@@ -9,6 +9,7 @@ p = 0.2 a nominal 95% interval covers with probability 0.8.
 """
 
 import argparse
+import math
 import sys
 
 from riskbounds import exact_coverage
@@ -17,7 +18,7 @@ from riskbounds import exact_coverage
 def sweep(p: float, n_max: int, level: float) -> None:
     print(f"\n== true p = {p}, nominal level {level:.0%} ==")
     print(f"{'n':>6} {'coverage':>9} {'shortfall':>10}")
-    worst_n, worst_cov = None, 1.0
+    worst_n, worst_cov = None, math.inf
     for n in range(1, n_max + 1):
         report = exact_coverage(n, p, level)
         if report.coverage < worst_cov:
@@ -42,8 +43,18 @@ def main(argv: list[str] | None = None) -> int:
         "--level", type=float, default=0.95, help="nominal confidence level"
     )
     args = parser.parse_args(argv)
-    for p_text in args.p_values.split(","):
-        sweep(float(p_text), args.n_max, args.level)
+    try:
+        p_values = [float(p_text) for p_text in args.p_values.split(",")]
+    except ValueError:
+        parser.error(f"--p-values must be comma-separated numbers, got {args.p_values!r}")
+    if not all(0.0 <= p <= 1.0 for p in p_values):
+        parser.error(f"--p-values must lie in [0, 1], got {args.p_values!r}")
+    if args.n_max < 1:
+        parser.error(f"--n-max must be >= 1, got {args.n_max}")
+    if not 0.0 < args.level < 1.0:
+        parser.error(f"--level must lie in (0, 1), got {args.level}")
+    for p in p_values:
+        sweep(p, args.n_max, args.level)
     return 0
 
 

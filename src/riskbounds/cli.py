@@ -311,10 +311,10 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
 def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
     try:
         report = exact_coverage(args.n, args.p, args.level)
+        outcomes = (report.probability, report.lower, report.upper, report.covered)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     columns = ["k", "probability", "lower", "upper", "covered"]
-    outcomes = (report.probability, report.lower, report.upper, report.covered)
     rows = list(zip(range(report.n + 1), *outcomes))
     footer = [f"coverage: {format_fixed(report.coverage, digits)}"]
     parameters = {"n": args.n, "p": args.p, "level": args.level}

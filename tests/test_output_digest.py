@@ -4,15 +4,20 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from riskbounds import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
+DIGEST_401 = ROOT / "tests" / "digests" / "output_digest_401.txt"
 LINE = re.compile(r"([0-9a-f]{64}) (\d+) (\S.*)")
 
 
@@ -59,3 +64,29 @@ def test_two_table_corpus(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv.split()) == 0
     assert hashlib.sha256(f"{out.getvalue()}\0".encode()).hexdigest() == sha
+
+
+def test_seed_401_digest_is_unchanged():
+    """The checked-in ``output_digest.py --seed 401`` still matches.
+
+    This is a change detector, not a golden: the file records what the tree
+    printed when it was written, right or wrong, and the goldens stay pinned
+    to independent oracles.  A change that moves output on purpose rewrites
+    the file in the same commit, so its diff lists the moved calls.
+    """
+    header, *lines = DIGEST_401.read_text(encoding="utf-8").splitlines()
+    expected = [(m[1], int(m[2]), m[3]) for m in map(LINE.fullmatch, lines)]
+    actual = _digest("--seed", "401")
+    if actual != expected:
+        running = (
+            f"# python {platform.python_version()} numpy {np.__version__} "
+            f"scipy {scipy.__version__}"
+        )
+        drift = [] if header == running else [
+            f"versions differ: the digest was written under {header[2:]!r}, "
+            f"this run is {running[2:]!r}"
+        ]
+        moved = [old[2] for old, new in zip(expected, actual) if old != new]
+        if len(actual) != len(expected):
+            moved.append(f"line count {len(expected)} -> {len(actual)}")
+        raise AssertionError("\n".join(drift + ["argv lines that moved:", *moved]))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from riskbounds import (
     standard_normal_quantile,
     wilson_interval,
 )
-from riskbounds.wilson import binomial_pmf_array
+from riskbounds.wilson import CoverageReport, binomial_pmf_array, score_bounds
 
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
@@ -241,6 +242,31 @@ class TestBinomialPmf:
         mass = binomial_pmf(13_000, 100_000, 0.13)
         assert 0.0 < mass < 1.0
 
+    def test_single_mass_and_slices_equal_the_full_row(self):
+        rng = random.Random(16)
+        # k = 0 and k = n, p at 0 and 1, a mass below the -750 cut, a
+        # subnormal one and the large-n mass above, then seeded draws
+        cases = [(0, 7, 0.3), (7, 7, 0.3), (0, 9, 0.0), (4, 9, 0.0), (9, 9, 1.0),
+                 (3, 9, 1.0), (10, 2000, 0.5), (5, 1100, 0.5), (13_000, 100_000, 0.13)]
+        for _ in range(60):
+            n = round(math.exp(rng.uniform(0.0, math.log(20_000))))
+            p = rng.choice([rng.random(), 1e-300, 1e-9, 1 - 1e-9])
+            cases.append((rng.randint(0, n), n, p))
+        below_cut = subnormal = 0
+        for k, n, p in cases:
+            full = binomial_pmf_array(n, p)
+            mass = binomial_pmf(k, n, p)
+            assert type(mass) is float
+            assert mass == full[k] and math.copysign(1.0, mass) == 1.0, (k, n, p)
+            below_cut += mass == 0.0 and 0.0 < p < 1.0
+            subnormal += 0.0 < mass < 2.0**-1022
+            lo = rng.randint(0, k)
+            hi = rng.randint(k, n)
+            window = binomial_pmf_array(n, p, lo, hi)
+            assert (window == full[lo : hi + 1]).all(), (lo, hi, n, p)
+            assert not np.signbit(window).any()
+        assert below_cut and subnormal
+
 
 class TestExactCoverage:
     def test_single_trial_low_risk_coverage_is_exact(self):
@@ -326,6 +352,45 @@ class TestExactCoverage:
         assert math.fsum(o.probability for o in report.per_outcome) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_window_equals_full_enumeration(self):
+        rng = random.Random(4)
+        levels = (0.80, 0.90, 0.95, 0.99)
+        sizes = list(range(1, 301))
+        sizes += [round(math.exp(rng.uniform(0.0, math.log(1e5)))) for _ in range(30)]
+        subnormal = 0
+        for n in sizes:
+            # p at 0 and 1, within 1e-9 of each, tiny enough for subnormal
+            # masses, and one seeded draw
+            for p in (0.0, 1.0, 1e-9, 1 - 1e-9, 1e-300, 5e-324, rng.random()):
+                masses = binomial_pmf_array(n, p)
+                subnormal += int(((0.0 < masses) & (masses < 2.0**-1022)).sum())
+                for level in levels:
+                    lower, upper = score_bounds(np.arange(n + 1) / n, n, 1.0 - level)
+                    covered = (lower <= p) & (p <= upper)
+                    full = math.fsum(masses[covered].tolist())
+                    assert exact_coverage(n, p, level).coverage == full, (n, p, level)
+        assert subnormal > 0
+
+    def test_no_full_array_is_built_until_read(self):
+        report = exact_coverage(10_000, 0.3, 0.95)
+        assert set(vars(report)) == {"n", "p_true", "level", "coverage"}
+        assert len(report._probability) == 10_001
+        assert "_arrays" in vars(report)
+
+    def test_first_read_rechecks_the_coverage(self):
+        report = CoverageReport(30, 0.2, 0.95, exact_coverage(30, 0.2, 0.95).coverage)
+        assert len(report.covered) == 31
+        wrong = CoverageReport(30, 0.2, 0.95, report.coverage + 1e-12)
+        with pytest.raises(AssertionError, match="not the windowed"):
+            wrong.probability
+
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_refuses_n_beyond_memory_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="do not fit in memory"):
+            exact_coverage(n, 0.2, 0.95)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
