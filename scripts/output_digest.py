@@ -2,12 +2,14 @@
 """Print one ``sha256 exit argv`` line per CLI call over a fixed corpus: the
 README's calls, both shipped tables in each format at five ``--round`` values,
 ``simulate`` on each shipped config in each format and on the repeated and
-threshold configs at a two-word and a five-word seed, ``refuted --mode cm1`` at
-the README's values and where the lower bound underflows to 0, a ``fit`` with
-``--expand``, ``coverage`` at four designs (one printing subnormal masses in
-full), and ``wilson`` and ``fit`` on seeded tables, run in-process with
-SOURCE_DATE_EPOCH pinned.  Two trees print the same stdout, stderr and written
-files exactly when their digests ``diff`` clean.
+threshold configs at a two-word and a five-word seed, ``simulate --reps 3`` on
+the repeated config (n*m = 30, so the permutation route runs) in each format
+and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
+the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
+four designs (one printing subnormal masses in full), and ``wilson`` and ``fit``
+on seeded tables, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print
+the same stdout, stderr and written files exactly when their digests ``diff``
+clean.
 """
 
 import argparse
@@ -60,6 +62,9 @@ def corpus(seed: int, count: int) -> list[list[str]]:
         calls.append(["simulate", config, "--format", fmt])
     for config, wide in itertools.product(CONFIGS[1:], WIDE_SEEDS):
         calls.append(["simulate", config, "--seed", wide])
+    small = ["simulate", CONFIGS[1], "--reps", "3"]
+    calls += [[*small, "--format", fmt] for fmt in cli.FORMATS]
+    calls.append([*small, "--seed", WIDE_SEEDS[0]])
     for values in CM1:
         calls.append(["refuted", "--mode", "cm1", *values.split(), "--format", "csv"])
     calls.append(["fit", TABLES[0], "--expand", "10", "--format", "csv"])

@@ -52,6 +52,10 @@ PERMUTATION_COUNT = 10_000
 # tests/test_identifiability.py compares the words with the children's
 # generate_state(4, np.uint64) and the seeded PCG64 with PCG64(child), so an
 # upstream change fails there.
+#
+# The words depend on (seed, n) alone, and a power study runs both of its
+# populations at one seed, so the last call's words are kept, read-only,
+# and the second population reads them back instead of hashing again.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -106,12 +110,15 @@ def _pool_steps(word_count: int):
     return steps[:-_POOL_SIZE], before, after
 
 
+@functools.lru_cache(maxsize=1)
 def _substream_states(seed: int, n: int) -> np.ndarray:
     """Row i: ``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)``.
 
     ``seed`` must be a non-negative int and n at most 2**32, so that every
     spawn key is the single 32-bit word i.  The ``(n, 4)`` uint64 array is
-    C-contiguous, so each row is the block of words PCG64 seeds from.
+    C-contiguous, so each row is the block of words PCG64 seeds from.  It is
+    read-only because the last call's array is kept for the next call with
+    the same (seed, n): 32 bytes per person, 32 MB for a million people.
     """
     words = []
     while True:
@@ -135,7 +142,9 @@ def _substream_states(seed: int, n: int) -> np.ndarray:
     pool = _mix(np.array(pool, dtype=np.uint64)[:, None], key)
     out = _hashmix(pool[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
     # little-endian pairs of 32-bit words make each 64-bit word
-    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+    states = np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+    states.setflags(write=False)
+    return states
 
 
 @functools.cache
@@ -238,9 +247,14 @@ class BetaRisk:
 RiskDistribution = Union[PointRisk, TwoPointRisk, BetaRisk]
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int, name: str = "seed") -> None:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+        raise InputError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
+def _check_count(value: int, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +267,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sample_size", "repeats"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_count(self.sample_size, "sample_size")
+        _check_count(self.repeats, "repeats")
         _check_seed(self.seed)
 
 
@@ -381,6 +393,27 @@ class ClusteringTest:
     undefined: bool
 
 
+@functools.lru_cache(maxsize=1)
+def _permutation_table(permutation_seed: int, permutations: int, size: int) -> np.ndarray:
+    """Row r: the positions 0..size-1 in the order of the r-th shuffle.
+
+    Each row of ``Generator.permuted`` is one Fisher-Yates pass whose swaps
+    come from ``random_interval(i)`` draws for i = size-1 down to 1; the
+    values never affect them.  Gathering the outcomes through this table
+    therefore gives exactly the shuffles of
+    ``permuted(np.tile(outcomes, (permutations, 1)), axis=1)``.  The
+    shuffle runs on intp, which numpy permutes twice as fast as int8.
+    Positions stay below SMALL_DESIGN_THRESHOLD, so the table is kept as
+    int8 (0.4 MB at 10,000 rows of 39), read-only, for the next call with
+    the same arguments.
+    """
+    table = np.tile(np.arange(size), (permutations, 1))
+    np.random.default_rng(permutation_seed).permuted(table, axis=1, out=table)
+    table = table.astype(np.int8)
+    table.setflags(write=False)
+    return table
+
+
 def clustering_test(
     data: RepeatedOutcomes,
     permutation_seed: int = 0,
@@ -392,7 +425,15 @@ def clustering_test(
     large values mean outcomes cluster within individuals, i.e. risks
     genuinely differ between people.  Small p-values therefore signal risk
     heterogeneity that single-outcome data could never reveal.
+
+    For designs of fewer than SMALL_DESIGN_THRESHOLD observations the
+    outcomes are also shuffled across individuals ``permutations`` times,
+    seeded by ``permutation_seed`` (a non-negative int).  The shuffles
+    depend only on (permutation_seed, permutations, n*m), so the last
+    table of them is kept and reused by the next call that asks for it.
     """
+    _check_seed(permutation_seed, "permutation_seed")
+    _check_count(permutations, "permutations")
     n, m = data.n_individuals, data.n_repeats
     if n < 2:
         raise InputError("clustering test needs at least 2 individuals")
@@ -415,11 +456,11 @@ def clustering_test(
     p_value = float(gammaincc((n - 1) / 2.0, stat / 2.0))
     p_perm = None
     if n * m < SMALL_DESIGN_THRESHOLD:
-        rng = np.random.default_rng(permutation_seed)
-        flat = np.tile(data.outcomes.ravel(), (permutations, 1))
-        rng.permuted(flat, axis=1, out=flat)
-        shuffled = flat.reshape(permutations, n, m)
-        # adding m columns beats a reduction over a short inner axis
+        table = _permutation_table(permutation_seed, permutations, n * m)
+        outcomes = data.outcomes.ravel().astype(np.int8)
+        shuffled = np.take(outcomes, table).reshape(permutations, n, m)
+        # adding m columns beats a reduction over a short inner axis; a
+        # count of at most m < SMALL_DESIGN_THRESHOLD fits in int8
         perm_counts = shuffled[:, :, 0].copy()
         for j in range(1, m):
             perm_counts += shuffled[:, :, j]
@@ -427,7 +468,7 @@ def clustering_test(
         # of squared counts alone: equal sums give statistics equal up to
         # rounding, and unequal sums differ by at least 2, which moves the
         # statistic by at least 8/m, so the integer sums decide exactly
-        perm_squares = np.einsum("ij,ij->i", perm_counts, perm_counts)
+        perm_squares = np.einsum("ij,ij->i", perm_counts, perm_counts, dtype=np.int64)
         exceed = int(np.count_nonzero(perm_squares >= int(counts @ counts)))
         # add-one rule keeps the Monte Carlo p-value away from exact zero
         p_perm = (1 + exceed) / (1 + permutations)
@@ -551,8 +592,7 @@ def simulate_threshold_cohort(
     latent risk given their drawn threshold, so simulations can be checked
     against closed-form expectations rather than against themselves.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"cohort size must be an integer >= 1, got {n!r}")
+    _check_count(n, "cohort size")
     _check_seed(seed)
     events, risks = [], []
     intensity = spec.provocation_rate * spec.follow_up

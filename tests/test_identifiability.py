@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -28,7 +29,11 @@ from riskbounds import (
     simulate_repeated,
     simulate_threshold_cohort,
 )
-from riskbounds.identifiability import _child_words, _substream_states
+from riskbounds.identifiability import (
+    _child_words,
+    _permutation_table,
+    _substream_states,
+)
 
 SCENARIO_A = ScenarioSpec(PointRisk(0.6), sample_size=2)
 SCENARIO_B = ScenarioSpec(TwoPointRisk(p1=1.0, w1=0.6, p2=0.0), sample_size=2)
@@ -340,6 +345,84 @@ class TestClusteringTest:
             clustering_test(RepeatedOutcomes((0,), np.array([[0, 1]])))
         with pytest.raises(InputError):
             clustering_test(RepeatedOutcomes((0, 1), np.array([[0], [1]])))
+
+    def test_kept_tables_are_read_back_exactly(self):
+        # each key serves two calls on different data, the second of which
+        # reads the kept table back; keys come back after another (a, b, a),
+        # so that the kept table is replaced and built again
+        keys = [
+            (5, (6, 5), 10_000),
+            (9, (13, 3), 100),
+            (5, (6, 5), 10_000),
+            (9, (6, 5), 10_000),
+            (5, (6, 5), 100),
+            (2**40 + 1, (3, 12), 1000),
+            (9, (6, 5), 10_000),
+        ]
+        risk = TwoPointRisk(0.2, 0.5, 0.8)
+        hits = _permutation_table.cache_info().hits
+        expected_hits, last = 0, None
+        for step, (seed, (n, m), permutations) in enumerate(keys):
+            for data_seed in (2 * step, 2 * step + 1):
+                data = simulate_repeated(ScenarioSpec(risk, n, m, seed=data_seed))
+                result = clustering_test(data, seed, permutations)
+                if result.undefined:  # returns before the table is looked up
+                    continue
+                expected_hits += last == (seed, permutations, n * m)
+                last = (seed, permutations, n * m)
+                _, p_value, _ = _permutation_route_reference(data, seed, permutations)
+                assert result.p_value_permutation == p_value, (step, data_seed)
+        assert expected_hits >= 6
+        assert _permutation_table.cache_info().hits - hits == expected_hits
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"permutation_seed": None}, "permutation_seed must be a non-negative integer, got None"),
+            ({"permutation_seed": True}, "permutation_seed must be a non-negative integer, got True"),
+            ({"permutation_seed": -1}, "permutation_seed must be a non-negative integer, got -1"),
+            ({"permutation_seed": [1, 2]}, "permutation_seed must be a non-negative integer, got [1, 2]"),
+            ({"permutation_seed": 1.0}, "permutation_seed must be a non-negative integer, got 1.0"),
+            ({"permutations": 0}, "permutations must be an integer >= 1, got 0"),
+            ({"permutations": -1}, "permutations must be an integer >= 1, got -1"),
+            ({"permutations": True}, "permutations must be an integer >= 1, got True"),
+            ({"permutations": 100.0}, "permutations must be an integer >= 1, got 100.0"),
+        ],
+    )
+    @pytest.mark.parametrize("design", [(5, 4), (10, 5)], ids=["small", "large"])
+    def test_rejects_bad_permutation_arguments(self, arguments, message, design):
+        risk = TwoPointRisk(1.0, 0.5, 0.0)
+        data = simulate_repeated(ScenarioSpec(risk, *design, seed=11))
+        with pytest.raises(InputError, match=re.escape(message)):
+            clustering_test(data, **arguments)
+
+
+class TestKeptSeedWork:
+    """The last substream words and permutation table are kept and reused."""
+
+    def test_substream_words_survive_a_call_in_between(self):
+        first = _substream_states(42, 10)
+        kept = first.copy()
+        assert _substream_states(42, 10) is first  # read back, not rebuilt
+        for seed, n in ((43, 10), (42, 11)):
+            assert not np.array_equal(_substream_states(seed, n), kept)
+            again = _substream_states(42, 10)
+            assert np.array_equal(again, kept)
+        children = np.random.SeedSequence(42).spawn(10)
+        assert np.array_equal(again, [c.generate_state(4, np.uint64) for c in children])
+
+    def test_permutation_table_is_the_shuffled_positions(self):
+        table = _permutation_table(3, 50, 39)
+        assert table.dtype == np.int8 and table.shape == (50, 39)
+        positions = np.tile(np.arange(39), (50, 1))
+        expected = np.random.default_rng(3).permuted(positions, axis=1)
+        assert np.array_equal(table, expected)
+        assert _permutation_table(3, 50, 39) is table
+
+    def test_kept_arrays_refuse_writes(self):
+        for kept in (_substream_states(7, 3), _permutation_table(7, 10, 6)):
+            with pytest.raises(ValueError):
+                kept[0, 0] = kept[0, 1]
 
 
 class TestIccEstimate:

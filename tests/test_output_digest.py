@@ -11,13 +11,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from riskbounds import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "output_digest.py"
-DIGEST_401 = ROOT / "tests" / "digests" / "output_digest_401.txt"
+DIGESTS = ROOT / "tests" / "digests"
 LINE = re.compile(r"([0-9a-f]{64}) (\d+) (\S.*)")
 
 
@@ -38,9 +39,10 @@ def _digest(*args: str) -> list[tuple[str, int, str]]:
 def test_two_table_corpus(monkeypatch):
     lines = _digest("--seed", "7", "--tables", "2")
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
-    # 3 configs x 3 formats, 2 configs x 2 wide seeds, 2 cm1 calls, one
-    # expanded fit, 4 coverage calls, and wilson + fit on each seeded table
-    assert len(lines) == 8 + 60 + 9 + 4 + 2 + 1 + 4 + 4
+    # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
+    # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
+    # 4 coverage calls, and wilson + fit on each seeded table
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 4
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -51,7 +53,14 @@ def test_two_table_corpus(monkeypatch):
     static99 = {code for argv, code in codes.items() if "static99" in argv}
     assert static99 == {0, 2}
     # the simulate, cm1, expanded-fit and coverage calls all succeed
-    assert {code for _, code, _ in lines[68:88]} == {0}
+    assert {code for _, code, _ in lines[68:92]} == {0}
+    # n*m = 30 < 40: the permutation p-value is among the digested bytes
+    assert [argv for _, _, argv in lines[81:85]] == [
+        "simulate data/scenarios_repeated.cfg --reps 3 --format csv",
+        "simulate data/scenarios_repeated.cfg --reps 3 --format tsv",
+        "simulate data/scenarios_repeated.cfg --reps 3 --format pretty",
+        "simulate data/scenarios_repeated.cfg --reps 3 --seed 4294967296",
+    ]
     assert lines[-1][2] == "fit tables/t001.csv --alpha 0.05,0.20 --format csv"
     assert _digest("--seed", "7", "--tables", "2") == lines
     assert _digest("--seed", "8", "--tables", "2")[-4:] != lines[-4:]
@@ -66,17 +75,18 @@ def test_two_table_corpus(monkeypatch):
     assert hashlib.sha256(f"{out.getvalue()}\0".encode()).hexdigest() == sha
 
 
-def test_seed_401_digest_is_unchanged():
-    """The checked-in ``output_digest.py --seed 401`` still matches.
+def _check_digest(seed: int) -> None:
+    """The checked-in ``output_digest.py --seed <seed>`` still matches.
 
     This is a change detector, not a golden: the file records what the tree
     printed when it was written, right or wrong, and the goldens stay pinned
     to independent oracles.  A change that moves output on purpose rewrites
     the file in the same commit, so its diff lists the moved calls.
     """
-    header, *lines = DIGEST_401.read_text(encoding="utf-8").splitlines()
+    path = DIGESTS / f"output_digest_{seed}.txt"
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
     expected = [(m[1], int(m[2]), m[3]) for m in map(LINE.fullmatch, lines)]
-    actual = _digest("--seed", "401")
+    actual = _digest("--seed", str(seed))
     if actual != expected:
         running = (
             f"# python {platform.python_version()} numpy {np.__version__} "
@@ -90,3 +100,12 @@ def test_seed_401_digest_is_unchanged():
         if len(actual) != len(expected):
             moved.append(f"line count {len(expected)} -> {len(actual)}")
         raise AssertionError("\n".join(drift + ["argv lines that moved:", *moved]))
+
+
+def test_seed_401_digest_is_unchanged():
+    _check_digest(401)
+
+
+@pytest.mark.parametrize("seed", [7, 6105])
+def test_other_seed_digests_are_unchanged(seed):
+    _check_digest(seed)
