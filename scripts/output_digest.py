@@ -9,7 +9,9 @@ the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
 four designs (one printing subnormal masses in full), and ``wilson`` and ``fit``
 on seeded tables, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print
 the same stdout, stderr and written files exactly when their digests ``diff``
-clean.
+clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
+experiment script, hashing its stdout with the tree's path taken off the
+``inputs:`` lines.
 """
 
 import argparse
@@ -20,6 +22,8 @@ import itertools
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,6 +52,11 @@ COVERAGE = (
     "--n 40 --p 0.37 --level 0.9",
     "--n 1100 --p 0.5 --round 1074",
     "--n 10000 --p 0.003",
+)
+SCRIPTS = (
+    "scripts/coverage_sweep.py",
+    "scripts/reproduce_tables.py",
+    "scripts/identifiability_experiment.py",
 )
 
 
@@ -95,13 +104,37 @@ def digest(argv: list[str]) -> tuple[str, int]:
     return h.hexdigest(), code
 
 
+def script_digest(script: str) -> tuple[str, int]:
+    """sha256 of a script's stdout, run on the package ``cli`` came from."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, str(ROOT / script)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    # reproduce_tables.py names its default table by absolute path
+    out = re.sub(
+        f"^((?:# )?inputs: ){re.escape(str(ROOT) + os.sep)}", r"\1",
+        child.stdout, flags=re.M,
+    )
+    return hashlib.sha256(out.encode()).hexdigest(), child.returncode
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=401, help="seeded-table seed")
     parser.add_argument("--tables", type=int, default=195, help="seeded table count")
+    parser.add_argument(
+        "--scripts", action="store_true", help="digest the experiment scripts"
+    )
     args = parser.parse_args(argv)
     os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
     os.environ.pop("RISKBOUNDS_SEED", None)
+    if args.scripts:
+        for script in SCRIPTS:
+            print(*script_digest(script), script)
+        return
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths, so that the manifests read the same in any tree

@@ -18,7 +18,6 @@ from .data import (
     ParseError,
     expand_weights,
     parse_category_table,
-    serialize_category_table,
 )
 from .identifiability import (
     BetaRisk,
@@ -41,21 +40,14 @@ from .identifiability import (
     simulate_threshold_cohort,
 )
 from .logistic import (
-    FigurePoint,
     LogisticFit,
-    NarrowingRecord,
     NonConvergenceError,
     NumericalError,
     RiskPrediction,
     SeparationError,
     TrendTest,
-    deviance,
-    figure_data,
     fit_grouped_logistic,
-    interval_narrowing_experiment,
-    log_likelihood,
     predict_risk,
-    score,
     trend_test,
 )
 from .refuted import (
@@ -85,12 +77,10 @@ __all__ = [
     "CM1PseudoInput",
     "CoverageOutcome",
     "CoverageReport",
-    "FigurePoint",
     "IccEstimate",
     "InputError",
     "IntervalEstimate",
     "LogisticFit",
-    "NarrowingRecord",
     "NonConvergenceError",
     "NumericalError",
     "ParseError",
@@ -108,25 +98,19 @@ __all__ = [
     "binomial_pmf",
     "clustering_test",
     "cm1_pseudo_interval",
-    "deviance",
     "exact_count_distribution",
     "exact_coverage",
     "expand_weights",
-    "figure_data",
     "fit_grouped_logistic",
     "format_fixed",
     "hmc_individual_interval",
     "icc_estimate",
-    "interval_narrowing_experiment",
     "latent_risk",
-    "log_likelihood",
     "marginal_equivalence_check",
     "parse_category_table",
     "predict_risk",
     "read_scenario_config",
     "round_half_away",
-    "score",
-    "serialize_category_table",
     "simulate_repeated",
     "simulate_threshold_cohort",
     "standard_normal_quantile",

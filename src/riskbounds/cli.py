@@ -36,7 +36,6 @@ from .identifiability import (
 )
 from .logistic import (
     NumericalError,
-    figure_data,
     fit_grouped_logistic,
     predict_bounds,
     trend_test,
@@ -96,10 +95,15 @@ def _env_int(name: str, kind: str) -> int | None:
 
 def _timestamp() -> str:
     epoch = _env_int("SOURCE_DATE_EPOCH", "an integer number of seconds")
-    moment = int(time.time()) if epoch is None else epoch
-    return datetime.fromtimestamp(moment, tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    if epoch is None:
+        epoch = int(time.time())
+    try:
+        moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise InputError(
+            f"SOURCE_DATE_EPOCH must fall in the years 1 to 9999, got {epoch}"
+        ) from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _manifest(command: str, report: Report, timestamp: str) -> list[str]:
@@ -296,12 +300,12 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
     parameters = {"alpha": args.alpha, "expand": args.expand}
     report = Report(columns, rows, parameters, inputs=(args.table,), footer=summary)
     if args.figure is not None:
-        # the figure's manifest names its one alpha and no format
+        # the figure is the first alpha's block without its counts; its
+        # manifest names that one alpha and no format
         fig_params = {"alpha": alphas[0], "expand": args.expand, "round": args.round}
-        points = figure_data(fit, table, alphas[0])
         report.files[args.figure] = Report(
             ["category", "observed", "fitted", "lower", "upper"],
-            [[p.category, p.observed, p.fitted, p.lower, p.upper] for p in points],
+            [[row[1], *row[4:]] for row in rows[: len(table.rows)]],
             {**fig_params, "figure": args.figure},
             inputs=(args.table,),
         )
@@ -345,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
 
     columns = ["section", "record", "key", "value"]
     rows: list[list[object]] = []
-    outcome_rows: list[list[object]] = []
+    panels: dict[str, np.ndarray] = {}  # outcomes of each section that draws
     single_outcome: list[tuple[str, ScenarioSpec]] = []
     drawn: dict[str, int] = {}  # seed of each section that draws numbers
 
@@ -361,8 +365,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             rows.append(
                 [name, "threshold", "mean_latent_risk", float(cohort.latent_risks.mean())]
             )
-            for i, value in enumerate(cohort.outcomes.outcomes[:, 0]):
-                outcome_rows.append([name, i, 0, int(value)])
+            panels[name] = cohort.outcomes.outcomes
             continue
         if spec.repeats == 1:
             dist = exact_count_distribution(spec)
@@ -386,9 +389,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             [name, "icc", "estimate", icc.value if not icc.undefined else "nan"]
         )
         rows.append([name, "icc", "undefined", icc.undefined])
-        for i in range(data.n_individuals):
-            for j in range(data.n_repeats):
-                outcome_rows.append([name, i, j, int(data.outcomes[i, j])])
+        panels[name] = data.outcomes
 
     if len(single_outcome) >= 2:
         (name_a, spec_a), (name_b, spec_b) = single_outcome[0], single_outcome[1]
@@ -406,7 +407,14 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     inputs, parameters = (args.config,), {"reps": args.reps}
     report = Report(columns, rows, parameters, inputs=inputs, seed=seed)
     if args.outcomes is not None:
-        # one parameters dict, so the file repeats the manifest of stdout
+        # the rows are built only when a file asks for them; one parameters
+        # dict, so the file repeats the manifest of stdout
+        outcome_rows: list[list[object]] = [
+            [name, i, j, value]
+            for name, panel in panels.items()
+            for i, person in enumerate(panel.tolist())
+            for j, value in enumerate(person)
+        ]
         outcome_columns = ["section", "individual", "rep", "outcome"]
         report.files[args.outcomes] = Report(
             outcome_columns, outcome_rows, parameters, inputs=inputs, seed=seed

@@ -93,13 +93,6 @@ class CategoryTable:
                     f"found {a} then {b}"
                 )
 
-    @classmethod
-    def from_counts(
-        cls, name: str, counts: list[tuple[int, int, int]]
-    ) -> "CategoryTable":
-        """Build a table from (category, total, events) triples."""
-        return cls(name=name, rows=tuple(CategoryRow(*c) for c in counts))
-
     @property
     def categories(self) -> tuple[int, ...]:
         return tuple(r.category for r in self.rows)
@@ -166,13 +159,6 @@ def parse_category_table(text: str, name: str = "") -> CategoryTable:
         if b.category == a.category:
             raise ParseError(f"duplicate category {b.category}", lineno)
     return CategoryTable(name=name, rows=tuple(r for _, r in numbered_rows))
-
-
-def serialize_category_table(table: CategoryTable) -> str:
-    """Emit the table in the same CSV dialect parse_category_table reads."""
-    lines = [CSV_HEADER]
-    lines.extend(f"{r.category},{r.total},{r.events}" for r in table.rows)
-    return "\n".join(lines) + "\n"
 
 
 def expand_weights(table: CategoryTable, k: int) -> CategoryTable:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CategoryTable, InputError, expand_weights
+from .data import CategoryTable, InputError
 from .wilson import IntervalEstimate, standard_normal_quantile
 
 DEVIANCE_TOL = 1e-10
@@ -91,33 +91,11 @@ class TrendTest(NamedTuple):
     p_value: float
 
 
-class NarrowingRecord(NamedTuple):
-    factor: int
-    category: int
-    width: float
-
-
-class FigurePoint(NamedTuple):
-    category: int
-    observed: float
-    fitted: float
-    lower: float
-    upper: float
-
-
 def _arrays(table: CategoryTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.array([r.category for r in table.rows], dtype=float)
     t = np.array([r.total for r in table.rows], dtype=float)
     e = np.array([r.events for r in table.rows], dtype=float)
     return x, t, e
-
-
-def log_likelihood(table: CategoryTable, beta0: float, beta1: float) -> float:
-    """Binomial log-likelihood up to the additive combinatorial constant."""
-    x, t, e = _arrays(table)
-    eta = beta0 + beta1 * x
-    # log(1 + e^eta) computed stably for both signs of eta
-    return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
 
 
 def _ufuncs():
@@ -151,19 +129,6 @@ def _deviance(t, e, pi, xlogy) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
     return float(2.0 * terms.sum())
-
-
-def score(table: CategoryTable, beta0: float, beta1: float) -> np.ndarray:
-    """Gradient of the log-likelihood in (beta0, beta1)."""
-    x, t, e = _arrays(table)
-    return _score(x, t, e, _ufuncs()[0](beta0 + beta1 * x))
-
-
-def deviance(table: CategoryTable, beta0: float, beta1: float) -> float:
-    """-2 log-likelihood relative to the saturated (one p per stratum) model."""
-    x, t, e = _arrays(table)
-    expit, xlogy = _ufuncs()
-    return _deviance(t, e, expit(beta0 + beta1 * x), xlogy)
 
 
 def _check_overlap(table: CategoryTable) -> None:
@@ -353,41 +318,3 @@ def trend_test(fit: LogisticFit) -> TrendTest:
     p_value = math.erfc(math.sqrt(chi2 / 2.0))
     return TrendTest(wald_chi2=chi2, p_value=p_value)
 
-
-def interval_narrowing_experiment(
-    table: CategoryTable, factors: list[int], alpha: float
-) -> list[NarrowingRecord]:
-    """Refit after k-fold count replication and report interval widths.
-
-    Replication leaves every observed proportion (hence the MLE) unchanged
-    but multiplies the information by k, so widths shrink like k^-0.5 even
-    though not a single new subject was observed.
-    """
-    records = []
-    for k in factors:
-        fit = fit_grouped_logistic(expand_weights(table, k))
-        _, lower, upper = predict_bounds(fit, table.categories, alpha)
-        records.extend(
-            NarrowingRecord(factor=k, category=category, width=hi - lo)
-            for category, lo, hi in zip(
-                table.categories, lower.tolist(), upper.tolist()
-            )
-        )
-    return records
-
-
-def figure_data(
-    fit: LogisticFit, table: CategoryTable, alpha: float = 0.05
-) -> list[FigurePoint]:
-    """Per-category observed proportion, fitted risk, and interval bounds.
-
-    This is the plot dataset: one row per category, emitted downstream as
-    CSV with columns category,observed,fitted,lower,upper.
-    """
-    risk, lower, upper = predict_bounds(fit, table.categories, alpha)
-    return [
-        FigurePoint(row.category, row.proportion, fitted, lo, hi)
-        for row, fitted, lo, hi in zip(
-            table.rows, risk.tolist(), lower.tolist(), upper.tolist()
-        )
-    ]

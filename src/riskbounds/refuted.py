@@ -71,7 +71,7 @@ class CM1PseudoInput:
             raise ValueError(f"ss_x must be > 0, got {self.ss_x}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        for name in ("beta0", "beta1", "x_bar", "x_new"):
+        for name in ("beta0", "beta1", "sigma_hat", "x_bar", "ss_x", "x_new"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 

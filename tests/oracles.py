@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.special import expit, xlogy
 
 # ---------------------------------------------------------------------------
 # inverse standard normal CDF: Acklam's rational approximation plus one
@@ -298,6 +299,43 @@ def two_point_logistic(
     det = i11 * i22 - i12 * i12
     cov = ((i22 / det, -i12 / det), (-i12 / det, i11 / det))
     return beta0, beta1, cov
+
+
+# ---------------------------------------------------------------------------
+# the grouped binomial likelihood of logit(risk) = beta0 + beta1 * category,
+# rebuilt from a table's rows on every call: the log-likelihood through
+# logaddexp, a second route beside the deviance's xlogy
+
+
+def table_arrays(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Categories, totals and events of ``table.rows`` as float arrays."""
+    x = np.array([r.category for r in table.rows], dtype=float)
+    t = np.array([r.total for r in table.rows], dtype=float)
+    e = np.array([r.events for r in table.rows], dtype=float)
+    return x, t, e
+
+
+def table_log_likelihood(table, beta0: float, beta1: float) -> float:
+    """Log-likelihood up to the additive combinatorial constant."""
+    x, t, e = table_arrays(table)
+    eta = beta0 + beta1 * x
+    return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
+
+
+def table_score(table, beta0: float, beta1: float) -> np.ndarray:
+    """Gradient of the log-likelihood in (beta0, beta1)."""
+    x, t, e = table_arrays(table)
+    resid = e - t * expit(beta0 + beta1 * x)
+    return np.array([resid.sum(), (x * resid).sum()])
+
+
+def table_deviance(table, beta0: float, beta1: float) -> float:
+    """-2 log-likelihood relative to the saturated model (NaN past overflow)."""
+    x, t, e = table_arrays(table)
+    mu = t * expit(beta0 + beta1 * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
+    return float(2.0 * terms.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import goldens
+import oracles
 from riskbounds import (
     PointRisk,
     ScenarioSpec,
@@ -22,16 +23,15 @@ from riskbounds import (
     clustering_test,
     exact_count_distribution,
     exact_coverage,
+    expand_weights,
     fit_grouped_logistic,
-    interval_narrowing_experiment,
-    log_likelihood,
     marginal_equivalence_check,
     predict_risk,
-    score,
     simulate_repeated,
     trend_test,
     wilson_interval,
 )
+from riskbounds.logistic import predict_bounds
 from riskbounds.rounding import round_half_away
 
 BOUND_TOL = 0.01 + 1e-9
@@ -147,16 +147,22 @@ def test_08_repeated_design_separates_the_scenarios():
 
 
 def test_09_count_replication_narrows_intervals(vrag_table):
-    records = interval_narrowing_experiment(vrag_table, factors=[1, 100], alpha=0.05)
-    base = {r.category: r.width for r in records if r.factor == 1}
-    wide = {r.category: r.width for r in records if r.factor == 100}
-    assert set(base) == set(wide) and len(base) == 9
-    for category in base:
-        ratio = wide[category] / base[category]
+    # what `fit --expand K` prints: the widths at K = 100 over those at K = 1
+    widths = []
+    for k in (1, 100):
+        fit = fit_grouped_logistic(expand_weights(vrag_table, k))
+        _, lower, upper = predict_bounds(fit, vrag_table.categories, 0.05)
+        widths.append(upper - lower)
+    ratios = widths[1] / widths[0]
+    assert len(ratios) == 9
+    for ratio in ratios:
         assert 0.095 <= ratio <= 0.105
 
 
 def test_10_likelihood_derivatives_check_out(vrag_table, vrag_fit):
+    # the reference formulas; tests/test_logistic.py ties the fit's own
+    # score and deviance to them bit for bit
+    score, log_likelihood = oracles.table_score, oracles.table_log_likelihood
     rng = np.random.default_rng(2024)
     h = 1e-6
     for _ in range(10):

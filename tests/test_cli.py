@@ -24,6 +24,7 @@ from riskbounds import (
     format_fixed,
     read_scenario_config,
     simulate_repeated,
+    simulate_threshold_cohort,
 )
 from riskbounds.cli import main
 
@@ -299,6 +300,30 @@ class TestFitCommand:
         ]
         assert TIMESTAMP in comment_lines(text)
 
+    @pytest.mark.parametrize(
+        "alphas,expand",
+        [("0.05,0.20", "1"), ("0.2,0.05,0.5", "1"), ("0.2,0.05,0.5", "3")],
+    )
+    def test_figure_file_is_the_first_alpha_block(
+        self, capsys, tmp_path, vrag_path, alphas, expand
+    ):
+        figure = tmp_path / "figure.csv"
+        code, out, _ = run(
+            capsys, "fit", str(vrag_path), "--alpha", alphas, "--expand", expand,
+            "--figure", str(figure), "--format", "csv", "--round", "20",
+        )
+        assert code == 0
+        first = alphas.split(",")[0]
+        block = [row for row in parse_csv(out) if float(row["alpha"]) == float(first)]
+        assert len(block) == 9
+        columns = ["category", "observed", "fitted", "lower", "upper"]
+        text = figure.read_text()
+        assert parse_csv(text) == [{c: row[c] for c in columns} for row in block]
+        assert (
+            f"# parameters: alpha={float(first)} expand={expand} "
+            f"figure={figure} round=20"
+        ) in comment_lines(text)
+
     def test_separated_table_exits_3(self, capsys, tmp_path):
         table = tmp_path / "separated.csv"
         table.write_text("category,total,events\n1,40,0\n2,40,40\n")
@@ -469,6 +494,38 @@ class TestSimulateCommand:
         assert {row["outcome"] for row in rows} <= {"0", "1"}
         per_section = sum(1 for row in rows if row["section"] == "scenario_a")
         assert per_section == 50
+
+    def test_outcomes_file_leaves_stdout_alone(self, capsys, tmp_path, data_dir):
+        # a repeated and a threshold section in one config
+        config = tmp_path / "both.cfg"
+        config.write_text(
+            (data_dir / "scenarios_repeated.cfg").read_text()
+            + (data_dir / "threshold_demo.cfg").read_text()
+        )
+        outcomes = tmp_path / "outcomes.csv"
+        code, plain, _ = run(capsys, "simulate", str(config), "--format", "csv")
+        assert code == 0
+        code, with_file, _ = run(
+            capsys, "simulate", str(config), "--format", "csv",
+            "--outcomes", str(outcomes),
+        )
+        assert (code, with_file) == (0, plain)
+        want = ["section,individual,rep,outcome"]
+        for name, spec in read_scenario_config(config.read_text()).items():
+            if name == "threshold_cohort":
+                cohort = simulate_threshold_cohort(
+                    spec.model, spec.cohort_size, spec.seed
+                )
+                outcomes_of = cohort.outcomes.outcomes
+            else:
+                outcomes_of = simulate_repeated(spec).outcomes
+            want += [
+                f"{name},{i},{j},{int(value)}"
+                for (i, j), value in np.ndenumerate(outcomes_of)
+            ]
+        text = outcomes.read_text()
+        assert comment_lines(text) == comment_lines(plain)
+        assert data_lines(text) == want
 
     def test_seed_flag_overrides_section_seeds(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"
@@ -731,6 +788,24 @@ class TestRefutedCommand:
         assert code == 2
         assert "--sigma" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--sigma", "inf", "sigma_hat"),
+            ("--sigma", "nan", "sigma_hat"),
+            ("--ss-x", "inf", "ss_x"),
+            ("--ss-x", "nan", "ss_x"),
+        ],
+    )
+    def test_cm1_non_finite_spread_exits_2(self, capsys, flag, value, field):
+        values = {"--sigma": "1.0", "--ss-x": "5000", flag: value}
+        code, out, err = run(
+            capsys, "refuted", "--mode", "cm1", "--beta0", "-2.0", "--beta1",
+            "0.5", "--n", "255", "--x-bar", "20", "--x-new", "20",
+            *(part for item in values.items() for part in item),
+        )
+        assert (code, out, err) == (2, "", f"error: {field} must be finite\n")
+
     def test_mode_is_required(self, capsys):
         code, _, _ = run(capsys, "refuted", "--theta", "0.13")
         assert code == 2
@@ -938,6 +1013,37 @@ class TestSourceDateEpoch:
             assert run(capsys, *argv) == (2, "", message)
         assert calls == []
         assert not outcomes.exists()
+
+
+    @pytest.mark.parametrize(
+        "value", ["253402300800", "99999999999999999", "-62135596801"]
+    )
+    def test_out_of_range_exits_2_naming_the_variable(
+        self, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        message = f"SOURCE_DATE_EPOCH must fall in the years 1 to 9999, got {value}"
+        assert run(capsys, "coverage", "--n", "1", "--p", "0.2") == (
+            2, "", f"error: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value,stamp",
+        [
+            ("253402300799", "9999-12-31T23:59:59Z"),
+            # strftime's %Y does not pad year 1 to four digits
+            ("-62135596800", "1-01-01T00:00:00Z"),
+        ],
+    )
+    def test_first_and_last_second_still_print(
+        self, capsys, monkeypatch, value, stamp
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        code, out, _ = run(
+            capsys, "coverage", "--n", "1", "--p", "0.2", "--format", "csv"
+        )
+        assert code == 0
+        assert f"# timestamp: {stamp}" in comment_lines(out)
 
 
 class TestRoundOption:

@@ -10,23 +10,17 @@ from scipy.special import expit, xlogy
 import goldens
 import oracles
 from riskbounds import (
+    CategoryRow,
     CategoryTable,
-    FigurePoint,
     InputError,
     IntervalEstimate,
     LogisticFit,
-    NarrowingRecord,
     NonConvergenceError,
     NumericalError,
     SeparationError,
-    deviance,
     expand_weights,
-    figure_data,
     fit_grouped_logistic,
-    interval_narrowing_experiment,
-    log_likelihood,
     predict_risk,
-    score,
     standard_normal_quantile,
     trend_test,
 )
@@ -35,7 +29,7 @@ from riskbounds.logistic import RiskPrediction, predict_bounds
 
 
 def make_table(counts):
-    return CategoryTable.from_counts("t", list(counts))
+    return CategoryTable(name="t", rows=tuple(CategoryRow(*c) for c in counts))
 
 
 class TestFit:
@@ -53,7 +47,7 @@ class TestFit:
         assert vrag_fit.converged
 
     def test_score_vanishes_at_mle(self, vrag_table, vrag_fit):
-        residuals = score(vrag_table, vrag_fit.beta0, vrag_fit.beta1)
+        residuals = oracles.table_score(vrag_table, vrag_fit.beta0, vrag_fit.beta1)
         assert np.all(np.abs(residuals) < 1e-8)
 
     def test_matches_external_glm(self, vrag_table, vrag_fit):
@@ -196,17 +190,17 @@ class TestGradient:
         for _ in range(10):
             beta0 = rng.uniform(-5.0, 1.0)
             beta1 = rng.uniform(-1.0, 1.5)
-            analytic = score(vrag_table, beta0, beta1)
+            analytic = oracles.table_score(vrag_table, beta0, beta1)
             numeric = np.array(
                 [
                     (
-                        log_likelihood(vrag_table, beta0 + h, beta1)
-                        - log_likelihood(vrag_table, beta0 - h, beta1)
+                        oracles.table_log_likelihood(vrag_table, beta0 + h, beta1)
+                        - oracles.table_log_likelihood(vrag_table, beta0 - h, beta1)
                     )
                     / (2.0 * h),
                     (
-                        log_likelihood(vrag_table, beta0, beta1 + h)
-                        - log_likelihood(vrag_table, beta0, beta1 - h)
+                        oracles.table_log_likelihood(vrag_table, beta0, beta1 + h)
+                        - oracles.table_log_likelihood(vrag_table, beta0, beta1 - h)
                     )
                     / (2.0 * h),
                 ]
@@ -215,6 +209,7 @@ class TestGradient:
             assert np.all(rel < 1e-4)
 
     def test_likelihood_is_maximal_at_fit(self, vrag_table, vrag_fit):
+        log_likelihood = oracles.table_log_likelihood
         at_mle = log_likelihood(vrag_table, vrag_fit.beta0, vrag_fit.beta1)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -291,32 +286,22 @@ class TestTrendTest:
             trend_test(fit)
 
 
+def replicated_widths(table, k, alpha=0.05):
+    """Per-category interval widths of the fit to ``table`` replicated k-fold."""
+    fit = fit_grouped_logistic(expand_weights(table, k))
+    _, lower, upper = predict_bounds(fit, table.categories, alpha)
+    return upper - lower
+
+
 class TestNarrowing:
     def test_hundredfold_expansion_shrinks_widths_tenfold(self, vrag_table):
-        records = interval_narrowing_experiment(vrag_table, [1, 100], 0.05)
-        base = {r.category: r.width for r in records if r.factor == 1}
-        expanded = {r.category: r.width for r in records if r.factor == 100}
-        for category in base:
-            ratio = expanded[category] / base[category]
-            assert 0.095 <= ratio <= 0.105
+        ratios = replicated_widths(vrag_table, 100) / replicated_widths(vrag_table, 1)
+        assert len(ratios) == 9
+        assert np.all((0.095 <= ratios) & (ratios <= 0.105))
 
     def test_width_sequence_is_decreasing(self, vrag_table):
-        records = interval_narrowing_experiment(vrag_table, [1, 10, 100], 0.05)
-        for category in range(1, 10):
-            widths = [r.width for r in records if r.category == category]
-            assert widths[0] > widths[1] > widths[2]
-
-
-class TestFigureData:
-    def test_matches_predictions(self, vrag_table, vrag_fit):
-        points = figure_data(vrag_fit, vrag_table, alpha=0.05)
-        assert [p.category for p in points] == list(range(1, 10))
-        for point, row in zip(points, vrag_table.rows):
-            pred = predict_risk(vrag_fit, row.category, 0.05)
-            assert point.observed == pytest.approx(row.proportion, abs=1e-15)
-            assert point.fitted == pytest.approx(pred.risk, abs=1e-15)
-            assert point.lower == pytest.approx(pred.interval.lower, abs=1e-15)
-            assert point.upper == pytest.approx(pred.interval.upper, abs=1e-15)
+        widths = [replicated_widths(vrag_table, k) for k in (1, 10, 100)]
+        assert np.all((widths[0] > widths[1]) & (widths[1] > widths[2]))
 
 
 class TestLogisticFitType:
@@ -370,27 +355,8 @@ class TestLogisticFitType:
 
 # ---------------------------------------------------------------------------
 # the Newton loop as it stood when it rebuilt the arrays from the table rows
-# on every score and deviance call; the array-level fit must match it bit
-# for bit
-
-
-def _table_arrays(table):
-    x = np.array([r.category for r in table.rows], dtype=float)
-    t = np.array([r.total for r in table.rows], dtype=float)
-    e = np.array([r.events for r in table.rows], dtype=float)
-    return x, t, e
-
-
-def _table_log_likelihood(table, beta0, beta1):
-    x, t, e = _table_arrays(table)
-    eta = beta0 + beta1 * x
-    return float(np.sum(e * eta - t * np.logaddexp(0.0, eta)))
-
-
-def _table_score(table, beta0, beta1):
-    x, t, e = _table_arrays(table)
-    resid = e - t * expit(beta0 + beta1 * x)
-    return np.array([resid.sum(), (x * resid).sum()])
+# on every score and deviance call (the oracles' table_* formulas); the
+# array-level fit must match it bit for bit
 
 
 def _table_information(x, t, beta):
@@ -400,35 +366,27 @@ def _table_information(x, t, beta):
     return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
 
 
-def _table_deviance(table, beta0, beta1):
-    x, t, e = _table_arrays(table)
-    mu = t * expit(beta0 + beta1 * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
-    return float(2.0 * terms.sum())
-
-
 def _table_rebuilding_fit(table):
     """(beta0, beta1, cov, deviance, iterations, halvings), or the error."""
-    x, t, e = _table_arrays(table)
+    x, t, e = oracles.table_arrays(table)
     pooled = table.total_events / table.total_subjects
     beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    dev = _table_deviance(table, beta[0], beta[1])
+    dev = oracles.table_deviance(table, beta[0], beta[1])
     trace = [(0, beta[0], beta[1], dev)]
     total_halvings = 0
     for iteration in range(1, 51):
-        grad = _table_score(table, beta[0], beta[1])
+        grad = oracles.table_score(table, beta[0], beta[1])
         info = _table_information(x, t, beta)
         step = np.linalg.solve(info, grad)
         candidate = beta + step
-        new_dev = _table_deviance(table, candidate[0], candidate[1])
+        new_dev = oracles.table_deviance(table, candidate[0], candidate[1])
         halvings = 0
         while (not math.isfinite(new_dev) or new_dev > dev + 1e-12) and (
             halvings < 12
         ):
             step = step / 2.0
             candidate = beta + step
-            new_dev = _table_deviance(table, candidate[0], candidate[1])
+            new_dev = oracles.table_deviance(table, candidate[0], candidate[1])
             halvings += 1
         total_halvings += halvings
         if not math.isfinite(new_dev) or new_dev > dev + 1e-12:
@@ -521,16 +479,17 @@ class TestArrayLevelFit:
 
     @pytest.mark.parametrize("beta0", [-3.0, -0.7, 0.0, 1.3])
     @pytest.mark.parametrize("beta1", [-2.5, -0.1, 0.0, 0.4, 60.0])
-    def test_public_wrappers_unchanged(self, vrag_table, beta0, beta1):
+    def test_fit_cores_match_table_formulas(self, vrag_table, beta0, beta1):
+        # the fit's own score and deviance, over its own arrays; at
+        # beta1 = 60 the fitted risks saturate and both deviances are NaN
         for table in (vrag_table, *HALVING_TABLES):
+            x, t, e = logistic._arrays(table)
+            pi = expit(beta0 + beta1 * x)
             assert np.array_equal(
-                score(table, beta0, beta1), _table_score(table, beta0, beta1)
+                logistic._score(x, t, e, pi), oracles.table_score(table, beta0, beta1)
             )
-            assert log_likelihood(table, beta0, beta1) == _table_log_likelihood(
-                table, beta0, beta1
-            )
-            got = deviance(table, beta0, beta1)
-            want = _table_deviance(table, beta0, beta1)
+            got = logistic._deviance(t, e, pi, xlogy)
+            want = oracles.table_deviance(table, beta0, beta1)
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
@@ -676,36 +635,6 @@ class TestArrayLevelPrediction:
         )
         want = _raised(_scalar_predict_risk, fit, 1, 0.05)
         assert _raised(predict_bounds, fit, (1,), 0.05) == want
-
-    def test_figure_data_matches_per_row_construction(self, vrag_table, vrag_fit):
-        for alpha in PREDICT_ALPHAS:
-            want = []
-            for row in vrag_table.rows:
-                pred = _scalar_predict_risk(vrag_fit, row.category, alpha)
-                want.append(
-                    FigurePoint(
-                        category=row.category,
-                        observed=row.proportion,
-                        fitted=pred.risk,
-                        lower=pred.interval.lower,
-                        upper=pred.interval.upper,
-                    )
-                )
-            assert figure_data(vrag_fit, vrag_table, alpha) == want
-
-    def test_narrowing_matches_per_row_construction(self, vrag_table):
-        factors = [1, 10, 100]
-        want = []
-        for k in factors:
-            fit = fit_grouped_logistic(expand_weights(vrag_table, k))
-            for row in vrag_table.rows:
-                pred = _scalar_predict_risk(fit, row.category, 0.05)
-                want.append(
-                    NarrowingRecord(
-                        factor=k, category=row.category, width=pred.interval.width
-                    )
-                )
-        assert interval_narrowing_experiment(vrag_table, factors, 0.05) == want
 
 
 def _symmetry_rejected(cov):

@@ -75,18 +75,18 @@ def test_two_table_corpus(monkeypatch):
     assert hashlib.sha256(f"{out.getvalue()}\0".encode()).hexdigest() == sha
 
 
-def _check_digest(seed: int) -> None:
-    """The checked-in ``output_digest.py --seed <seed>`` still matches.
+def _check_digest(name: str, *args: str) -> None:
+    """The checked-in ``output_digest.py <args>`` still matches ``name``.
 
     This is a change detector, not a golden: the file records what the tree
     printed when it was written, right or wrong, and the goldens stay pinned
     to independent oracles.  A change that moves output on purpose rewrites
     the file in the same commit, so its diff lists the moved calls.
     """
-    path = DIGESTS / f"output_digest_{seed}.txt"
+    path = DIGESTS / name
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     expected = [(m[1], int(m[2]), m[3]) for m in map(LINE.fullmatch, lines)]
-    actual = _digest("--seed", str(seed))
+    actual = _digest(*args)
     if actual != expected:
         running = (
             f"# python {platform.python_version()} numpy {np.__version__} "
@@ -103,9 +103,15 @@ def _check_digest(seed: int) -> None:
 
 
 def test_seed_401_digest_is_unchanged():
-    _check_digest(401)
+    _check_digest("output_digest_401.txt", "--seed", "401")
 
 
 @pytest.mark.parametrize("seed", [7, 6105])
 def test_other_seed_digests_are_unchanged(seed):
-    _check_digest(seed)
+    _check_digest(f"output_digest_{seed}.txt", "--seed", str(seed))
+
+
+def test_script_digests_are_unchanged():
+    # one line per experiment script: the sha256 of its stdout, its exit
+    # code and its path
+    _check_digest("script_digest.txt", "--scripts")

@@ -222,6 +222,12 @@ class TestPredictionIntervalRecipe:
             CM1PseudoInput(**{**self.EXAMPLE, "alpha": 0.0})
         with pytest.raises(ValueError):
             CM1PseudoInput(**{**self.EXAMPLE, "beta0": math.inf})
+        # an infinite sigma_hat used to give the interval (0, 1), an infinite
+        # ss_x a finite one, and a NaN a bounds error naming neither
+        for field in ("sigma_hat", "ss_x"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                    CM1PseudoInput(**{**self.EXAMPLE, field: value})
 
     @settings(deadline=None, max_examples=100)
     @given(
