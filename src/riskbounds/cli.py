@@ -103,7 +103,8 @@ def _timestamp() -> str:
         raise InputError(
             f"SOURCE_DATE_EPOCH must fall in the years 1 to 9999, got {epoch}"
         ) from None
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # glibc's %Y does not pad years before 1000
+    return f"{moment.year:04d}-{moment:%m-%dT%H:%M:%SZ}"
 
 
 def _manifest(command: str, report: Report, timestamp: str) -> list[str]:
@@ -615,10 +616,12 @@ def main(argv: list[str] | None = None) -> int:
         timestamp = _timestamp()
         report = args.func(args, digits)
         report.parameters.update(format=args.format, round=args.round)
-        sys.stdout.write(report.render(args.command, args.format, digits, timestamp))
+        text = report.render(args.command, args.format, digits, timestamp)
+        # files first: a path that cannot be written leaves stdout empty
         for path, written in report.files.items():
-            text = written.render(args.command, "csv", digits, timestamp)
-            Path(path).write_text(text, encoding="utf-8")
+            rendered = written.render(args.command, "csv", digits, timestamp)
+            Path(path).write_text(rendered, encoding="utf-8")
+        sys.stdout.write(text)
         return 0
     except (NumericalError, ArithmeticError, AssertionError) as exc:
         # ArithmeticError: float underflow or overflow in a formula;

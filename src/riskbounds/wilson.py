@@ -224,6 +224,16 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     Python's ``ZeroDivisionError`` where 4 n^2 underflows and prints no
     numpy warning.  Returns float arrays (0-d for two floats).  Internal:
     not in ``riskbounds.__all__``.
+
+    The clamped bounds are returned at once when lower <= theta <= upper
+    holds at every entry, which is nearly every call.  That is exactly
+    what the full check would return: no NaN passes the test, and
+    lower - theta <= 0 and theta - upper <= 0 mean that neither snap
+    tolerance is exceeded and neither snap moves a bound; the clamps
+    already give 0 <= lower and upper <= 1.  Otherwise every entry is
+    snapped to theta within 1e-9, or AssertionError names the entry off by
+    the most, and ValueError names the first entry still out of order
+    (a NaN theta, say).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -242,9 +252,11 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     # and NaN included
     lower = np.where(lower > 0.0, lower, 0.0)
     upper = np.where(upper < 1.0, upper, 1.0)
+    th = np.asarray(theta, dtype=float)
+    if ((lower <= th) & (th <= upper)).all():
+        return lower, upper
     # The formula contains theta by construction; snap away float dust
     # so the containment invariant cannot trip at the boundaries.
-    th = np.asarray(theta, dtype=float)
     if (lower - th > 1e-9).any():
         k = int(np.argmax(lower - th))
         raise AssertionError(
@@ -324,8 +336,11 @@ def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> 
     the run of log-masses above ``_LOG_MASS_CUT`` (-750) is exponentiated,
     by ``math.exp`` (``np.exp`` may round differently in the last bit); the
     rest stay +0.0, which is what ``math.exp`` returns there, because
-    e**-750 is under 1 % of the least subnormal double.  An ``n`` whose
-    n + 1 outcomes cannot be allocated raises ValueError, whatever the slice.
+    e**-750 is under 1 % of the least subnormal double.  The rows k and
+    n - k are built as floats: they hold integers below 2**53 (an n past
+    that cannot be allocated), so they are the doubles that an integer row
+    would be cast to, without the cast.  An ``n`` whose n + 1 outcomes
+    cannot be allocated raises ValueError, whatever the slice.
     """
     hi = n if hi is None else hi
     _reserve_outcomes(n)
@@ -347,15 +362,16 @@ def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> 
         # imported on first use: scipy.special is most of the start-up time
         from scipy.special import gammaln
 
-        k = np.arange(first, last + 1)
+        k = np.arange(float(first), last + 1.0)
+        rest = n - k
         log_factorial = gammaln(k + 1.0)
-        mirror = log_factorial[::-1] if first + last == n else gammaln((n - k) + 1.0)
+        mirror = log_factorial[::-1] if first + last == n else gammaln(rest + 1.0)
         log_pmf = (
-            gammaln(n + 1)
+            gammaln(float(n + 1))
             - log_factorial
             - mirror
             + k * math.log(p)
-            + (n - k) * math.log1p(-p)
+            + rest * math.log1p(-p)
         )
         # exponentiate from the first to the last log-mass above the cut; the
         # two ends are read first, since over most slices both lie above it
@@ -366,7 +382,9 @@ def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> 
                 return masses
             a, b = above[0], above[-1] + 1
         offset = first - lo
-        masses[offset + a : offset + b] = list(map(math.exp, log_pmf[a:b].tolist()))
+        masses[offset + a : offset + b] = np.fromiter(
+            map(math.exp, log_pmf[a:b].tolist()), float, b - a
+        )
     return masses
 
 
@@ -376,7 +394,7 @@ def _outcomes(
     """Masses, score bounds and covered flags of the outcomes k = lo..hi,
     and the exact (``fsum``) total of the covered masses."""
     masses = binomial_pmf_array(n, p_true, lo, hi)
-    lower, upper = score_bounds(np.arange(lo, hi + 1) / n, n, 1.0 - level)
+    lower, upper = score_bounds(np.arange(float(lo), hi + 1.0) / n, n, 1.0 - level)
     covered = (lower <= p_true) & (p_true <= upper)
     return (masses, lower, upper, covered), math.fsum(masses[covered].tolist())
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import expit, ndtri, xlogy
 
 # ---------------------------------------------------------------------------
 # inverse standard normal CDF: Acklam's rational approximation plus one
@@ -211,6 +211,48 @@ def coverage_by_roots(n: int, p: float, level: float) -> float:
             if lower <= p <= upper:
                 total += math.comb(n, k) * p_mp**k * (1 - p_mp) ** (n - k)
         return float(total)
+
+
+def score_bounds_checked(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form score bounds with the clamp, snap and check run at every
+    call: each bound is clamped to [0, 1], snapped to theta when within
+    1e-9 of the wrong side (AssertionError when further), and the order
+    0 <= lower <= theta <= upper <= 1 checked (ValueError).  z is scipy's
+    ``ndtri`` as a Python float, so that two floats stay Python floats.
+    The reference for a fast route that skips the snap when every bound
+    already contains its point."""
+    z = float(ndtri(1.0 - alpha / 2.0))
+    z2 = z * z
+    with np.errstate(over="ignore"):
+        center = theta + z2 / (2.0 * n)
+        spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        denom = 1.0 + z2 / n
+        half = z * np.sqrt(spread)
+        lower = (center - half) / denom
+        upper = (center + half) / denom
+    lower = np.where(lower > 0.0, lower, 0.0)
+    upper = np.where(upper < 1.0, upper, 1.0)
+    th = np.asarray(theta, dtype=float)
+    if (lower - th > 1e-9).any():
+        k = int(np.argmax(lower - th))
+        raise AssertionError(
+            f"wilson lower bound {lower.flat[k]} above point {th.flat[k]}"
+        )
+    lower = np.where(lower > th, th, lower)
+    if (th - upper > 1e-9).any():
+        k = int(np.argmax(th - upper))
+        raise AssertionError(
+            f"wilson upper bound {upper.flat[k]} below point {th.flat[k]}"
+        )
+    upper = np.where(upper < th, th, upper)
+    ordered = (0.0 <= lower) & (lower <= th) & (th <= upper) & (upper <= 1.0)
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise ValueError(
+            f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
+            f"({lower.flat[k]}, {th.flat[k]}, {upper.flat[k]}) at index {k}"
+        )
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

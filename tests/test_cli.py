@@ -324,6 +324,12 @@ class TestFitCommand:
             f"figure={figure} round=20"
         ) in comment_lines(text)
 
+    def test_unwritable_figure_exits_2_before_stdout(self, capsys, tmp_path, vrag_path):
+        figure = tmp_path / "missing" / "figure.csv"
+        code, out, err = run(capsys, "fit", str(vrag_path), "--figure", str(figure))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(figure) in err
+
     def test_separated_table_exits_3(self, capsys, tmp_path):
         table = tmp_path / "separated.csv"
         table.write_text("category,total,events\n1,40,0\n2,40,40\n")
@@ -494,6 +500,15 @@ class TestSimulateCommand:
         assert {row["outcome"] for row in rows} <= {"0", "1"}
         per_section = sum(1 for row in rows if row["section"] == "scenario_a")
         assert per_section == 50
+
+    def test_unwritable_outcomes_exits_2_before_stdout(self, capsys, tmp_path, data_dir):
+        outcomes = tmp_path / "missing" / "outcomes.csv"
+        code, out, err = run(
+            capsys, "simulate", str(data_dir / "scenarios_repeated.cfg"),
+            "--outcomes", str(outcomes), "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(outcomes) in err
 
     def test_outcomes_file_leaves_stdout_alone(self, capsys, tmp_path, data_dir):
         # a repeated and a threshold section in one config
@@ -1031,8 +1046,9 @@ class TestSourceDateEpoch:
         "value,stamp",
         [
             ("253402300799", "9999-12-31T23:59:59Z"),
-            # strftime's %Y does not pad year 1 to four digits
-            ("-62135596800", "1-01-01T00:00:00Z"),
+            # years before 1000 are padded to four digits, as ISO 8601 asks
+            ("-62135596800", "0001-01-01T00:00:00Z"),
+            ("-30610224001", "0999-12-31T23:59:59Z"),
         ],
     )
     def test_first_and_last_second_still_print(

@@ -197,6 +197,94 @@ class TestWilsonInterval:
             WilsonInput(theta_hat=0.5, n=math.inf, alpha=0.05)
 
 
+def score_bounds_outcome(theta, n, alpha: float):
+    """``score_bounds`` against ``oracles.score_bounds_checked``: the same
+    array types, shapes and bytes (sign bits included), or the same
+    exception type and message.  Returns the exception type, or None."""
+    try:
+        expected = oracles.score_bounds_checked(theta, n, alpha)
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            score_bounds(theta, n, alpha)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return type(exc)
+    for got, want in zip(score_bounds(theta, n, alpha), expected):
+        assert (type(got), got.shape) == (type(want), want.shape)
+        assert got.tobytes() == want.tobytes(), (theta, n, alpha)
+    return None
+
+
+class TestScoreBoundsAcceptOnce:
+    """``score_bounds`` skips the snap and order check when every clamped
+    bound already contains its point; it must return and raise exactly
+    what running them at every call does."""
+
+    LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999999)
+
+    def test_coverage_windows(self):
+        rng = random.Random(20)
+        sizes = list(range(1, 101))
+        sizes += [round(math.exp(rng.uniform(0.0, math.log(1e5)))) for _ in range(40)]
+        for n in sizes:
+            # the full row reaches k = 0 and k = n, where the clamped bounds
+            # miss the point by float dust at 39 of the sizes 1..100, so the
+            # snap runs
+            assert score_bounds_outcome(np.arange(n + 1) / n, n, 0.05) is None
+            for p in (0.0, 1.0, 1e-9, rng.random(), rng.random()):
+                for level in self.LEVELS:
+                    z = standard_normal_quantile(1.0 - (1.0 - level) / 2.0)
+                    half = z * math.sqrt(n * p * (1.0 - p))
+                    lo = max(math.floor(n * p - half) - 2, 0)
+                    hi = min(math.ceil(n * p + half) + 2, n)
+                    theta = np.arange(float(lo), hi + 1.0) / n
+                    assert score_bounds_outcome(theta, n, 1.0 - level) is None
+
+    def test_table_proportions(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            totals = [int(10 ** rng.uniform(0.0, 18.0)) for _ in range(20)]
+            totals += [2**63 + 2048, 2**64, 10**19]
+            events = [rng.choice([0, t, rng.randint(0, t)]) for t in totals]
+            theta = np.array([e / t for e, t in zip(events, totals)])
+            n = np.array([float(t) for t in totals])
+            alpha = rng.choice([0.05, 0.2, 1e-6, rng.random()])
+            assert score_bounds_outcome(theta, n, alpha) is None
+
+    @pytest.mark.parametrize(
+        "theta,n,alpha,raises",
+        [
+            (0.0, 11.0, 0.05, None),
+            (-0.0, 11.0, 0.05, None),
+            (-0.0, 1.0, 0.5, None),
+            (1.0, 9.0, 0.05, None),
+            (0.13, 167.0, 0.05, None),
+            (0.5, 10.5, 0.05, None),
+            (0.5, 1e-12, 0.05, None),
+            (0.5, 1e-320, 0.05, ZeroDivisionError),
+            (0.3, 1e-300, 0.05, ZeroDivisionError),
+            # float dust beyond the snap tolerance (the CLI's exit-3 case)
+            (0.9999999997808171, 1.6578369151475657e-161, 0.9999999999999994,
+             AssertionError),
+        ],
+    )
+    def test_python_floats(self, theta, n, alpha, raises):
+        assert score_bounds_outcome(theta, n, alpha) is raises
+
+    @pytest.mark.parametrize(
+        "bad,n,raises",
+        [
+            (math.nan, 1.0, ValueError),
+            (math.nan, 4.0, ValueError),
+            (-0.1, 1.0, AssertionError),
+            (-0.1, 4.0, AssertionError),
+            (1.5, 1.0, AssertionError),
+        ],
+    )
+    def test_out_of_contract_theta(self, bad, n, raises):
+        theta = np.array([0.2, bad, 0.5, bad])
+        assert score_bounds_outcome(theta, n, 0.05) is raises
+
+
 class TestBinomialPmf:
     def test_edge_masses_are_exact_powers(self):
         assert binomial_pmf(0, 1, 0.2) == 0.8
