@@ -386,9 +386,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
                 [name, "clustering", "p_value_permutation", cluster.p_value_permutation]
             )
         rows.append([name, "clustering", "undefined", cluster.undefined])
-        rows.append(
-            [name, "icc", "estimate", icc.value if not icc.undefined else "nan"]
-        )
+        rows.append([name, "icc", "estimate", icc.value])
         rows.append([name, "icc", "undefined", icc.undefined])
         panels[name] = data.outcomes
 

@@ -18,6 +18,12 @@ class InputError(ValueError):
     """Bad user-supplied data: malformed file, impossible counts, bad flags."""
 
 
+def check_integer(value: int, name: str, minimum: int = 1) -> None:
+    """Raise InputError unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class ParseError(InputError):
     """Malformed CSV input; carries the 1-based line number."""
 
@@ -169,8 +175,7 @@ def expand_weights(table: CategoryTable, k: int) -> CategoryTable:
     apparent information content grows.  Python integers do not overflow,
     so no overflow guard is needed beyond validating k.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError(f"weight factor must be an integer >= 1, got {k!r}")
+    check_integer(k, "weight factor")
     rows = tuple(
         CategoryRow(r.category, r.total * k, r.events * k) for r in table.rows
     )

@@ -25,7 +25,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .data import InputError
+from .data import InputError, check_integer
 # binomial_pmf stays importable from this module: perfbench/tracing.py
 # wraps the scalar pmf at this name as well as in wilson
 from .wilson import binomial_pmf, binomial_pmf_array  # noqa: F401
@@ -252,11 +252,6 @@ def _check_seed(seed: int, name: str = "seed") -> None:
         raise InputError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
-def _check_count(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A population to experiment on: risk mixture, design, and seed."""
@@ -267,8 +262,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count(self.sample_size, "sample_size")
-        _check_count(self.repeats, "repeats")
+        check_integer(self.sample_size, "sample_size")
+        check_integer(self.repeats, "repeats")
         _check_seed(self.seed)
 
 
@@ -276,15 +271,12 @@ class ScenarioSpec:
 class RepeatedOutcomes:
     """Balanced panel of binary outcomes: one row of m repeats per person."""
 
-    individual_ids: tuple[int, ...]
     outcomes: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.outcomes)
         if arr.ndim != 2:
             raise InputError("outcomes must be a 2-D (individuals x repeats) array")
-        if arr.shape[0] != len(self.individual_ids):
-            raise InputError("one row of outcomes per individual id required")
         if arr.shape[1] < 1:
             raise InputError("each individual needs at least one observation")
         # checked before the cast, which would truncate 0.5 to 0; a bool
@@ -294,7 +286,6 @@ class RepeatedOutcomes:
         arr = np.array(arr, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
-        object.__setattr__(self, "individual_ids", tuple(self.individual_ids))
 
     @property
     def n_individuals(self) -> int:
@@ -372,7 +363,7 @@ def simulate_repeated(spec: ScenarioSpec) -> RepeatedOutcomes:
         risks.append(spec.risk_distribution.sample(rng))
         rng.random(out=uniforms[i])
     rows = uniforms < np.array(risks)[:, None]
-    return RepeatedOutcomes(individual_ids=tuple(range(n)), outcomes=rows)
+    return RepeatedOutcomes(outcomes=rows)
 
 
 @dataclass(frozen=True)
@@ -381,9 +372,11 @@ class ClusteringTest:
 
     ``p_value`` is the asymptotic chi-square tail with df = n - 1.  For
     designs with fewer than SMALL_DESIGN_THRESHOLD total observations,
-    ``p_value_permutation`` holds a permutation p-value as well (outcomes
-    shuffled across individuals).  ``undefined`` flags pooled proportions
-    of 0 or 1, where no test is possible and p_value is reported as 1.
+    ``p_value_permutation`` holds a permutation p-value as well: outcomes
+    shuffled across individuals a fixed PERMUTATION_COUNT (10,000) times,
+    and the add-one rule's (1 + exceedances) / 10,001.  ``undefined`` flags
+    pooled proportions of 0 or 1, where no test is possible and p_value is
+    reported as 1.
     """
 
     statistic: float
@@ -394,20 +387,21 @@ class ClusteringTest:
 
 
 @functools.lru_cache(maxsize=1)
-def _permutation_table(permutation_seed: int, permutations: int, size: int) -> np.ndarray:
-    """Row r: the positions 0..size-1 in the order of the r-th shuffle.
+def _permutation_table(permutation_seed: int, size: int) -> np.ndarray:
+    """Row r: the positions 0..size-1 in the order of the r-th of the
+    PERMUTATION_COUNT (10,000) shuffles.
 
     Each row of ``Generator.permuted`` is one Fisher-Yates pass whose swaps
     come from ``random_interval(i)`` draws for i = size-1 down to 1; the
     values never affect them.  Gathering the outcomes through this table
     therefore gives exactly the shuffles of
-    ``permuted(np.tile(outcomes, (permutations, 1)), axis=1)``.  The
+    ``permuted(np.tile(outcomes, (PERMUTATION_COUNT, 1)), axis=1)``.  The
     shuffle runs on intp, which numpy permutes twice as fast as int8.
     Positions stay below SMALL_DESIGN_THRESHOLD, so the table is kept as
     int8 (0.4 MB at 10,000 rows of 39), read-only, for the next call with
-    the same arguments.
+    the same (permutation_seed, size).
     """
-    table = np.tile(np.arange(size), (permutations, 1))
+    table = np.tile(np.arange(size), (PERMUTATION_COUNT, 1))
     np.random.default_rng(permutation_seed).permuted(table, axis=1, out=table)
     table = table.astype(np.int8)
     table.setflags(write=False)
@@ -417,7 +411,6 @@ def _permutation_table(permutation_seed: int, permutations: int, size: int) -> n
 def clustering_test(
     data: RepeatedOutcomes,
     permutation_seed: int = 0,
-    permutations: int = PERMUTATION_COUNT,
 ) -> ClusteringTest:
     """Pearson chi-square test that all individuals share one risk.
 
@@ -427,13 +420,13 @@ def clustering_test(
     heterogeneity that single-outcome data could never reveal.
 
     For designs of fewer than SMALL_DESIGN_THRESHOLD observations the
-    outcomes are also shuffled across individuals ``permutations`` times,
-    seeded by ``permutation_seed`` (a non-negative int).  The shuffles
-    depend only on (permutation_seed, permutations, n*m), so the last
-    table of them is kept and reused by the next call that asks for it.
+    outcomes are also shuffled across individuals a fixed
+    PERMUTATION_COUNT (10,000) times, seeded by ``permutation_seed`` (a
+    non-negative int).  The shuffles depend only on (permutation_seed,
+    n*m), so the last table of them is kept and reused by the next call
+    that asks for it.
     """
     _check_seed(permutation_seed, "permutation_seed")
-    _check_count(permutations, "permutations")
     n, m = data.n_individuals, data.n_repeats
     if n < 2:
         raise InputError("clustering test needs at least 2 individuals")
@@ -456,9 +449,9 @@ def clustering_test(
     p_value = float(gammaincc((n - 1) / 2.0, stat / 2.0))
     p_perm = None
     if n * m < SMALL_DESIGN_THRESHOLD:
-        table = _permutation_table(permutation_seed, permutations, n * m)
+        table = _permutation_table(permutation_seed, n * m)
         outcomes = data.outcomes.ravel().astype(np.int8)
-        shuffled = np.take(outcomes, table).reshape(permutations, n, m)
+        shuffled = np.take(outcomes, table).reshape(PERMUTATION_COUNT, n, m)
         # adding m columns beats a reduction over a short inner axis; a
         # count of at most m < SMALL_DESIGN_THRESHOLD fits in int8
         perm_counts = shuffled[:, :, 0].copy()
@@ -471,7 +464,7 @@ def clustering_test(
         perm_squares = np.einsum("ij,ij->i", perm_counts, perm_counts, dtype=np.int64)
         exceed = int(np.count_nonzero(perm_squares >= int(counts @ counts)))
         # add-one rule keeps the Monte Carlo p-value away from exact zero
-        p_perm = (1 + exceed) / (1 + permutations)
+        p_perm = (1 + exceed) / (1 + PERMUTATION_COUNT)
     return ClusteringTest(
         statistic=stat,
         df=n - 1,
@@ -483,10 +476,14 @@ def clustering_test(
 
 @dataclass(frozen=True)
 class IccEstimate:
-    """Moment-based intraclass correlation; undefined when outcomes are constant."""
+    """Moment-based intraclass correlation; NaN, and ``undefined``, when the
+    ANOVA denominator is 0 (every outcome the same)."""
 
     value: float
-    undefined: bool
+
+    @property
+    def undefined(self) -> bool:
+        return math.isnan(self.value)
 
 
 def icc_estimate(data: RepeatedOutcomes) -> IccEstimate:
@@ -509,8 +506,8 @@ def icc_estimate(data: RepeatedOutcomes) -> IccEstimate:
     ms_within = np.sum((y - row_means[:, None]) ** 2) / (n * (m - 1))
     denom = ms_between + (m - 1) * ms_within
     if denom == 0.0:
-        return IccEstimate(value=math.nan, undefined=True)
-    return IccEstimate(value=float((ms_between - ms_within) / denom), undefined=False)
+        return IccEstimate(value=math.nan)
+    return IccEstimate(value=float((ms_between - ms_within) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +589,7 @@ def simulate_threshold_cohort(
     latent risk given their drawn threshold, so simulations can be checked
     against closed-form expectations rather than against themselves.
     """
-    _check_count(n, "cohort size")
+    check_integer(n, "cohort size")
     _check_seed(seed)
     events, risks = [], []
     intensity = spec.provocation_rate * spec.follow_up
@@ -615,10 +612,7 @@ def simulate_threshold_cohort(
     risks = np.array(risks)
     risks.setflags(write=False)
     return ThresholdCohort(
-        outcomes=RepeatedOutcomes(
-            individual_ids=tuple(range(n)),
-            outcomes=np.array(events).reshape(n, 1),
-        ),
+        outcomes=RepeatedOutcomes(outcomes=np.array(events).reshape(n, 1)),
         latent_risks=risks,
     )
 

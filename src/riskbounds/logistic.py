@@ -283,7 +283,6 @@ def _interval(risk: float, lower: float, upper: float, level: float):
         upper=upper,
         level=level,
         method="logistic_delta",
-        valid=True,
     )
 
 

@@ -3,8 +3,8 @@
 Both recipes circulate in the violence-risk-assessment literature and both
 are implemented here only so that their output can be inspected, taught
 against, and compared with legitimate group-risk intervals.  Every estimate
-this module produces is permanently flagged ``valid=False`` and carries a
-machine-readable note saying why.
+this module produces carries a refuted method tag, so its ``valid`` is
+False, and a machine-readable note saying why.
 
 Recipe one ("hmc"): take the Wilson score interval, force n = 1, and read
 the result as a confidence interval for a single person's latent risk.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .data import check_integer
 from .wilson import IntervalEstimate, WilsonInput, wilson_interval
 
 NOTE_SINGLE_OUTCOME = (
@@ -63,8 +64,7 @@ class CM1PseudoInput:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        check_integer(self.n, "n", 2)
         if self.sigma_hat < 0.0:
             raise ValueError(f"sigma_hat must be >= 0, got {self.sigma_hat}")
         if self.ss_x <= 0.0:
@@ -80,8 +80,7 @@ def student_t_quantile(p: float, df: int) -> float:
     """Inverse Student-t CDF (absolute error well below 1e-8)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0,1), got {p}")
-    if not isinstance(df, int) or isinstance(df, bool) or df < 1:
-        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    check_integer(df, "degrees of freedom")
     # imported on first use: scipy.special is most of the start-up time
     from scipy.special import stdtrit
 
@@ -92,15 +91,13 @@ def hmc_individual_interval(theta_hat: float, alpha: float = 0.05) -> IntervalEs
     """Wilson interval with n forced to 1, flagged as refuted.
 
     The bounds are exactly what wilson_interval produces for n = 1; the
-    method tag is forced to ``fictitious_wilson`` and valid to False even
+    method tag is forced to ``fictitious_wilson``, so valid is False, even
     when theta_hat is 0 or 1 (the only n = 1 values a real sample could
     show), because the *reading* of the interval as individual risk is
     what is being refuted, not just the arithmetic.
     """
     base = wilson_interval(WilsonInput(theta_hat=theta_hat, n=1.0, alpha=alpha))
-    return replace(
-        base, method="fictitious_wilson", valid=False, note=NOTE_SINGLE_OUTCOME
-    )
+    return replace(base, method="fictitious_wilson", note=NOTE_SINGLE_OUTCOME)
 
 
 def cm1_pseudo_interval(
@@ -130,6 +127,5 @@ def cm1_pseudo_interval(
         upper=float(expit(eta + half)),
         level=1.0 - inp.alpha,
         method="cm1_pseudo",
-        valid=False,
         note=NOTE_PREDICTION_INTERVAL,
     )

@@ -30,12 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._cephes import ndtri
+from .data import check_integer
 
 #: Interval construction tags, one per construction this package emits.
 METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseudo"})
 #: Constructions that are reproduced for demonstration but are not
-#: statistically legitimate; estimates carrying these tags are permanently
-#: flagged valid=False.
+#: statistically legitimate; an estimate carrying one of these tags is
+#: never ``valid``.
 INVALID_METHODS = frozenset({"fictitious_wilson", "cm1_pseudo"})
 
 _INTEGRAL_TOL = 1e-9
@@ -48,12 +49,13 @@ _LOG_MASS_CUT = -750.0
 
 @dataclass(frozen=True)
 class IntervalEstimate:
-    """A point estimate with lower/upper bounds and a validity flag.
+    """A point estimate with lower/upper bounds, tagged by its construction.
 
-    ``valid`` is False exactly for the refuted constructions
-    (``fictitious_wilson`` and ``cm1_pseudo``); downstream consumers must
-    never treat those as legitimate confidence intervals.  ``note`` carries
-    a machine-readable explanation when the construction is refuted.
+    ``valid`` is derived from the tag: False exactly for the refuted
+    constructions (``fictitious_wilson`` and ``cm1_pseudo``); downstream
+    consumers must never treat those as legitimate confidence intervals.
+    ``note`` carries a machine-readable explanation when the construction
+    is refuted.
     """
 
     point: float
@@ -61,7 +63,6 @@ class IntervalEstimate:
     upper: float
     level: float
     method: str
-    valid: bool
     note: str | None = None
 
     def __post_init__(self):
@@ -76,17 +77,15 @@ class IntervalEstimate:
             )
         if not 0.0 <= self.point <= 1.0:
             raise ValueError(f"point estimate must be in [0,1], got {self.point}")
-        expected_valid = self.method not in INVALID_METHODS
-        if self.valid != expected_valid:
-            raise ValueError(
-                "valid flag must be False exactly for the refuted methods "
-                f"(method={self.method!r}, valid={self.valid})"
-            )
         if self.valid and not self.lower <= self.point <= self.upper:
             raise ValueError(
                 f"point {self.point} outside bounds "
                 f"({self.lower}, {self.upper}) for valid method {self.method!r}"
             )
+
+    @property
+    def valid(self) -> bool:
+        return self.method not in INVALID_METHODS
 
     @property
     def width(self) -> float:
@@ -126,8 +125,8 @@ class CoverageReport:
 
     ``exact_coverage`` stores only these four fields.  The masses, bounds
     and covered flags of all n + 1 outcomes are built on first read, as
-    one cached tuple of read-only arrays (``_probability``, ``_lower``,
-    ``_upper``, ``_covered``); that read also re-sums the covered masses
+    one cached tuple of read-only arrays (``_arrays``: masses, lower
+    bounds, upper bounds, covered flags); that read also re-sums the covered masses
     over every outcome and raises AssertionError unless the total equals
     ``coverage``, so each reader of the table re-proves the window.
     ``probability``, ``lower``, ``upper`` and ``covered`` turn the arrays
@@ -155,26 +154,21 @@ class CoverageReport:
             arr.setflags(write=False)
         return arrays
 
-    _probability = property(lambda self: self._arrays[0])
-    _lower = property(lambda self: self._arrays[1])
-    _upper = property(lambda self: self._arrays[2])
-    _covered = property(lambda self: self._arrays[3])
-
     @cached_property
     def probability(self) -> tuple[float, ...]:
-        return tuple(self._probability.tolist())
+        return tuple(self._arrays[0].tolist())
 
     @cached_property
     def lower(self) -> tuple[float, ...]:
-        return tuple(self._lower.tolist())
+        return tuple(self._arrays[1].tolist())
 
     @cached_property
     def upper(self) -> tuple[float, ...]:
-        return tuple(self._upper.tolist())
+        return tuple(self._arrays[2].tolist())
 
     @cached_property
     def covered(self) -> tuple[bool, ...]:
-        return tuple(self._covered.tolist())
+        return tuple(self._arrays[3].tolist())
 
     @cached_property
     def per_outcome(self) -> tuple[CoverageOutcome, ...]:
@@ -191,7 +185,6 @@ class CoverageReport:
                     upper=upper,
                     level=level,
                     method="wilson",
-                    valid=True,
                 ),
                 covered,
             )
@@ -296,7 +289,6 @@ def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
         upper=float(upper),
         level=1.0 - inp.alpha,
         method=method,
-        valid=real_sample,
         note=None if real_sample else "fractional sample: no such design exists",
     )
 
@@ -424,8 +416,7 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     allows: an n whose n + 1 outcomes cannot be allocated raises ValueError
     before any work.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_integer(n, "n")
     if not 0.0 <= p_true <= 1.0:
         raise ValueError(f"p_true must be in [0,1], got {p_true}")
     if not 0.0 < level < 1.0:

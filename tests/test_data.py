@@ -8,10 +8,15 @@ import goldens
 from riskbounds import (
     CategoryRow,
     CategoryTable,
+    CM1PseudoInput,
     InputError,
     ParseError,
+    PointRisk,
+    ScenarioSpec,
+    exact_coverage,
     expand_weights,
     parse_category_table,
+    student_t_quantile,
 )
 
 
@@ -209,3 +214,46 @@ class TestExpandWeights:
             assert Fraction(before.events, before.total) == Fraction(
                 after.events, after.total
             )
+
+
+def _cm1_input(n):
+    return CM1PseudoInput(
+        beta0=-2.0, beta1=0.5, sigma_hat=1.0, n=n, x_bar=4.0, ss_x=60.0,
+        x_new=5.0, alpha=0.05,
+    )
+
+
+class TestIntegerCheck:
+    """Every count argument goes through one check with one wording."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: expand_weights(CategoryTable("t", (CategoryRow(1, 2, 1),)), 0),
+             "weight factor must be an integer >= 1, got 0"),
+            (lambda: ScenarioSpec(PointRisk(0.5), sample_size=True),
+             "sample_size must be an integer >= 1, got True"),
+            (lambda: ScenarioSpec(PointRisk(0.5), 2, repeats=0),
+             "repeats must be an integer >= 1, got 0"),
+            (lambda: exact_coverage(10.0, 0.2, 0.95),
+             "n must be an integer >= 1, got 10.0"),
+            (lambda: exact_coverage(0, 0.2, 0.95),
+             "n must be an integer >= 1, got 0"),
+            (lambda: expand_weights(CategoryTable("t", (CategoryRow(1, 2, 1),)), True),
+             "weight factor must be an integer >= 1, got True"),
+            (lambda: _cm1_input(1), "n must be an integer >= 2, got 1"),
+            (lambda: _cm1_input(3.0), "n must be an integer >= 2, got 3.0"),
+            (lambda: student_t_quantile(0.9, 0),
+             "degrees of freedom must be an integer >= 1, got 0"),
+            (lambda: student_t_quantile(0.9, True),
+             "degrees of freedom must be an integer >= 1, got True"),
+        ],
+    )
+    def test_message_and_type(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_accepts_the_minimum(self):
+        assert _cm1_input(2).n == 2
+        assert exact_coverage(1, 0.5, 0.95).coverage == 1.0

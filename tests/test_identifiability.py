@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from riskbounds import (
     BetaRisk,
+    IccEstimate,
     InputError,
     PointRisk,
     RepeatedOutcomes,
@@ -159,9 +161,10 @@ class TestSimulateRepeated:
         )
 
     def test_shape_and_ids(self):
+        # one row per person, in person order: row i is person i's draw
         data = simulate_repeated(ScenarioSpec(PointRisk(0.4), 6, repeats=3, seed=2))
         assert data.outcomes.shape == (6, 3)
-        assert data.individual_ids == tuple(range(6))
+        assert data.n_individuals == 6 and data.n_repeats == 3
         assert set(np.unique(data.outcomes)) <= {0, 1}
 
     def test_all_or_none_mixture_gives_constant_rows(self):
@@ -193,34 +196,37 @@ class TestScenarioSpecType:
 class TestRepeatedOutcomesType:
     def test_rejects_non_binary(self):
         with pytest.raises(InputError):
-            RepeatedOutcomes((0, 1), np.array([[0, 2], [1, 0]]))
+            RepeatedOutcomes(np.array([[0, 2], [1, 0]]))
 
     def test_rejects_fractions_instead_of_truncating_them(self):
         with pytest.raises(InputError, match="0 or 1"):
-            RepeatedOutcomes((0, 1), [[0.5, 1.0], [0.9, 0.0]])
+            RepeatedOutcomes([[0.5, 1.0], [0.9, 0.0]])
 
     def test_accepts_whole_floats_and_bools_as_int64(self):
-        data = RepeatedOutcomes((0, 1), [[0.0, 1.0], [True, False]])
+        data = RepeatedOutcomes([[0.0, 1.0], [True, False]])
         assert data.outcomes.dtype == np.int64
         assert data.outcomes.tolist() == [[0, 1], [1, 0]]
 
-    def test_rejects_mismatched_ids(self):
-        with pytest.raises(InputError):
-            RepeatedOutcomes((0,), np.array([[0, 1], [1, 0]]))
+    def test_holds_the_outcomes_alone(self):
+        # row i is person i: no id column to keep in step with the rows
+        assert [f.name for f in dataclasses.fields(RepeatedOutcomes)] == ["outcomes"]
+        data = RepeatedOutcomes(np.zeros((4, 2), dtype=bool))
+        assert (data.n_individuals, data.n_repeats) == (4, 2)
 
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(InputError):
-            RepeatedOutcomes((0, 1), np.array([0, 1]))
+            RepeatedOutcomes(np.array([0, 1]))
 
 
 def _permutation_route_reference(
-    data: RepeatedOutcomes, permutation_seed: int, permutations: int
+    data: RepeatedOutcomes, permutation_seed: int
 ) -> tuple[float, float, int]:
     """clustering_test's statistic and permutation p-value as first built:
-    a shuffled copy of the tiled outcomes, summed over the inner axis, with
-    exceedance decided on the float statistic less 1e-12.  Also returns how
-    many shuffles counted only through that allowance (ties whose statistic
-    rounded below the observed one)."""
+    10,000 shuffles of a tiled copy of the outcomes, summed over the inner
+    axis, with exceedance decided on the float statistic less 1e-12.  Also
+    returns how many shuffles counted only through that allowance (ties
+    whose statistic rounded below the observed one)."""
+    permutations = 10_000
     n, m = data.outcomes.shape
     counts = data.outcomes.sum(axis=1)
     p_hat = float(counts.sum()) / (n * m)
@@ -263,7 +269,7 @@ class TestClusteringTest:
             counts = rows.sum(axis=1)
             if counts.sum() in (0, 48):
                 continue
-            data = RepeatedOutcomes(tuple(range(8)), rows)
+            data = RepeatedOutcomes(rows)
             result = clustering_test(data)
             expected = oracles.homogeneity_statistic_contingency(counts, 6)
             assert result.statistic == pytest.approx(expected, rel=1e-10)
@@ -276,7 +282,7 @@ class TestClusteringTest:
         )
 
     def test_degenerate_pooled_proportion_is_undefined(self):
-        data = RepeatedOutcomes((0, 1, 2), np.zeros((3, 4), dtype=int))
+        data = RepeatedOutcomes(np.zeros((3, 4), dtype=int))
         result = clustering_test(data)
         assert result.undefined
         assert result.p_value == 1.0
@@ -299,22 +305,34 @@ class TestClusteringTest:
 
     def test_add_one_rule_keeps_permutation_p_positive(self):
         spec = ScenarioSpec(TwoPointRisk(1.0, 0.5, 0.0), 5, repeats=4, seed=11)
-        result = clustering_test(simulate_repeated(spec), permutations=100)
-        assert result.p_value_permutation >= 1.0 / 101.0
+        result = clustering_test(simulate_repeated(spec))
+        assert result.p_value_permutation >= 1.0 / 10_001.0
+        # the shuffle count is fixed: every p-value is (1 + exceed) / 10,001
+        assert result.p_value_permutation in {(1 + e) / 10_001 for e in range(10_001)}
 
-    @pytest.mark.parametrize("permutations", [1, 100, 10_000])
-    @pytest.mark.parametrize("design", [(6, 5), (2, 2), (13, 3), (3, 12)])
-    def test_permutation_route_matches_first_construction(self, design, permutations):
+    def test_shuffle_count_is_not_a_parameter(self):
+        assert list(inspect.signature(clustering_test).parameters) == [
+            "data",
+            "permutation_seed",
+        ]
+        data = simulate_repeated(ScenarioSpec(PointRisk(0.5), 5, repeats=4, seed=12))
+        with pytest.raises(TypeError):
+            clustering_test(data, 0, 100)
+
+    # (5, 6) and (12, 3) share their n*m, and so their kept table, with
+    # (6, 5) and (3, 12)
+    @pytest.mark.parametrize(
+        "design", [(6, 5), (2, 2), (13, 3), (3, 12), (5, 6), (12, 3)]
+    )
+    def test_permutation_route_matches_first_construction(self, design):
         tested = 0
         for seed in range(4):
             spec = ScenarioSpec(TwoPointRisk(0.2, 0.5, 0.8), *design, seed=seed)
             data = simulate_repeated(spec)
-            result = clustering_test(data, permutation_seed=seed, permutations=permutations)
+            result = clustering_test(data, permutation_seed=seed)
             if result.undefined:
                 continue
-            statistic, p_value, _ = _permutation_route_reference(
-                data, seed, permutations
-            )
+            statistic, p_value, _ = _permutation_route_reference(data, seed)
             assert result.statistic == statistic
             assert result.p_value_permutation == p_value
             tested += 1
@@ -330,10 +348,10 @@ class TestClusteringTest:
             for j, risk in enumerate(risks):
                 seed = 3 * i + j
                 data = simulate_repeated(ScenarioSpec(risk, n, repeats=m, seed=seed))
-                result = clustering_test(data, permutation_seed=seed, permutations=1000)
+                result = clustering_test(data, permutation_seed=seed)
                 if result.undefined:
                     continue
-                _, p_value, ties = _permutation_route_reference(data, seed, 1000)
+                _, p_value, ties = _permutation_route_reference(data, seed)
                 assert result.p_value_permutation == p_value, (n, m, risk, seed)
                 tested += 1
                 rescued += ties
@@ -342,35 +360,37 @@ class TestClusteringTest:
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(InputError):
-            clustering_test(RepeatedOutcomes((0,), np.array([[0, 1]])))
+            clustering_test(RepeatedOutcomes(np.array([[0, 1]])))
         with pytest.raises(InputError):
-            clustering_test(RepeatedOutcomes((0, 1), np.array([[0], [1]])))
+            clustering_test(RepeatedOutcomes(np.array([[0], [1]])))
 
     def test_kept_tables_are_read_back_exactly(self):
         # each key serves two calls on different data, the second of which
-        # reads the kept table back; keys come back after another (a, b, a),
-        # so that the kept table is replaced and built again
+        # reads the kept table back; the table depends on n*m alone, so a
+        # (5, 6) design reads back the (6, 5) table; keys come back after
+        # another (a, b, a), so that the kept table is replaced and built again
         keys = [
-            (5, (6, 5), 10_000),
-            (9, (13, 3), 100),
-            (5, (6, 5), 10_000),
-            (9, (6, 5), 10_000),
-            (5, (6, 5), 100),
-            (2**40 + 1, (3, 12), 1000),
-            (9, (6, 5), 10_000),
+            (5, (6, 5)),
+            (5, (5, 6)),
+            (9, (13, 3)),
+            (5, (6, 5)),
+            (9, (6, 5)),
+            (5, (3, 9)),
+            (2**40 + 1, (3, 12)),
+            (9, (6, 5)),
         ]
         risk = TwoPointRisk(0.2, 0.5, 0.8)
         hits = _permutation_table.cache_info().hits
         expected_hits, last = 0, None
-        for step, (seed, (n, m), permutations) in enumerate(keys):
+        for step, (seed, (n, m)) in enumerate(keys):
             for data_seed in (2 * step, 2 * step + 1):
                 data = simulate_repeated(ScenarioSpec(risk, n, m, seed=data_seed))
-                result = clustering_test(data, seed, permutations)
+                result = clustering_test(data, seed)
                 if result.undefined:  # returns before the table is looked up
                     continue
-                expected_hits += last == (seed, permutations, n * m)
-                last = (seed, permutations, n * m)
-                _, p_value, _ = _permutation_route_reference(data, seed, permutations)
+                expected_hits += last == (seed, n * m)
+                last = (seed, n * m)
+                _, p_value, _ = _permutation_route_reference(data, seed)
                 assert result.p_value_permutation == p_value, (step, data_seed)
         assert expected_hits >= 6
         assert _permutation_table.cache_info().hits - hits == expected_hits
@@ -383,10 +403,6 @@ class TestClusteringTest:
             ({"permutation_seed": -1}, "permutation_seed must be a non-negative integer, got -1"),
             ({"permutation_seed": [1, 2]}, "permutation_seed must be a non-negative integer, got [1, 2]"),
             ({"permutation_seed": 1.0}, "permutation_seed must be a non-negative integer, got 1.0"),
-            ({"permutations": 0}, "permutations must be an integer >= 1, got 0"),
-            ({"permutations": -1}, "permutations must be an integer >= 1, got -1"),
-            ({"permutations": True}, "permutations must be an integer >= 1, got True"),
-            ({"permutations": 100.0}, "permutations must be an integer >= 1, got 100.0"),
         ],
     )
     @pytest.mark.parametrize("design", [(5, 4), (10, 5)], ids=["small", "large"])
@@ -412,24 +428,22 @@ class TestKeptSeedWork:
         assert np.array_equal(again, [c.generate_state(4, np.uint64) for c in children])
 
     def test_permutation_table_is_the_shuffled_positions(self):
-        table = _permutation_table(3, 50, 39)
-        assert table.dtype == np.int8 and table.shape == (50, 39)
-        positions = np.tile(np.arange(39), (50, 1))
+        table = _permutation_table(3, 39)
+        assert table.dtype == np.int8 and table.shape == (10_000, 39)
+        positions = np.tile(np.arange(39), (10_000, 1))
         expected = np.random.default_rng(3).permuted(positions, axis=1)
         assert np.array_equal(table, expected)
-        assert _permutation_table(3, 50, 39) is table
+        assert _permutation_table(3, 39) is table
 
     def test_kept_arrays_refuse_writes(self):
-        for kept in (_substream_states(7, 3), _permutation_table(7, 10, 6)):
+        for kept in (_substream_states(7, 3), _permutation_table(7, 6)):
             with pytest.raises(ValueError):
                 kept[0, 0] = kept[0, 1]
 
 
 class TestIccEstimate:
     def test_perfectly_consistent_individuals(self):
-        data = RepeatedOutcomes(
-            (0, 1, 2), np.array([[1, 1, 1], [0, 0, 0], [1, 1, 1]])
-        )
+        data = RepeatedOutcomes(np.array([[1, 1, 1], [0, 0, 0], [1, 1, 1]]))
         assert icc_estimate(data).value == pytest.approx(1.0, abs=1e-12)
 
     def test_all_or_none_simulated_cohort(self):
@@ -439,20 +453,26 @@ class TestIccEstimate:
         )
 
     def test_perfect_churn_hits_the_lower_bound(self):
-        data = RepeatedOutcomes((0, 1), np.array([[0, 1], [1, 0]]))
+        data = RepeatedOutcomes(np.array([[0, 1], [1, 0]]))
         estimate = icc_estimate(data)
         # lower bound is -1/(m-1) = -1 for m = 2
         assert estimate.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_outcomes_are_undefined(self):
-        data = RepeatedOutcomes((0, 1), np.ones((2, 3), dtype=int))
+        data = RepeatedOutcomes(np.ones((2, 3), dtype=int))
         estimate = icc_estimate(data)
         assert estimate.undefined
         assert math.isnan(estimate.value)
 
+    def test_undefined_is_read_from_the_value(self):
+        assert [field.name for field in dataclasses.fields(IccEstimate)] == ["value"]
+        assert IccEstimate(math.nan).undefined is True
+        assert IccEstimate(0.25).undefined is False
+        assert icc_estimate(RepeatedOutcomes([[0, 1], [1, 1]])).undefined is False
+
     def test_matches_hand_computed_anova(self):
         rows = np.array([[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 0]])
-        data = RepeatedOutcomes((0, 1, 2), rows)
+        data = RepeatedOutcomes(rows)
         n, m = rows.shape
         y = rows.astype(float)
         row_means = y.mean(axis=1)
@@ -477,9 +497,9 @@ class TestIccEstimate:
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(InputError):
-            icc_estimate(RepeatedOutcomes((0,), np.array([[0, 1]])))
+            icc_estimate(RepeatedOutcomes(np.array([[0, 1]])))
         with pytest.raises(InputError):
-            icc_estimate(RepeatedOutcomes((0, 1), np.array([[0], [1]])))
+            icc_estimate(RepeatedOutcomes(np.array([[0], [1]])))
 
 
 class TestThresholdModel:

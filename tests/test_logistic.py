@@ -529,7 +529,6 @@ def _scalar_predict_risk(fit, category_index, alpha):
         upper=_expit(eta + z * se),
         level=1.0 - alpha,
         method="logistic_delta",
-        valid=True,
     )
     return RiskPrediction(
         category_index=int(category_index), eta=eta, risk=risk, interval=interval

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -77,25 +78,28 @@ class TestNormalQuantile:
 
 class TestIntervalEstimate:
     def test_valid_flag_is_tied_to_method(self):
-        with pytest.raises(ValueError):
+        # valid is read from the method tag; it cannot be set apart from it
+        for method in ("wilson", "logistic_delta", "fictitious_wilson", "cm1_pseudo"):
+            estimate = IntervalEstimate(0.5, 0.4, 0.6, 0.95, method)
+            assert estimate.valid is (method in ("wilson", "logistic_delta"))
+        assert "valid" not in {f.name for f in dataclasses.fields(IntervalEstimate)}
+        with pytest.raises(TypeError):
             IntervalEstimate(0.5, 0.4, 0.6, 0.95, "wilson", valid=False)
-        with pytest.raises(ValueError):
-            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "fictitious_wilson", valid=True)
 
     def test_rejects_disordered_bounds(self):
         with pytest.raises(ValueError):
-            IntervalEstimate(0.5, 0.6, 0.4, 0.95, "wilson", valid=True)
+            IntervalEstimate(0.5, 0.6, 0.4, 0.95, "wilson")
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
-            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "bayes", valid=True)
+            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "bayes")
         # no construction emits a Wald interval, so the tag is not accepted
         with pytest.raises(ValueError):
-            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "wald", valid=True)
+            IntervalEstimate(0.5, 0.4, 0.6, 0.95, "wald")
 
     def test_valid_interval_must_contain_point(self):
         with pytest.raises(ValueError):
-            IntervalEstimate(0.9, 0.1, 0.2, 0.95, "wilson", valid=True)
+            IntervalEstimate(0.9, 0.1, 0.2, 0.95, "wilson")
 
 
 class TestWilsonInterval:
@@ -421,8 +425,7 @@ class TestExactCoverage:
 
     def test_backing_arrays_are_read_only(self):
         report = exact_coverage(12, 0.3, 0.95)
-        for name in ("_probability", "_lower", "_upper", "_covered"):
-            array = getattr(report, name)
+        for array in report._arrays:
             with pytest.raises(ValueError):
                 array[0] = array[1]
 
@@ -463,7 +466,7 @@ class TestExactCoverage:
     def test_no_full_array_is_built_until_read(self):
         report = exact_coverage(10_000, 0.3, 0.95)
         assert set(vars(report)) == {"n", "p_true", "level", "coverage"}
-        assert len(report._probability) == 10_001
+        assert len(report._arrays[0]) == 10_001
         assert "_arrays" in vars(report)
 
     def test_first_read_rechecks_the_coverage(self):
