@@ -56,7 +56,7 @@ from .refuted import (
     hmc_individual_interval,
     student_t_quantile,
 )
-from .rounding import format_fixed, round_half_away
+from .rounding import format_fixed
 from .wilson import (
     CoverageOutcome,
     CoverageReport,
@@ -110,7 +110,6 @@ __all__ = [
     "parse_category_table",
     "predict_risk",
     "read_scenario_config",
-    "round_half_away",
     "simulate_repeated",
     "simulate_threshold_cohort",
     "standard_normal_quantile",

@@ -184,10 +184,6 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_table_file(path: str):
-    return parse_category_table(_read_text(path), name=Path(path).stem)
-
-
 def _digits(requested: int | None) -> int:
     if requested is None:
         return DEFAULT_DIGITS
@@ -204,6 +200,10 @@ def _digits(requested: int | None) -> int:
 
 def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
     if args.fictitious is not None:
+        if args.table is not None:
+            raise InputError(
+                "provide a table path or --fictitious THETA N_LIST, not both"
+            )
         theta_text, n_text = args.fictitious
         try:
             theta = float(theta_text)
@@ -226,7 +226,7 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
 
     if args.table is None:
         raise InputError("provide a table path or --fictitious THETA N_LIST")
-    table = _read_table_file(args.table)
+    table = parse_category_table(_read_text(args.table))
     columns = [
         "category",
         "total",
@@ -261,7 +261,7 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
         raise InputError(f"bad --alpha list {args.alpha!r}") from None
     if not alphas:
         raise InputError("--alpha list is empty")
-    table = _read_table_file(args.table)
+    table = parse_category_table(_read_text(args.table))
     if args.expand != 1:
         table = expand_weights(table, args.expand)
     fit = fit_grouped_logistic(table)
@@ -314,11 +314,8 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
-    try:
-        report = exact_coverage(args.n, args.p, args.level)
-        outcomes = (report.probability, report.lower, report.upper, report.covered)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = exact_coverage(args.n, args.p, args.level)
+    outcomes = (report.probability, report.lower, report.upper, report.covered)
     columns = ["k", "probability", "lower", "upper", "covered"]
     rows = list(zip(range(report.n + 1), *outcomes))
     footer = [f"coverage: {format_fixed(report.coverage, digits)}"]
@@ -422,7 +419,20 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
+    cm1_args = {
+        "sigma": args.sigma,
+        "beta0": args.beta0,
+        "beta1": args.beta1,
+        "n": args.n,
+        "x_bar": args.x_bar,
+        "ss_x": args.ss_x,
+        "x_new": args.x_new,
+    }
     if args.mode == "hmc":
+        unused = [k for k, v in {**cm1_args, "df": args.df}.items() if v is not None]
+        if unused:
+            flags = ", ".join("--" + k.replace("_", "-") for k in unused)
+            raise InputError(f"--mode hmc does not use {flags}")
         if args.theta is None:
             raise InputError("--mode hmc requires --theta")
         est = hmc_individual_interval(args.theta, args.alpha)
@@ -441,36 +451,26 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
             ]
         ]
     else:
-        required = {
-            "sigma": args.sigma,
-            "beta0": args.beta0,
-            "beta1": args.beta1,
-            "n": args.n,
-            "x_bar": args.x_bar,
-            "ss_x": args.ss_x,
-            "x_new": args.x_new,
-        }
-        missing = ["--" + k.replace("_", "-") for k, v in required.items() if v is None]
+        if args.theta is not None:
+            raise InputError("--mode cm1 does not use --theta")
+        missing = ["--" + k.replace("_", "-") for k, v in cm1_args.items() if v is None]
         if missing:
             raise InputError(
                 f"--mode cm1 requires {', '.join(missing)} (sigma has no "
                 "default by design: the fit provides no such quantity)"
             )
-        try:
-            inp = CM1PseudoInput(
-                beta0=args.beta0,
-                beta1=args.beta1,
-                sigma_hat=args.sigma,
-                n=args.n,
-                x_bar=args.x_bar,
-                ss_x=args.ss_x,
-                x_new=args.x_new,
-                alpha=args.alpha,
-            )
-            est = cm1_pseudo_interval(inp, df=args.df)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        parameters = {"mode": "cm1", **required, "alpha": args.alpha, "df": args.df}
+        inp = CM1PseudoInput(
+            beta0=args.beta0,
+            beta1=args.beta1,
+            sigma_hat=args.sigma,
+            n=args.n,
+            x_bar=args.x_bar,
+            ss_x=args.ss_x,
+            x_new=args.x_new,
+            alpha=args.alpha,
+        )
+        est = cm1_pseudo_interval(inp, df=args.df)
+        parameters = {"mode": "cm1", **cm1_args, "alpha": args.alpha, "df": args.df}
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
             [est.point, est.lower, est.upper, est.level, est.method, est.valid, est.note]

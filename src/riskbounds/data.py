@@ -84,7 +84,6 @@ class CategoryTable:
     interval work does not need a second row).
     """
 
-    name: str
     rows: tuple[CategoryRow, ...]
 
     def __post_init__(self):
@@ -112,7 +111,7 @@ class CategoryTable:
         return sum(r.events for r in self.rows)
 
 
-def parse_category_table(text: str, name: str = "") -> CategoryTable:
+def parse_category_table(text: str) -> CategoryTable:
     """Parse ``category,total,events`` CSV content into a CategoryTable.
 
     Accepts LF or CRLF line endings and a UTF-8 BOM.  ``#`` comment lines
@@ -120,7 +119,8 @@ def parse_category_table(text: str, name: str = "") -> CategoryTable:
     sorted by category index.  Any malformed or invalid row raises
     ParseError with its line number; zero-total strata are rejected here
     rather than silently dropped, since dropping them would change fit
-    results invisibly.
+    results invisibly.  The table holds the rows alone: the CLI records
+    the file it read on the manifest's ``inputs:`` line.
     """
     text = text.lstrip("﻿")
     header_seen = False
@@ -164,7 +164,7 @@ def parse_category_table(text: str, name: str = "") -> CategoryTable:
     for (_, a), (lineno, b) in zip(numbered_rows, numbered_rows[1:]):
         if b.category == a.category:
             raise ParseError(f"duplicate category {b.category}", lineno)
-    return CategoryTable(name=name, rows=tuple(r for _, r in numbered_rows))
+    return CategoryTable(rows=tuple(r for _, r in numbered_rows))
 
 
 def expand_weights(table: CategoryTable, k: int) -> CategoryTable:
@@ -179,4 +179,4 @@ def expand_weights(table: CategoryTable, k: int) -> CategoryTable:
     rows = tuple(
         CategoryRow(r.category, r.total * k, r.events * k) for r in table.rows
     )
-    return CategoryTable(name=table.name, rows=rows)
+    return CategoryTable(rows=rows)

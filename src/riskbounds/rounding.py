@@ -35,11 +35,6 @@ def _quantize(x: float, digits: int) -> Decimal:
     )
 
 
-def round_half_away(x: float, digits: int = 2) -> float:
-    """Round to ``digits`` decimals with ties going away from zero."""
-    return float(_quantize(x, digits))
-
-
 def format_fixed(x: float, digits: int) -> str:
     """Fixed-point string with half-away-from-zero rounding.
 

@@ -6,9 +6,9 @@ observed proportions of 0 or 1, unlike the Wald interval.
 
 ``score_bounds`` computes the bounds for arrays, and nothing else does:
 ``exact_coverage``, the CLI's table route and the scalar wrapper
-``wilson_interval`` all call it.  ``exact_coverage`` sums only the run of
-outcomes whose interval covers p; the full outcome table of a
-``CoverageReport`` is built when it is first read.
+``wilson_interval`` all call it.  ``exact_coverage`` computes masses and
+bounds only on the O(sqrt(n)) run of outcomes whose interval covers p; the
+full outcome table of a ``CoverageReport`` is built when it is first read.
 
 Real designs have an integer sample size and an integer event count, so
 the rows of a category table are real samples: ``CategoryRow`` holds
@@ -40,11 +40,6 @@ METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseud
 INVALID_METHODS = frozenset({"fictitious_wilson", "cm1_pseudo"})
 
 _INTEGRAL_TOL = 1e-9
-#: Binomial log-masses at or below this are left at +0.0 without calling
-#: ``math.exp``.  e**-750 is under 1 % of the least subnormal 2**-1074
-#: (e**-745.13 is half of it), so an exp whose error stays under 0.99 ulp
-#: returns +0.0 there.
-_LOG_MASS_CUT = -750.0
 
 
 @dataclass(frozen=True)
@@ -324,15 +319,14 @@ def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> 
     same doubles as the same entries of the full array.  A slice that is its
     own mirror (k -> n - k), such as the full range, needs one row of
     log-factorials, ``gammaln(k + 1)``, which reversed serves as
-    ``gammaln(n - k + 1)``: the same arguments give the same doubles.  Only
-    the run of log-masses above ``_LOG_MASS_CUT`` (-750) is exponentiated,
-    by ``math.exp`` (``np.exp`` may round differently in the last bit); the
-    rest stay +0.0, which is what ``math.exp`` returns there, because
-    e**-750 is under 1 % of the least subnormal double.  The rows k and
-    n - k are built as floats: they hold integers below 2**53 (an n past
-    that cannot be allocated), so they are the doubles that an integer row
-    would be cast to, without the cast.  An ``n`` whose n + 1 outcomes
-    cannot be allocated raises ValueError, whatever the slice.
+    ``gammaln(n - k + 1)``: the same arguments give the same doubles.  Every
+    interior log-mass is exponentiated by ``math.exp`` (``np.exp`` may round
+    differently in the last bit); a mass below the least subnormal double
+    comes out +0.0.  The rows k and n - k are built as floats: they hold
+    integers below 2**53 (an n past that cannot be allocated), so they are
+    the doubles that an integer row would be cast to, without the cast.  An
+    ``n`` whose n + 1 outcomes cannot be allocated raises ValueError,
+    whatever the slice.
     """
     hi = n if hi is None else hi
     _reserve_outcomes(n)
@@ -365,17 +359,8 @@ def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> 
             + k * math.log(p)
             + rest * math.log1p(-p)
         )
-        # exponentiate from the first to the last log-mass above the cut; the
-        # two ends are read first, since over most slices both lie above it
-        a, b = 0, len(log_pmf)
-        if log_pmf[0] <= _LOG_MASS_CUT or log_pmf[-1] <= _LOG_MASS_CUT:
-            above = (log_pmf > _LOG_MASS_CUT).nonzero()[0]
-            if not above.size:
-                return masses
-            a, b = above[0], above[-1] + 1
-        offset = first - lo
-        masses[offset + a : offset + b] = np.fromiter(
-            map(math.exp, log_pmf[a:b].tolist()), float, b - a
+        masses[first - lo : last - lo + 1] = np.fromiter(
+            map(math.exp, log_pmf.tolist()), float, len(log_pmf)
         )
     return masses
 

@@ -19,9 +19,7 @@ def vrag_path() -> Path:
 
 @pytest.fixture(scope="session")
 def vrag_table(vrag_path):
-    return parse_category_table(
-        vrag_path.read_text(encoding="utf-8"), name="vrag_categories"
-    )
+    return parse_category_table(vrag_path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

@@ -343,6 +343,22 @@ def two_point_logistic(
     return beta0, beta1, cov
 
 
+def saturated_two_stratum_mle(rows) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(beta0, beta1) of a two-stratum table at 50 digits.
+
+    ``rows`` holds two (category, total, events) triples with
+    1 <= events <= total - 1.  Two strata and two parameters make the model
+    saturated: the fitted risks are the observed proportions, so beta
+    follows from the two observed logits.
+    """
+    (c1, t1, e1), (c2, t2, e2) = rows
+    with mpmath.workdps(50):
+        l1 = mpmath.log(mpmath.mpf(e1) / (t1 - e1))
+        l2 = mpmath.log(mpmath.mpf(e2) / (t2 - e2))
+        beta1 = (l2 - l1) / (c2 - c1)
+        return l1 - beta1 * c1, beta1
+
+
 # ---------------------------------------------------------------------------
 # the grouped binomial likelihood of logit(risk) = beta0 + beta1 * category,
 # rebuilt from a table's rows on every call: the log-likelihood through

@@ -25,6 +25,7 @@ from riskbounds import (
     exact_coverage,
     expand_weights,
     fit_grouped_logistic,
+    format_fixed,
     marginal_equivalence_check,
     predict_risk,
     simulate_repeated,
@@ -32,10 +33,14 @@ from riskbounds import (
     wilson_interval,
 )
 from riskbounds.logistic import predict_bounds
-from riskbounds.rounding import round_half_away
 
 BOUND_TOL = 0.01 + 1e-9
 PERCENT_TOL = 1.0 + 1e-9
+
+
+def _printed(x: float, digits: int) -> float:
+    """x rounded half away from zero as the CLI prints it, read back."""
+    return float(format_fixed(x, digits))
 
 
 def test_01_category_proportions_and_totals(vrag_table):
@@ -47,7 +52,7 @@ def test_01_category_proportions_and_totals(vrag_table):
     assert totals == goldens.VRAG_TOTAL_SUBJECTS
     assert events == goldens.VRAG_TOTAL_EVENTS
     for got, expected in zip(proportions, goldens.VRAG_PROPORTIONS_2DP):
-        assert round_half_away(got, 2) == pytest.approx(expected, abs=1e-12)
+        assert _printed(got, 2) == pytest.approx(expected, abs=1e-12)
     assert elapsed < 1.0
 
 
@@ -57,16 +62,16 @@ def test_02_published_interval_tables(vrag_table, vrag_fit):
         est = wilson_interval(
             WilsonInput(theta_hat=row.events / row.total, n=row.total, alpha=0.05)
         )
-        assert abs(round_half_away(est.lower, 2) - lo) <= BOUND_TOL
-        assert abs(round_half_away(est.upper, 2) - hi) <= BOUND_TOL
+        assert abs(_printed(est.lower, 2) - lo) <= BOUND_TOL
+        assert abs(_printed(est.upper, 2) - hi) <= BOUND_TOL
     for alpha, table in (
         (0.05, goldens.LOGISTIC_95_BOUNDS),
         (0.20, goldens.LOGISTIC_80_BOUNDS),
     ):
         for row, (lo, hi) in zip(vrag_table.rows, table):
             pred = predict_risk(vrag_fit, row.category, alpha)
-            assert abs(round_half_away(pred.interval.lower, 2) - lo) <= BOUND_TOL
-            assert abs(round_half_away(pred.interval.upper, 2) - hi) <= BOUND_TOL
+            assert abs(_printed(pred.interval.lower, 2) - lo) <= BOUND_TOL
+            assert abs(_printed(pred.interval.upper, 2) - hi) <= BOUND_TOL
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
@@ -82,8 +87,8 @@ def test_03_percent_scale_small_sample_rows():
 def test_04_large_sample_interval_one_decimal():
     n, events, lo_pct, hi_pct = goldens.LARGE_SAMPLE_ROW
     est = wilson_interval(WilsonInput(theta_hat=events / n, n=n, alpha=0.05))
-    assert round_half_away(est.lower * 100.0, 1) == pytest.approx(lo_pct, abs=1e-9)
-    assert round_half_away(est.upper * 100.0, 1) == pytest.approx(hi_pct, abs=1e-9)
+    assert _printed(est.lower * 100.0, 1) == pytest.approx(lo_pct, abs=1e-9)
+    assert _printed(est.upper * 100.0, 1) == pytest.approx(hi_pct, abs=1e-9)
 
 
 def test_05_single_draw_coverage_is_exactly_080():

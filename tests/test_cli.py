@@ -189,6 +189,16 @@ class TestWilsonCommand:
         assert code == 2
         assert "--fictitious" in err
 
+    def test_table_with_fictitious_exits_2(self, capsys, vrag_path):
+        # the sweep would ignore the table, and the manifest would name no input
+        code, out, err = run(
+            capsys, "wilson", str(vrag_path), "--fictitious", "0.13", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: provide a table path or --fictitious THETA N_LIST, not both\n"
+        )
+
     def test_empty_file_is_an_input_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -418,6 +428,21 @@ class TestCoverageCommand:
         code, _, err = run(capsys, "coverage", "--n", "0", "--p", "0.2")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "0", "--p", "0.2"], "n must be an integer >= 1, got 0"),
+            (["--n", "10", "--p", "2"], "p_true must be in [0,1], got 2.0"),
+            (
+                ["--n", "10", "--p", "0.2", "--level", "1"],
+                "level must be in (0,1), got 1.0",
+            ),
+        ],
+    )
+    def test_bad_value_exits_2_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, "coverage", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     # 10**15 outcomes take 8 PB, so the allocation fails at once; 10**20 is
     # beyond numpy's size limit
@@ -820,6 +845,51 @@ class TestRefutedCommand:
             *(part for item in values.items() for part in item),
         )
         assert (code, out, err) == (2, "", f"error: {field} must be finite\n")
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--n", "1", "n must be an integer >= 2, got 1"),
+            ("--ss-x", "0", "ss_x must be > 0, got 0.0"),
+            ("--sigma", "-1", "sigma_hat must be >= 0, got -1.0"),
+            ("--alpha", "1", "alpha must be in (0,1), got 1.0"),
+        ],
+    )
+    def test_cm1_bad_value_exits_2_with_one_line(self, capsys, flag, value, message):
+        values = {"--sigma": "1.0", "--ss-x": "5000", "--n": "255", flag: value}
+        code, out, err = run(
+            capsys, "refuted", "--mode", "cm1", "--beta0", "-2.0", "--beta1",
+            "0.5", "--x-bar", "20", "--x-new", "20",
+            *(part for item in values.items() for part in item),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--beta0", "-2.0"], "--mode hmc does not use --beta0"),
+            (["--sigma", "1.0", "--df", "5"], "--mode hmc does not use --sigma, --df"),
+            (
+                ["--beta1", "0.5", "--n", "255", "--x-bar", "20", "--ss-x", "5000",
+                 "--x-new", "20"],
+                "--mode hmc does not use --beta1, --n, --x-bar, --ss-x, --x-new",
+            ),
+            (["--df", "5"], "--mode hmc does not use --df"),
+        ],
+    )
+    def test_hmc_with_cm1_flags_exits_2(self, capsys, extra, message):
+        code, out, err = run(
+            capsys, "refuted", "--mode", "hmc", "--theta", "0.13", *extra
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_cm1_with_theta_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "refuted", "--mode", "cm1", "--theta", "0.13", "--beta0", "-2.0",
+            "--beta1", "0.5", "--sigma", "1.0", "--n", "255", "--x-bar", "20",
+            "--ss-x", "5000", "--x-new", "20",
+        )
+        assert (code, out, err) == (2, "", "error: --mode cm1 does not use --theta\n")
 
     def test_mode_is_required(self, capsys):
         code, _, _ = run(capsys, "refuted", "--theta", "0.13")

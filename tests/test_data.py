@@ -33,7 +33,7 @@ def tables(draw):
         total = draw(st.integers(min_value=1, max_value=10_000))
         events = draw(st.integers(min_value=0, max_value=total))
         rows.append(CategoryRow(cat, total, events))
-    return CategoryTable(name="generated", rows=tuple(rows))
+    return CategoryTable(rows=tuple(rows))
 
 
 class TestRowValidation:
@@ -71,16 +71,16 @@ class TestRowValidation:
 class TestTableValidation:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
-            CategoryTable(name="x", rows=())
+            CategoryTable(rows=())
 
     def test_rejects_non_increasing_categories(self):
         rows = (CategoryRow(2, 5, 1), CategoryRow(1, 5, 1))
         with pytest.raises(InputError):
-            CategoryTable(name="x", rows=rows)
+            CategoryTable(rows=rows)
 
     def test_totals(self):
         rows = tuple(CategoryRow(*counts) for counts in goldens.VRAG_COUNTS)
-        table = CategoryTable(name="vrag", rows=rows)
+        table = CategoryTable(rows=rows)
         assert table.total_subjects == goldens.VRAG_TOTAL_SUBJECTS
         assert table.total_events == goldens.VRAG_TOTAL_EVENTS
         assert table.categories == tuple(range(1, 10))
@@ -183,7 +183,7 @@ class TestParsing:
         text = "category,total,events\n" + "".join(
             f"{r.category},{r.total},{r.events}\n" for r in table.rows
         )
-        again = parse_category_table(text, name="generated")
+        again = parse_category_table(text)
         assert again.rows == table.rows
 
 
@@ -229,7 +229,7 @@ class TestIntegerCheck:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: expand_weights(CategoryTable("t", (CategoryRow(1, 2, 1),)), 0),
+            (lambda: expand_weights(CategoryTable((CategoryRow(1, 2, 1),)), 0),
              "weight factor must be an integer >= 1, got 0"),
             (lambda: ScenarioSpec(PointRisk(0.5), sample_size=True),
              "sample_size must be an integer >= 1, got True"),
@@ -239,7 +239,7 @@ class TestIntegerCheck:
              "n must be an integer >= 1, got 10.0"),
             (lambda: exact_coverage(0, 0.2, 0.95),
              "n must be an integer >= 1, got 0"),
-            (lambda: expand_weights(CategoryTable("t", (CategoryRow(1, 2, 1),)), True),
+            (lambda: expand_weights(CategoryTable((CategoryRow(1, 2, 1),)), True),
              "weight factor must be an integer >= 1, got True"),
             (lambda: _cm1_input(1), "n must be an integer >= 2, got 1"),
             (lambda: _cm1_input(3.0), "n must be an integer >= 2, got 3.0"),

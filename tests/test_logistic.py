@@ -29,7 +29,27 @@ from riskbounds.logistic import RiskPrediction, predict_bounds
 
 
 def make_table(counts):
-    return CategoryTable(name="t", rows=tuple(CategoryRow(*c) for c in counts))
+    return CategoryTable(rows=tuple(CategoryRow(*c) for c in counts))
+
+
+# report_batch seed 6105's table045: saturated, and the fit stops 1.4e-5 from
+# its closed-form MLE with converged=True
+TABLE045 = ((1, 502787328, 301886893), (2, 131, 89))
+
+
+def _seeded_two_stratum_rows(seed=2151, count=400):
+    """Two-stratum tables with 1 <= events <= total - 1 in each row (a finite,
+    saturated MLE), totals log-uniform on 10..1e9."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(count):
+        c1 = int(rng.integers(1, 9))
+        categories = (c1, int(rng.integers(c1 + 1, 10)))
+        totals = [round(10 ** rng.uniform(1.0, 9.0)) for _ in categories]
+        tables.append(
+            tuple((c, t, int(rng.integers(1, t))) for c, t in zip(categories, totals))
+        )
+    return tables
 
 
 class TestFit:
@@ -181,6 +201,25 @@ class TestFit:
         fit100 = fit_grouped_logistic(expand_weights(vrag_table, 100))
         assert fit100.beta0 == pytest.approx(vrag_fit.beta0, abs=1e-10)
         assert fit100.beta1 == pytest.approx(vrag_fit.beta1, abs=1e-10)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the Newton fit stops early or exits 3 on "
+        "saturated two-stratum tables",
+    )
+    def test_two_stratum_fits_reach_the_saturated_mle(self):
+        misses = []
+        for rows in (TABLE045, *_seeded_two_stratum_rows()):
+            want = [float(b) for b in oracles.saturated_two_stratum_mle(rows)]
+            try:
+                fit = fit_grouped_logistic(make_table(rows))
+            except NumericalError as exc:
+                misses.append((rows, str(exc)))
+                continue
+            off = max(abs(fit.beta0 - want[0]), abs(fit.beta1 - want[1]))
+            if off > 1e-12:
+                misses.append((rows, off))
+        assert misses == []
 
 
 class TestGradient:

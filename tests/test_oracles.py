@@ -7,6 +7,7 @@ them.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,25 @@ def test_two_point_logistic_reproduces_the_data():
     assert p1 == pytest.approx(0.1, abs=1e-12)
     assert p2 == pytest.approx(0.9, abs=1e-12)
     assert beta1 == pytest.approx(2.0 * math.log(9.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 502787328, 301886893), (2, 131, 89)),
+        ((1, 100, 10), (2, 100, 90)),
+        ((2, 50, 7), (7, 40, 31)),
+        ((1, 10**9, 1), (2, 10**9, 10**9 - 1)),
+        ((3, 2, 1), (4, 10**9 - 1, 10**9 - 2)),
+    ],
+)
+def test_saturated_mle_fits_the_observed_risks(rows):
+    beta0, beta1 = oracles.saturated_two_stratum_mle(rows)
+    with mpmath.workdps(50):
+        for category, total, events in rows:
+            risk = 1 / (1 + mpmath.exp(-(beta0 + beta1 * category)))
+            observed = mpmath.mpf(events) / total
+            assert abs(risk / observed - 1) < mpmath.mpf(10) ** -40, rows
 
 
 def test_homogeneity_statistic_all_or_none_identity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from riskbounds import format_fixed, round_half_away
+from riskbounds import format_fixed
 from riskbounds.rounding import MAX_DIGITS
 
 
@@ -30,40 +30,6 @@ def _rounded_decimal(x: float, digits: int) -> str:
     if digits:
         text = f"{text[:-digits]}.{text[-digits:]}"
     return f"-{text}" if exact < 0 and units else text
-
-
-class TestRoundHalfAway:
-    @pytest.mark.parametrize(
-        "value,digits,expected",
-        [
-            (0.125, 2, 0.13),
-            (0.135, 2, 0.14),
-            (-0.125, 2, -0.13),
-            (0.5, 0, 1.0),
-            (-0.5, 0, -1.0),
-            (2.675, 2, 2.68),
-            (0.844999, 2, 0.84),
-            (0.845, 2, 0.85),
-            (1.0, 2, 1.0),
-        ],
-    )
-    def test_ties_go_away_from_zero(self, value, digits, expected):
-        assert round_half_away(value, digits) == expected
-
-    def test_repr_not_binary_expansion(self):
-        # 2.675 stored as a float is slightly below 2.675; rounding its
-        # shortest repr must still land on 2.68, not 2.67
-        assert round_half_away(2.675, 2) == 2.68
-
-    @given(st.floats(min_value=-1e6, max_value=1e6), st.integers(0, 6))
-    def test_result_is_idempotent(self, x, digits):
-        once = round_half_away(x, digits)
-        assert round_half_away(once, digits) == once
-
-    @given(st.floats(min_value=-1e6, max_value=1e6), st.integers(0, 6))
-    def test_error_is_bounded_by_half_quantum(self, x, digits):
-        rounded = round_half_away(x, digits)
-        assert abs(rounded - x) <= 0.5 * 10.0**-digits + 1e-12
 
 
 class TestFormatFixed:
@@ -184,11 +150,16 @@ class TestFormatFixedFastPath:
         [
             (2.675, 2, "2.68"),
             (0.125, 2, "0.13"),
+            (0.135, 2, "0.14"),
             (0.05, 1, "0.1"),
             (0.95, 1, "1.0"),
             (-0.125, 2, "-0.13"),
             (0.5, 0, "1"),
+            (-0.5, 0, "-1"),
             (-2.5, 0, "-3"),
+            (0.844999, 2, "0.84"),
+            (0.845, 2, "0.85"),
+            (1.0, 2, "1.00"),
         ],
     )
     def test_repr_ties_round_away_from_zero(self, value, digits, expected):

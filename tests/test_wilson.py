@@ -29,7 +29,7 @@ def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimat
 def pmf_by_three_gammaln_calls(n: int, p: float) -> np.ndarray:
     """Binomial masses for n >= 2 and 0 < p < 1 by the direct formula:
     ``gammaln`` at n + 1, k + 1 and n - k + 1, and ``math.exp`` on every
-    interior log-mass, with no cut."""
+    interior log-mass."""
     from scipy.special import gammaln
 
     masses = np.zeros(n + 1)
@@ -327,7 +327,8 @@ class TestBinomialPmf:
                 assert (masses == reference).all(), (n, p)
                 assert (np.signbit(masses) == np.signbit(reference)).all(), (n, p)
                 subnormal += int(((0.0 < masses) & (masses < 2.0**-1022)).sum())
-        # masses between 2**-1074 and 2**-1022 sit at the underflow cut's edge
+        # subnormal masses (2**-1074 to 2**-1022) are where math.exp
+        # underflows to +0.0, so the rows must reach them
         assert subnormal > 0
 
     def test_stays_finite_at_large_n(self):
@@ -336,8 +337,9 @@ class TestBinomialPmf:
 
     def test_single_mass_and_slices_equal_the_full_row(self):
         rng = random.Random(16)
-        # k = 0 and k = n, p at 0 and 1, a mass below the -750 cut, a
-        # subnormal one and the large-n mass above, then seeded draws
+        # k = 0 and k = n, p at 0 and 1, a mass that underflows to +0.0
+        # (below_cut: under the least subnormal double), a subnormal one and
+        # the large-n mass above, then seeded draws
         cases = [(0, 7, 0.3), (7, 7, 0.3), (0, 9, 0.0), (4, 9, 0.0), (9, 9, 1.0),
                  (3, 9, 1.0), (10, 2000, 0.5), (5, 1100, 0.5), (13_000, 100_000, 0.13)]
         for _ in range(60):
