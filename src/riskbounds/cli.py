@@ -336,6 +336,11 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     if args.reps is not None:
         if args.reps < 1:
             raise InputError("--reps must be >= 1")
+        if all(isinstance(spec, ThresholdScenario) for spec in specs.values()):
+            raise InputError(
+                "--reps applies to risk-mixture sections only, and every "
+                f"section is a threshold section: {', '.join(specs)}"
+            )
         specs = {
             name: (
                 spec
@@ -344,6 +349,14 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             )
             for name, spec in specs.items()
         }
+    if args.outcomes is not None and not any(
+        isinstance(spec, ThresholdScenario) or spec.repeats > 1
+        for spec in specs.values()
+    ):
+        raise InputError(
+            "--outcomes has nothing to write: every section is an exact "
+            "single-outcome design, which draws no outcomes"
+        )
 
     columns = ["section", "record", "key", "value"]
     rows: list[list[object]] = []

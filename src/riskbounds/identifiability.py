@@ -53,9 +53,17 @@ PERMUTATION_COUNT = 10_000
 # generate_state(4, np.uint64) and the seeded PCG64 with PCG64(child), so an
 # upstream change fails there.
 #
-# The words depend on (seed, n) alone, and a power study runs both of its
-# populations at one seed, so the last call's words are kept, read-only,
-# and the second population reads them back instead of hashing again.
+# A point or two-point population reads nothing from a generator but
+# uniforms: person i of a design with m repeats uses the first m + 1 (a
+# two-point risk compares the first with w1, then the outcomes compare the
+# next m with the risk; a point risk compares the first m with p).  Those
+# depend on (seed, n, m) alone, and a matched pair runs both populations
+# at one seed, so the last call's uniforms are kept, read-only ((m + 1) * 8
+# bytes per person, 48 MB for a million people at m = 5), and the second
+# population builds no generator.  They are the doubles that drawing the
+# risk and then the m outcomes from each generator gives, so no draw
+# changes.  A beta risk takes a varying number of words from its gamma
+# draws, so it draws person by person.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -110,15 +118,12 @@ def _pool_steps(word_count: int):
     return steps[:-_POOL_SIZE], before, after
 
 
-@functools.lru_cache(maxsize=1)
 def _substream_states(seed: int, n: int) -> np.ndarray:
     """Row i: ``SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)``.
 
     ``seed`` must be a non-negative int and n at most 2**32, so that every
     spawn key is the single 32-bit word i.  The ``(n, 4)`` uint64 array is
-    C-contiguous, so each row is the block of words PCG64 seeds from.  It is
-    read-only because the last call's array is kept for the next call with
-    the same (seed, n): 32 bytes per person, 32 MB for a million people.
+    C-contiguous, so each row is the block of words PCG64 seeds from.
     """
     words = []
     while True:
@@ -142,9 +147,7 @@ def _substream_states(seed: int, n: int) -> np.ndarray:
     pool = _mix(np.array(pool, dtype=np.uint64)[:, None], key)
     out = _hashmix(pool[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
     # little-endian pairs of 32-bit words make each 64-bit word
-    states = np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
-    states.setflags(write=False)
-    return states
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
 
 
 @functools.cache
@@ -179,6 +182,20 @@ def _substreams(seed: int, n: int) -> Iterator[np.random.Generator]:
         yield np.random.Generator(np.random.PCG64(child_words(words)))
 
 
+@functools.lru_cache(maxsize=1)
+def _person_uniforms(seed: int, n: int, width: int) -> np.ndarray:
+    """Row i: the first ``width`` uniforms of person i's generator.
+
+    Read-only, because the last call's array is kept for the next call
+    with the same (seed, n, width).
+    """
+    uniforms = np.empty((n, width))
+    for row, rng in zip(uniforms, _substreams(seed, n)):
+        rng.random(out=row)
+    uniforms.setflags(write=False)
+    return uniforms
+
+
 # ---------------------------------------------------------------------------
 # risk distributions
 
@@ -194,9 +211,6 @@ class PointRisk:
             raise InputError(f"risk must be in [0,1], got {self.p}")
 
     def mean(self) -> float:
-        return self.p
-
-    def sample(self, rng: np.random.Generator) -> float:
         return self.p
 
 
@@ -218,9 +232,6 @@ class TwoPointRisk:
 
     def mean(self) -> float:
         return self.w1 * self.p1 + (1.0 - self.w1) * self.p2
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.p1 if rng.random() < self.w1 else self.p2
 
 
 @dataclass(frozen=True)
@@ -354,15 +365,28 @@ def simulate_repeated(spec: ScenarioSpec) -> RepeatedOutcomes:
 
     Every individual gets an independent PRNG substream spawned from the
     scenario seed, so results are reproducible bit-for-bit and individuals
-    can be simulated independently.
+    can be simulated independently.  For point and two-point risks the last
+    call's first m + 1 uniforms per person are kept, read-only ((m + 1) * 8
+    bytes per person, 48 MB for a million people at m = 5), so the second
+    population of a matched pair at one seed draws nothing anew; no draw
+    changes.
     """
     n, m = spec.sample_size, spec.repeats
-    uniforms = np.empty((n, m))
-    risks = []
-    for i, rng in enumerate(_substreams(spec.seed, n)):
-        risks.append(spec.risk_distribution.sample(rng))
-        rng.random(out=uniforms[i])
-    rows = uniforms < np.array(risks)[:, None]
+    dist = spec.risk_distribution
+    if isinstance(dist, BetaRisk):
+        uniforms = np.empty((n, m))
+        risks = []
+        for i, rng in enumerate(_substreams(spec.seed, n)):
+            risks.append(dist.sample(rng))
+            rng.random(out=uniforms[i])
+        rows = uniforms < np.array(risks)[:, None]
+    else:
+        uniforms = _person_uniforms(spec.seed, n, m + 1)
+        if isinstance(dist, PointRisk):
+            rows = uniforms[:, :m] < dist.p
+        else:
+            risks = np.where(uniforms[:, 0] < dist.w1, dist.p1, dist.p2)
+            rows = uniforms[:, 1:] < risks[:, None]
     return RepeatedOutcomes(outcomes=rows)
 
 
@@ -501,13 +525,15 @@ def icc_estimate(data: RepeatedOutcomes) -> IccEstimate:
     # sums of 0/1 are exact, so these equal y.mean(axis=1) and y.mean()
     row_sums = y.sum(axis=1)
     row_means = row_sums / m
-    grand = row_sums.sum() / (n * m)
-    ms_between = m * np.sum((row_means - grand) ** 2) / (n - 1)
-    ms_within = np.sum((y - row_means[:, None]) ** 2) / (n * (m - 1))
+    # the scalar steps on Python floats: the same IEEE operations, without
+    # numpy's per-scalar overhead
+    grand = float(row_sums.sum()) / (n * m)
+    ms_between = m * float(((row_means - grand) ** 2).sum()) / (n - 1)
+    ms_within = float(((y - row_means[:, None]) ** 2).sum()) / (n * (m - 1))
     denom = ms_between + (m - 1) * ms_within
     if denom == 0.0:
         return IccEstimate(value=math.nan)
-    return IccEstimate(value=float((ms_between - ms_within) / denom))
+    return IccEstimate(value=(ms_between - ms_within) / denom)
 
 
 # ---------------------------------------------------------------------------

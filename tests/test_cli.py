@@ -535,6 +535,40 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(outcomes) in err
 
+    def test_reps_without_a_mixture_section_exits_2(self, capsys, data_dir):
+        # no section would use the value the manifest names
+        code, out, err = run(
+            capsys, "simulate", str(data_dir / "threshold_demo.cfg"), "--reps", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --reps applies to risk-mixture sections only, and every "
+            "section is a threshold section: threshold_cohort\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ("scenarios_single_outcome.cfg", ()),
+            ("scenarios_repeated.cfg", ("--reps", "1")),
+        ],
+        ids=["single_outcome", "reps_1"],
+    )
+    def test_outcomes_without_drawn_outcomes_exits_2(
+        self, capsys, tmp_path, data_dir, config, extra
+    ):
+        outcomes = tmp_path / "outcomes.csv"
+        code, out, err = run(
+            capsys, "simulate", str(data_dir / config), *extra,
+            "--outcomes", str(outcomes),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --outcomes has nothing to write: every section is an exact "
+            "single-outcome design, which draws no outcomes\n"
+        )
+        assert not outcomes.exists()
+
     def test_outcomes_file_leaves_stdout_alone(self, capsys, tmp_path, data_dir):
         # a repeated and a threshold section in one config
         config = tmp_path / "both.cfg"

@@ -31,9 +31,11 @@ from riskbounds import (
     simulate_repeated,
     simulate_threshold_cohort,
 )
+from riskbounds import identifiability
 from riskbounds.identifiability import (
     _child_words,
     _permutation_table,
+    _person_uniforms,
     _substream_states,
 )
 
@@ -414,18 +416,54 @@ class TestClusteringTest:
 
 
 class TestKeptSeedWork:
-    """The last substream words and permutation table are kept and reused."""
+    """The last uniforms per person and permutation table are kept and reused."""
 
-    def test_substream_words_survive_a_call_in_between(self):
-        first = _substream_states(42, 10)
+    def test_person_uniforms_survive_a_call_in_between(self):
+        first = _person_uniforms(42, 10, 6)
         kept = first.copy()
-        assert _substream_states(42, 10) is first  # read back, not rebuilt
+        assert _person_uniforms(42, 10, 6) is first  # read back, not redrawn
         for seed, n in ((43, 10), (42, 11)):
-            assert not np.array_equal(_substream_states(seed, n), kept)
-            again = _substream_states(42, 10)
+            assert not np.array_equal(_person_uniforms(seed, n, 6), kept)
+            again = _person_uniforms(42, 10, 6)
             assert np.array_equal(again, kept)
-        children = np.random.SeedSequence(42).spawn(10)
-        assert np.array_equal(again, [c.generate_state(4, np.uint64) for c in children])
+        # a narrower matrix is a new one, and holds the same leading uniforms
+        narrower = _person_uniforms(42, 10, 5)
+        assert np.array_equal(narrower, kept[:, :5])
+        again = _person_uniforms(42, 10, 6)
+        assert again is not first and np.array_equal(again, kept)
+        generators = oracles.substream_generators(42, 10)
+        assert np.array_equal(again, [rng.random(6) for rng in generators])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["point_first", "two_point_first"])
+    def test_matched_pair_builds_each_generator_once(self, monkeypatch, reverse):
+        built = []
+        substreams = identifiability._substreams
+
+        def counting_substreams(seed, n):
+            built.append((seed, n))
+            return substreams(seed, n)
+
+        monkeypatch.setattr(identifiability, "_substreams", counting_substreams)
+        _person_uniforms.cache_clear()
+        (point, draw_point), (two_point, draw_two_point), (beta, draw_beta) = (
+            CONTRACT_RISKS
+        )
+        pair = [(point, draw_point), (two_point, draw_two_point)]
+        if reverse:
+            pair.reverse()
+        n, m = 10, 5
+        for seed in (42, 43):
+            for dist, draw_risk in pair:
+                data = simulate_repeated(ScenarioSpec(dist, n, m, seed=seed))
+                expected = oracles.repeated_outcomes(draw_risk, n, m, seed)
+                assert np.array_equal(data.outcomes, expected), (dist, seed)
+            # a beta population at the same seed draws person by person and
+            # leaves the kept uniforms alone
+            data = simulate_repeated(ScenarioSpec(beta, n, m, seed=seed))
+            expected = oracles.repeated_outcomes(draw_beta, n, m, seed)
+            assert np.array_equal(data.outcomes, expected), (beta, seed)
+        # one pass over the people per pair, one per beta population
+        assert built == [(42, n), (42, n), (43, n), (43, n)]
 
     def test_permutation_table_is_the_shuffled_positions(self):
         table = _permutation_table(3, 39)
@@ -436,7 +474,7 @@ class TestKeptSeedWork:
         assert _permutation_table(3, 39) is table
 
     def test_kept_arrays_refuse_writes(self):
-        for kept in (_substream_states(7, 3), _permutation_table(7, 6)):
+        for kept in (_person_uniforms(7, 3, 2), _permutation_table(7, 6)):
             with pytest.raises(ValueError):
                 kept[0, 0] = kept[0, 1]
 
@@ -494,6 +532,43 @@ class TestIccEstimate:
         estimate = icc_estimate(simulate_repeated(spec))
         if not estimate.undefined:
             assert -1.0 / 3.0 - 1e-12 <= estimate.value <= 1.0 + 1e-12
+
+    def test_python_float_steps_equal_the_numpy_scalar_steps(self):
+        def numpy_scalar_icc(data):
+            # the scalar steps on numpy float64 scalars, as icc_estimate once did
+            n, m = data.n_individuals, data.n_repeats
+            y = data.outcomes.astype(float)
+            row_sums = y.sum(axis=1)
+            row_means = row_sums / m
+            grand = row_sums.sum() / (n * m)
+            ms_between = m * np.sum((row_means - grand) ** 2) / (n - 1)
+            ms_within = np.sum((y - row_means[:, None]) ** 2) / (n * (m - 1))
+            denom = ms_between + (m - 1) * ms_within
+            if denom == 0.0:
+                return math.nan
+            return float((ms_between - ms_within) / denom)
+
+        rng = np.random.default_rng(2015)
+        dists = [PointRisk(0.3), TwoPointRisk(0.9, 0.4, 0.1), BetaRisk(0.5, 0.5)]
+        nan_cases = 0
+        for n in range(2, 41):
+            for m in range(2, 9):
+                panels = [np.zeros((n, m), dtype=int), np.ones((n, m), dtype=int)]
+                panels += [
+                    simulate_repeated(
+                        ScenarioSpec(dist, n, m, seed=int(rng.integers(2**32)))
+                    ).outcomes
+                    for dist in dists
+                ]
+                for panel in panels:
+                    data = RepeatedOutcomes(panel)
+                    got, want = icc_estimate(data).value, numpy_scalar_icc(data)
+                    if math.isnan(want):
+                        assert math.isnan(got), (n, m)
+                        nan_cases += 1
+                    else:
+                        assert got == want, (n, m, panel)
+        assert nan_cases >= 2 * 39 * 7
 
     def test_rejects_degenerate_designs(self):
         with pytest.raises(InputError):
