@@ -7,7 +7,8 @@ the repeated config (n*m = 30, so the permutation route runs) in each format
 and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
 the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
 four designs (one printing subnormal masses in full), and ``wilson`` and ``fit``
-on seeded tables, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print
+on seeded tables, the first 20 at ``--round 12`` as well, run in-process with
+SOURCE_DATE_EPOCH pinned.  Two trees print
 the same stdout, stderr and written files exactly when their digests ``diff``
 clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
 experiment script, hashing its stdout with the tree's path taken off the
@@ -58,6 +59,7 @@ SCRIPTS = (
     "scripts/reproduce_tables.py",
     "scripts/identifiability_experiment.py",
 )
+PRECISE_TABLES = 20  # seeded tables digested at --round 12 too
 
 
 def corpus(seed: int, count: int) -> list[list[str]]:
@@ -88,8 +90,12 @@ def corpus(seed: int, count: int) -> list[list[str]]:
         path = f"tables/t{i:03d}.csv"
         table = np.column_stack([np.arange(1, k + 1), totals, events])
         np.savetxt(path, table, "%d", ",", header="category,total,events", comments="")
-        calls.append(["wilson", path, "--format", "csv"])
-        calls.append(["fit", path, "--alpha", "0.05,0.20", "--format", "csv"])
+        # the first tables also at 12 decimals, where a last-bit change in a
+        # bound or a fitted beta moves the digest
+        for digits in [[], ["--round", "12"]] if i < PRECISE_TABLES else [[]]:
+            calls.append(["wilson", path, "--format", "csv", *digits])
+            fit = ["fit", path, "--alpha", "0.05,0.20", "--format", "csv"]
+            calls.append([*fit, *digits])
     return calls
 
 

@@ -41,8 +41,9 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, and wilson + fit on each seeded table
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 4
+    # 4 coverage calls, and wilson + fit on each seeded table, at the default
+    # rounding and at --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -61,7 +62,10 @@ def test_two_table_corpus(monkeypatch):
         "simulate data/scenarios_repeated.cfg --reps 3 --format pretty",
         "simulate data/scenarios_repeated.cfg --reps 3 --seed 4294967296",
     ]
-    assert lines[-1][2] == "fit tables/t001.csv --alpha 0.05,0.20 --format csv"
+    assert [argv for _, _, argv in lines[-2:]] == [
+        "wilson tables/t001.csv --format csv --round 12",
+        "fit tables/t001.csv --alpha 0.05,0.20 --format csv --round 12",
+    ]
     assert _digest("--seed", "7", "--tables", "2") == lines
     assert _digest("--seed", "8", "--tables", "2")[-4:] != lines[-4:]
 
