@@ -97,6 +97,13 @@ def _timestamp() -> str:
     epoch = _env_int("SOURCE_DATE_EPOCH", "an integer number of seconds")
     if epoch is None:
         epoch = int(time.time())
+    return _format_epoch(epoch)
+
+
+@functools.lru_cache(maxsize=1)
+def _format_epoch(epoch: int) -> str:
+    # calls within one second, or under one pinned epoch, share the text;
+    # a failure raises again on each call, since errors are not cached
     try:
         moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
     except (OverflowError, OSError, ValueError):
@@ -120,12 +127,8 @@ def _manifest(command: str, report: Report, timestamp: str) -> list[str]:
 
 
 def _cell(value: object, digits: int) -> str:
-    # exact types first, for speed; subclasses (bool, numpy scalars) below
-    kind = type(value)
-    if kind is float:
-        return format_fixed(value, digits)
-    if kind is int or kind is str:
-        return str(value)
+    # the cells render_table does not format inline: subclasses of its exact
+    # types (bool, numpy scalars) and everything else
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -144,7 +147,17 @@ def render_table(
 ) -> str:
     """Render rows in csv, tsv, or pretty layout, manifest included."""
     footer = footer or []
-    cells = [[_cell(v, digits) for v in row] for row in rows]
+    # exact float, int and str cells inline, for speed; format_fixed is
+    # looked up here once per float cell, where perfbench/tracing.py wraps it
+    cells = [
+        [
+            format_fixed(v, digits) if (kind := type(v)) is float
+            else str(v) if kind is int or kind is str
+            else _cell(v, digits)
+            for v in row
+        ]
+        for row in rows
+    ]
     lines: list[str] = []
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"

@@ -109,25 +109,34 @@ def _ufuncs():
     return expit, xlogy
 
 
-def _score(x, t, e, pi) -> np.ndarray:
-    resid = e - t * pi
-    return np.array([resid.sum(), (x * resid).sum()])
+def _score_information(x, t, e, pi) -> tuple[np.ndarray, np.ndarray]:
+    """The score and the observed information at the fitted risks ``pi``.
 
-
-def _information(x, t, pi) -> np.ndarray:
-    w = t * pi * (1.0 - pi)
-    wx = w * x
-    return np.array([[w.sum(), wx.sum()], [wx.sum(), (wx * x).sum()]])
+    The five products e - t*pi, x times it, w = t*pi*(1 - pi), w*x and
+    w*x*x fill the rows of one ``(5, k)`` array, summed by one reduction.
+    """
+    products = np.empty((5, x.size))
+    resid, xresid, w, wx, wxx = products
+    np.multiply(t, pi, out=wx)  # t*pi, kept in the w*x row until w is built
+    np.subtract(e, wx, out=resid)
+    np.multiply(x, resid, out=xresid)
+    np.subtract(1.0, pi, out=w)
+    np.multiply(wx, w, out=w)
+    np.multiply(w, x, out=wx)
+    np.multiply(wx, x, out=wxx)
+    sums = products.sum(axis=1)
+    return sums[:2], sums[[2, 3, 3, 4]].reshape(2, 2)
 
 
 def _deviance(t, e, pi, xlogy) -> float:
     mu = t * pi
+    rest = t - e
     # xlogy gives 0 for 0*log(0), which is the right convention here; at
     # extreme slopes mu can saturate to 0 or t, making the ratio inf/nan,
     # and the fitting loop treats the resulting non-finite deviance as a
     # failed step, so the divide warnings are deliberately silenced
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = xlogy(e, e / mu) + xlogy(t - e, (t - e) / (t - mu))
+        terms = xlogy(e, e / mu) + xlogy(rest, rest / (t - mu))
     return float(2.0 * terms.sum())
 
 
@@ -164,6 +173,12 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     covariance is the inverse observed information at the MLE.  A table
     whose MLE is at infinity (see ``_check_overlap``) raises
     ``SeparationError`` before any Newton step.
+
+    Each step takes the two score sums and the three information sums from
+    one ``.sum(axis=1)`` over a ``(5, k)`` array of products.  numpy sums
+    each contiguous row pairwise, exactly as ``row.sum()`` does, so the
+    sums are those of five separate reductions, bit for bit;
+    ``tests/test_logistic.py`` pins this for k up to 300.
     """
     if len(table.rows) < 2:
         raise InputError("regression fit needs at least 2 strata")
@@ -178,22 +193,23 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     expit, xlogy = _ufuncs()
     x, t, e = _arrays(table)
 
-    def evaluate(b):
-        # the fitted risks at b, computed once and shared by the score, the
-        # information and the deviance at that b
-        pi = expit(b[0] + b[1] * x)
+    def evaluate(b0, b1):
+        # the fitted risks at (b0, b1), computed once and shared by the
+        # score, the information and the deviance there
+        pi = expit(b0 + b1 * x)
         return pi, _deviance(t, e, pi, xlogy)
 
+    # the coefficients and the step are Python floats: their sums and
+    # halvings are the IEEE operations of the length-2 array forms
     pooled = total_events / total_subjects
-    beta = np.array([math.log(pooled / (1.0 - pooled)), 0.0])
-    pi, dev = evaluate(beta)
-    trace: list[tuple[int, float, float, float]] = [(0, beta[0], beta[1], dev)]
+    b0, b1 = math.log(pooled / (1.0 - pooled)), 0.0
+    pi, dev = evaluate(b0, b1)
+    trace: list[tuple[int, float, float, float]] = [(0, b0, b1, dev)]
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = _score(x, t, e, pi)
-        info = _information(x, t, pi)
+        grad, info = _score_information(x, t, e, pi)
         try:
-            step = np.linalg.solve(info, grad)
+            s0, s1 = np.linalg.solve(info, grad).tolist()
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"information matrix singular at iteration {iteration}"
@@ -202,26 +218,26 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
         # the full step, then up to _MAX_HALVINGS halvings of it, until the
         # deviance does not rise
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = beta + step
-            new_pi, new_dev = evaluate(candidate)
+            c0, c1 = b0 + s0, b1 + s1
+            new_pi, new_dev = evaluate(c0, c1)
             if math.isfinite(new_dev) and new_dev <= dev + 1e-12:
                 break
-            step = step / 2.0
+            s0, s1 = s0 / 2.0, s1 / 2.0
         else:
             raise NonConvergenceError(
                 f"deviance would not decrease at iteration {iteration}", trace
             )
 
-        beta, pi = candidate, new_pi
-        trace.append((iteration, beta[0], beta[1], new_dev))
+        b0, b1, pi = c0, c1, new_pi
+        trace.append((iteration, b0, b1, new_dev))
         if abs(dev - new_dev) < DEVIANCE_TOL:
-            cov = np.linalg.inv(_information(x, t, pi))
+            cov = np.linalg.inv(_score_information(x, t, e, pi)[1])
             cov = (cov + cov.T) / 2.0
             return LogisticFit(
-                beta0=float(beta[0]),
-                beta1=float(beta[1]),
+                beta0=b0,
+                beta1=b1,
                 cov=cov,
-                deviance=float(new_dev),
+                deviance=new_dev,
                 iterations=iteration,
                 converged=True,
             )

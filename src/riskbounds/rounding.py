@@ -55,13 +55,23 @@ def format_fixed(x: float, digits: int) -> str:
     (digits + 1)-decimal to x, ``probe`` below, ends in 5 and reads back
     as x, and that value takes the Decimal route.  NaN and infinities fail
     the bound and take the Decimal route too.
+
+    When ``probe`` ends in 0-4, its text without that digit (and, at
+    ``digits = 0``, without the decimal point) is already the answer.  x
+    lies within half a unit of the last place of ``probe``, so its distance
+    above that truncation is at most 4.5 of those units, short of the
+    half-way point at 5: no tie is possible, and ``"%.*f" % (digits, x)``
+    would print the same text.
     """
     if type(x) is not float:
         x = float(x)
     if 0 <= digits <= 20 and abs(x) < _FAST_BOUNDS[digits]:
         probe = "%.*f" % (digits + 1, x)
         if probe[-1] != "5" or float(probe) != x:
-            text = "%.*f" % (digits, x)
+            if probe[-1] < "5":
+                text = probe[: -2 if digits == 0 else -1]
+            else:
+                text = "%.*f" % (digits, x)
             if text[0] == "-" and not text.strip("-0."):
                 return text[1:]  # prints -0.00 as 0.00
             return text

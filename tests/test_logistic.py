@@ -478,6 +478,20 @@ def _finite_mle(table):
     )
 
 
+def test_row_reduction_sums_each_row_like_row_sum():
+    # fit_grouped_logistic sums its five (5, k) product rows in one
+    # .sum(axis=1); the fit stays bit-identical only while that equals each
+    # row's own pairwise .sum(), past numpy's 8-way unrolled blocks and its
+    # 128-element pairwise split
+    rng = np.random.default_rng(4099)
+    for k in range(1, 301):
+        magnitudes = 10.0 ** rng.uniform(-5.0, 9.0, (5, k))
+        a = np.where(rng.random((5, k)) < 0.5, -magnitudes, magnitudes)
+        assert a.flags.c_contiguous
+        sums = a.sum(axis=1)
+        assert sums.tolist() == [row.sum() for row in a], k
+
+
 class TestArrayLevelFit:
     def test_halving_tables_take_halved_steps(self):
         for table in HALVING_TABLES:
@@ -519,13 +533,16 @@ class TestArrayLevelFit:
     @pytest.mark.parametrize("beta0", [-3.0, -0.7, 0.0, 1.3])
     @pytest.mark.parametrize("beta1", [-2.5, -0.1, 0.0, 0.4, 60.0])
     def test_fit_cores_match_table_formulas(self, vrag_table, beta0, beta1):
-        # the fit's own score and deviance, over its own arrays; at
-        # beta1 = 60 the fitted risks saturate and both deviances are NaN
+        # the fit's own score, information and deviance, over its own
+        # arrays; at beta1 = 60 the fitted risks saturate and both
+        # deviances are NaN
         for table in (vrag_table, *HALVING_TABLES):
             x, t, e = logistic._arrays(table)
             pi = expit(beta0 + beta1 * x)
+            score, information = logistic._score_information(x, t, e, pi)
+            assert np.array_equal(score, oracles.table_score(table, beta0, beta1))
             assert np.array_equal(
-                logistic._score(x, t, e, pi), oracles.table_score(table, beta0, beta1)
+                information, _table_information(x, t, np.array([beta0, beta1]))
             )
             got = logistic._deviance(t, e, pi, xlogy)
             want = oracles.table_deviance(table, beta0, beta1)

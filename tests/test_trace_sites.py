@@ -97,7 +97,29 @@ def test_main_passes_columns_and_rows_positionally(monkeypatch, tmp_path, vrag_p
     assert [(len(args[0]), len(args[1])) for args in calls] == [(8, 9), (5, 9)]
 
 
-def test_every_float_cell_goes_through_cli_format_fixed(monkeypatch, vrag_path):
+CM1 = "--beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 --x-bar 20 --ss-x 5000 --x-new 20"
+
+
+@pytest.mark.parametrize(
+    "argv, float_cells, footer",
+    [
+        # 18 rows of alpha, observed, fitted, lower and upper; the footer
+        # formats beta0, se0, beta1, se1, deviance and wald_chi2
+        (["fit", "vrag_categories.csv", "--alpha", "0.05,0.20"], 90, 6),
+        (["wilson", "vrag_categories.csv"], 36, 0),
+        (["wilson", "--fictitious", "0.13", "167,50,10,5,1"], 25, 0),
+        # 41 outcomes of probability, lower and upper; the footer's coverage
+        (["coverage", "--n", "40", "--p", "0.37"], 123, 1),
+        # the value column mixes int, float and bool
+        (["simulate", "scenarios_repeated.cfg"], 6, 0),
+        (["refuted", "--mode", "hmc", "--theta", "0.13"], 4, 0),
+        (["refuted", "--mode", "cm1", *CM1.split()], 4, 0),
+    ],
+    ids=["fit", "wilson", "fictitious", "coverage", "simulate", "hmc", "cm1"],
+)
+def test_every_float_cell_goes_through_cli_format_fixed(
+    monkeypatch, data_dir, argv, float_cells, footer
+):
     # the benchmark's rounding.format_calls counts calls of
     # riskbounds.cli.format_fixed, so rendering must keep looking it up there
     formatted = []
@@ -114,14 +136,13 @@ def test_every_float_cell_goes_through_cli_format_fixed(monkeypatch, vrag_path):
 
     monkeypatch.setattr(cli, "format_fixed", format_spy)
     monkeypatch.setattr(cli, "render_table", render_spy)
-    assert cli.main(["fit", str(vrag_path), "--alpha", "0.05,0.20"]) == 0
+    monkeypatch.chdir(data_dir)
+    assert cli.main(argv) == 0
     ((_, rows, *_),) = rendered
-    float_cells = sum(
+    cells = sum(
         isinstance(value, float) and not isinstance(value, bool)
         for row in rows
         for value in row
     )
-    # 18 rows of alpha, observed, fitted, lower and upper
-    assert float_cells == 90
-    # the footer: beta0, se0, beta1, se1, deviance and wald_chi2
-    assert len(formatted) == float_cells + 6
+    assert cells == float_cells
+    assert len(formatted) == float_cells + footer
