@@ -197,6 +197,13 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist names no input
+        return False
+
+
 def _digits(requested: int | None) -> int:
     if requested is None:
         return DEFAULT_DIGITS
@@ -639,6 +646,13 @@ def main(argv: list[str] | None = None) -> int:
         digits = _digits(args.round)
         timestamp = _timestamp()
         report = args.func(args, digits)
+        for path in report.files:
+            for source in report.inputs:
+                if _same_file(path, source):
+                    raise InputError(
+                        f"{path} is the input {source}: writing it would "
+                        "overwrite the file the output was computed from"
+                    )
         report.parameters.update(format=args.format, round=args.round)
         text = report.render(args.command, args.format, digits, timestamp)
         # files first: a path that cannot be written leaves stdout empty

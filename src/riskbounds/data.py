@@ -144,8 +144,15 @@ def parse_category_table(text: str) -> CategoryTable:
                 f"expected 3 comma-separated values, got {len(fields)}", lineno
             )
         category, total, events = fields
-        # strip before int(): str.strip also removes \x1c-\x1f, int() does not
         try:
+            # a count is an optional sign and ASCII digits 0-9, but int() also
+            # reads 1_000 and non-ASCII digits such as \u0663\u0660 (30); only
+            # the padding str.strip removes may be non-ASCII
+            if "_" in line or not (
+                line.isascii() or "".join(map(str.strip, fields)).isascii()
+            ):
+                raise ValueError
+            # strip before int(): str.strip also removes \x1c-\x1f, int() does not
             numbers = int(category.strip()), int(total.strip()), int(events.strip())
         except ValueError:
             raise ParseError(f"non-integer value in row {line!r}", lineno) from None

@@ -340,6 +340,19 @@ class TestFitCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(figure) in err
 
+    def test_figure_over_its_own_table_exits_2(self, capsys, tmp_path, vrag_path):
+        table = tmp_path / "table.csv"
+        table.write_bytes(vrag_path.read_bytes())
+        # another spelling of the same path
+        figure = tmp_path / "." / "table.csv"
+        code, out, err = run(capsys, "fit", str(table), "--figure", str(figure))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {figure} is the input {table}: writing it would overwrite "
+            "the file the output was computed from\n"
+        )
+        assert table.read_bytes() == vrag_path.read_bytes()
+
     def test_separated_table_exits_3(self, capsys, tmp_path):
         table = tmp_path / "separated.csv"
         table.write_text("category,total,events\n1,40,0\n2,40,40\n")
@@ -534,6 +547,17 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(outcomes) in err
+
+    def test_outcomes_over_its_own_config_exits_2(self, capsys, tmp_path, data_dir):
+        config = tmp_path / "repeated.cfg"
+        shipped = (data_dir / "scenarios_repeated.cfg").read_bytes()
+        config.write_bytes(shipped)
+        link = tmp_path / "link.cfg"  # the config under a second name
+        link.symlink_to(config)
+        code, out, err = run(capsys, "simulate", str(config), "--outcomes", str(link))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {link} is the input {config}: ")
+        assert config.read_bytes() == shipped
 
     def test_reps_without_a_mixture_section_exits_2(self, capsys, data_dir):
         # no section would use the value the manifest names

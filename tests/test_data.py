@@ -153,8 +153,27 @@ class TestParsing:
         assert (table.rows[0].total, table.rows[0].events) == (10, 2)
 
     def test_int_literal_forms(self):
-        table = parse_category_table("category,total,events\n+3,1_000,+7\n")
+        table = parse_category_table("category,total,events\n+3,01000,+7\n")
         assert [(r.category, r.total, r.events) for r in table.rows] == [(3, 1000, 7)]
+
+    @pytest.mark.parametrize(
+        "total",
+        ["1_000", "\u0663\u0660", "\uff13\uff10", "3\u0660", "1 000", "+-3"],
+        ids=["underscore", "arabic_indic", "fullwidth", "mixed", "space", "signs"],
+    )
+    def test_counts_are_ascii_digits(self, total):
+        # int() reads the first four; a count is a sign and ASCII digits only
+        text = f"category,total,events\n1,{total},2\n"
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(text)
+        line = f"1,{total},2"
+        assert str(exc.value) == f"line 2: non-integer value in row {line!r}"
+
+    def test_unicode_padding_still_strips(self):
+        # padding that str.strip removes is not part of the count
+        text = "category,total,events\n\u30001,\u00a010\u2003,2\x1f\n"
+        (row,) = parse_category_table(text).rows
+        assert (row.category, row.total, row.events) == (1, 10, 2)
 
     def test_crlf_with_bom(self):
         text = "\ufeffcategory,total,events\r\n2,20,5\r\n1,10,2\r\n"
