@@ -136,7 +136,6 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
     os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
-    os.environ.pop("RISKBOUNDS_SEED", None)
     if args.scripts:
         for script in SCRIPTS:
             print(*script_digest(script), script)

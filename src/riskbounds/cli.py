@@ -56,7 +56,6 @@ from .wilson import WilsonInput, exact_coverage, score_bounds, wilson_interval
 
 FORMATS = ("csv", "tsv", "pretty")
 DEFAULT_DIGITS = 4
-SEED_ENV_VAR = "RISKBOUNDS_SEED"
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +82,16 @@ class Report:
         )
 
 
-def _env_int(name: str, kind: str) -> int | None:
-    text = os.environ.get(name)
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"{name} must be {kind}, got {text!r}") from None
-
-
 def _timestamp() -> str:
-    epoch = _env_int("SOURCE_DATE_EPOCH", "an integer number of seconds")
-    if epoch is None:
-        epoch = int(time.time())
+    text = os.environ.get("SOURCE_DATE_EPOCH")
+    if text is None:
+        return _format_epoch(int(time.time()))
+    try:
+        epoch = int(text)
+    except ValueError:
+        raise InputError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {text!r}"
+        ) from None
     return _format_epoch(epoch)
 
 
@@ -344,15 +339,7 @@ def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
-    text = _read_text(args.config)
-    # precedence: --seed beats each section's seed key, which beats the
-    # RISKBOUNDS_SEED fallback, which beats the built-in default of 0
-    env_seed = _env_int(SEED_ENV_VAR, "an integer")
-    specs = read_scenario_config(
-        text,
-        seed_override=args.seed,
-        fallback_seed=env_seed if env_seed is not None else 0,
-    )
+    specs = read_scenario_config(_read_text(args.config))
     if args.reps is not None:
         if args.reps < 1:
             raise InputError("--reps must be >= 1")
@@ -361,18 +348,29 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
                 "--reps applies to risk-mixture sections only, and every "
                 f"section is a threshold section: {', '.join(specs)}"
             )
-        specs = {
-            name: (
-                spec
-                if isinstance(spec, ThresholdScenario)
-                else replace(spec, repeats=args.reps)
-            )
-            for name, spec in specs.items()
-        }
-    if args.outcomes is not None and not any(
-        isinstance(spec, ThresholdScenario) or spec.repeats > 1
-        for spec in specs.values()
-    ):
+    # --seed replaces every section's seed, --reps each mixture's repeats
+    new_seed = {} if args.seed is None else {"seed": args.seed}
+    new_reps = {} if args.reps is None else {"repeats": args.reps}
+    specs = {
+        name: replace(
+            spec,
+            **new_seed,
+            **({} if isinstance(spec, ThresholdScenario) else new_reps),
+        )
+        for name, spec in specs.items()
+    }
+    # seed of each section that draws numbers
+    drawn = {
+        name: spec.seed
+        for name, spec in specs.items()
+        if isinstance(spec, ThresholdScenario) or spec.repeats > 1
+    }
+    if not drawn and args.seed is not None:
+        raise InputError(
+            "--seed applies to sections that draw random numbers, and every "
+            f"section is an exact single-outcome design: {', '.join(specs)}"
+        )
+    if not drawn and args.outcomes is not None:
         raise InputError(
             "--outcomes has nothing to write: every section is an exact "
             "single-outcome design, which draws no outcomes"
@@ -382,11 +380,9 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     rows: list[list[object]] = []
     panels: dict[str, np.ndarray] = {}  # outcomes of each section that draws
     single_outcome: list[tuple[str, ScenarioSpec]] = []
-    drawn: dict[str, int] = {}  # seed of each section that draws numbers
 
     for name, spec in specs.items():
         if isinstance(spec, ThresholdScenario):
-            drawn[name] = spec.seed
             cohort = simulate_threshold_cohort(
                 spec.model, spec.cohort_size, spec.seed
             )
@@ -404,7 +400,6 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
                 rows.append([name, "count_distribution", k, float(prob)])
             single_outcome.append((name, spec))
             continue
-        drawn[name] = spec.seed
         data = simulate_repeated(spec)
         cluster = clustering_test(data, permutation_seed=spec.seed)
         icc = icc_estimate(data)

@@ -655,14 +655,22 @@ class ThresholdScenario:
     cohort_size: int
     seed: int
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+
 
 def _number(
     section: configparser.SectionProxy,
+    read: set[str],
     key: str,
     fallback: float | None = None,
     integer: bool = False,
 ):
-    """The section's ``key`` as a float (or int); missing without a fallback raises."""
+    """The section's ``key`` as a float (or int), added to ``read``.
+
+    A key that is missing raises, unless it has a fallback.
+    """
+    read.add(key)
     if key not in section:
         if fallback is None:
             raise InputError(f"section [{section.name}]: missing key {key!r}")
@@ -670,35 +678,33 @@ def _number(
     return section.getint(key) if integer else section.getfloat(key)
 
 
-def _build_risk_distribution(section: configparser.SectionProxy) -> RiskDistribution:
+def _build_risk_distribution(
+    section: configparser.SectionProxy, read: set[str]
+) -> RiskDistribution:
+    read.add("distribution")
     kind = section.get("distribution")
     if kind == "point":
-        return PointRisk(p=_number(section, "p"))
+        return PointRisk(p=_number(section, read, "p"))
     if kind == "two_point":
         return TwoPointRisk(
-            p1=_number(section, "p1"),
-            w1=_number(section, "w1"),
-            p2=_number(section, "p2"),
+            p1=_number(section, read, "p1"),
+            w1=_number(section, read, "w1"),
+            p2=_number(section, read, "p2"),
         )
     if kind == "beta":
-        return BetaRisk(a=_number(section, "a"), b=_number(section, "b"))
+        return BetaRisk(a=_number(section, read, "a"), b=_number(section, read, "b"))
     raise InputError(
         f"section [{section.name}]: unknown distribution {kind!r} "
         "(expected point, two_point, or beta)"
     )
 
 
-def read_scenario_config(
-    text: str,
-    seed_override: int | None = None,
-    fallback_seed: int = 0,
-) -> dict[str, ScenarioSpec | ThresholdScenario]:
+def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenario]:
     """Parse an INI-style config into scenario and threshold-model specs.
 
     Each section is either a risk-mixture scenario (key ``distribution``)
-    or a threshold-model run (key ``model = threshold``).  Seed precedence
-    per section: ``seed_override`` beats the section's own ``seed`` key,
-    which beats ``fallback_seed``.
+    or a threshold-model run (key ``model = threshold``).  A section's
+    seed is its ``seed`` key, or 0 when it has none.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -710,32 +716,36 @@ def read_scenario_config(
 
     specs: dict[str, ScenarioSpec | ThresholdScenario] = {}
     for name in parser.sections():
+        if any(char in name for char in ",\t|"):
+            raise InputError(
+                f"section name {name!r} contains ',', a tab or '|', which "
+                "separate the fields of the output"
+            )
         section = parser[name]
+        read: set[str] = set()  # the keys of the section's kind
         try:
-            if seed_override is not None:
-                seed = seed_override
-            else:
-                seed = _number(section, "seed", fallback_seed, integer=True)
+            seed = _number(section, read, "seed", 0, integer=True)
             if section.get("model") == "threshold":
+                read.add("model")
                 model = ThresholdModelSpec(
-                    threshold_location=_number(section, "threshold_location"),
-                    threshold_spread=_number(section, "threshold_spread", 0.0),
-                    fluctuation_sd=_number(section, "fluctuation_sd", 0.0),
-                    provocation_rate=_number(section, "provocation_rate"),
-                    strength_location=_number(section, "strength_location"),
-                    strength_spread=_number(section, "strength_spread", 0.0),
-                    follow_up=_number(section, "follow_up"),
+                    threshold_location=_number(section, read, "threshold_location"),
+                    threshold_spread=_number(section, read, "threshold_spread", 0.0),
+                    fluctuation_sd=_number(section, read, "fluctuation_sd", 0.0),
+                    provocation_rate=_number(section, read, "provocation_rate"),
+                    strength_location=_number(section, read, "strength_location"),
+                    strength_spread=_number(section, read, "strength_spread", 0.0),
+                    follow_up=_number(section, read, "follow_up"),
                 )
                 specs[name] = ThresholdScenario(
                     model=model,
-                    cohort_size=_number(section, "cohort_size", integer=True),
+                    cohort_size=_number(section, read, "cohort_size", integer=True),
                     seed=seed,
                 )
             elif section.get("distribution") is not None:
                 specs[name] = ScenarioSpec(
-                    risk_distribution=_build_risk_distribution(section),
-                    sample_size=_number(section, "sample_size", integer=True),
-                    repeats=_number(section, "repeats", 1, integer=True),
+                    risk_distribution=_build_risk_distribution(section, read),
+                    sample_size=_number(section, read, "sample_size", integer=True),
+                    repeats=_number(section, read, "repeats", 1, integer=True),
                     seed=seed,
                 )
             else:
@@ -747,4 +757,8 @@ def read_scenario_config(
             if isinstance(exc, InputError):
                 raise
             raise InputError(f"section [{name}]: {exc}") from exc
+        # [DEFAULT] keys are keys of every section
+        for key in section:
+            if key not in read:
+                raise InputError(f"section [{name}]: unknown key {key!r}")
     return specs

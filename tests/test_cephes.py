@@ -176,7 +176,6 @@ def _body(text: str) -> str:
 
 def _fresh_run(calls: list[list[str]], tmp_path: Path):
     env = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
-    env.pop("RISKBOUNDS_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )

@@ -37,7 +37,6 @@ TIMESTAMP = "# timestamp: 2023-11-14T22:13:20Z"
 @pytest.fixture(autouse=True)
 def _pinned_environment(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
-    monkeypatch.delenv("RISKBOUNDS_SEED", raising=False)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -559,16 +558,36 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {link} is the input {config}: ")
         assert config.read_bytes() == shipped
 
-    def test_reps_without_a_mixture_section_exits_2(self, capsys, data_dir):
-        # no section would use the value the manifest names
-        code, out, err = run(
-            capsys, "simulate", str(data_dir / "threshold_demo.cfg"), "--reps", "5"
-        )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: --reps applies to risk-mixture sections only, and every "
-            "section is a threshold section: threshold_cohort\n"
-        )
+    @pytest.mark.parametrize(
+        "config, extra, message",
+        [
+            (
+                "threshold_demo.cfg",
+                ("--reps", "5"),
+                "--reps applies to risk-mixture sections only, and every "
+                "section is a threshold section: threshold_cohort",
+            ),
+            (
+                "scenarios_single_outcome.cfg",
+                ("--seed", "5"),
+                "--seed applies to sections that draw random numbers, and every "
+                "section is an exact single-outcome design: scenario_a, scenario_b",
+            ),
+            (
+                "scenarios_repeated.cfg",
+                ("--reps", "1", "--seed", "5"),
+                "--seed applies to sections that draw random numbers, and every "
+                "section is an exact single-outcome design: scenario_a, scenario_b",
+            ),
+        ],
+        ids=["reps_threshold", "seed_single_outcome", "seed_reps_1"],
+    )
+    def test_flag_no_section_uses_exits_2(
+        self, capsys, data_dir, config, extra, message
+    ):
+        # no section would use the value the call names
+        code, out, err = run(capsys, "simulate", str(data_dir / config), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "config, extra",
@@ -644,28 +663,6 @@ class TestSimulateCommand:
         assert "# seed: 777" in comment_lines(reseeded)
         assert data_lines(reseeded) != data_lines(base)
 
-    def test_env_seed_is_only_a_fallback(self, capsys, monkeypatch, data_dir):
-        config = data_dir / "scenarios_repeated.cfg"
-        _, base, _ = run(
-            capsys, "simulate", str(config), "--format", "csv", "--round", "4"
-        )
-        monkeypatch.setenv("RISKBOUNDS_SEED", "777")
-        code, fallback, _ = run(
-            capsys, "simulate", str(config), "--format", "csv", "--round", "4"
-        )
-        assert code == 0
-        # every section in this config pins its own seed, so the fallback
-        # must not change any data row
-        assert data_lines(fallback) == data_lines(base)
-        assert "# seed: 42" in comment_lines(fallback)
-
-    def test_bad_env_seed_exits_2(self, capsys, monkeypatch, data_dir):
-        config = data_dir / "scenarios_repeated.cfg"
-        monkeypatch.setenv("RISKBOUNDS_SEED", "abc")
-        code, _, err = run(capsys, "simulate", str(config))
-        assert code == 2
-        assert "RISKBOUNDS_SEED" in err
-
     @pytest.mark.parametrize(
         "config", ["scenarios_repeated.cfg", "threshold_demo.cfg"]
     )
@@ -695,8 +692,39 @@ class TestSimulateCommand:
                 "section [threshold_cohort]: invalid literal for int() with "
                 "base 10: 'abc'",
             ),
+            (
+                ("model = threshold", "model = threshold\ndistribution = point"),
+                "section [threshold_cohort]: unknown key 'distribution'",
+            ),
+            (
+                ("threshold_spread", "treshold_spread"),
+                "section [threshold_cohort]: unknown key 'treshold_spread'",
+            ),
+            (
+                ("[threshold_cohort]", "[DEFAULT]\nrepeats = 5\n[threshold_cohort]"),
+                "section [threshold_cohort]: unknown key 'repeats'",
+            ),
+            (
+                ("[threshold_cohort]", "[threshold,cohort]"),
+                "section name 'threshold,cohort' contains ',', a tab or '|', "
+                "which separate the fields of the output",
+            ),
+            (
+                ("[threshold_cohort]", "[threshold\tcohort]"),
+                "section name 'threshold\\tcohort' contains ',', a tab or '|', "
+                "which separate the fields of the output",
+            ),
+            (
+                ("[threshold_cohort]", "[threshold|cohort]"),
+                "section name 'threshold|cohort' contains ',', a tab or '|', "
+                "which separate the fields of the output",
+            ),
         ],
-        ids=["nan_rate", "nan_location", "missing_rate", "bad_seed"],
+        ids=[
+            "nan_rate", "nan_location", "missing_rate", "bad_seed",
+            "mixture_key", "misspelt_key", "default_key",
+            "comma_name", "tab_name", "pipe_name",
+        ],
     )
     def test_bad_threshold_config_exits_2(
         self, capsys, tmp_path, data_dir, change, message
@@ -724,13 +752,50 @@ class TestSimulateCommand:
                 "distribution = point\np = 0.5\nseed = abc",
                 "section [s]: invalid literal for int() with base 10: 'abc'",
             ),
+            (
+                "distribution = point\np = 0.5\nrepets = 5",
+                "section [s]: unknown key 'repets'",
+            ),
+            (
+                "distribution = point\np = 0.5\nsed = 42",
+                "section [s]: unknown key 'sed'",
+            ),
+            (
+                "distribution = point\np = 0.5\np1 = 0.2",
+                "section [s]: unknown key 'p1'",
+            ),
         ],
-        ids=["nan_beta", "inf_beta", "missing_p", "bad_seed"],
+        ids=[
+            "nan_beta", "inf_beta", "missing_p", "bad_seed",
+            "misspelt_repeats", "misspelt_seed", "other_distribution_key",
+        ],
     )
     def test_bad_mixture_config_exits_2(self, capsys, tmp_path, body, message):
         config = tmp_path / "bad.cfg"
         config.write_text(f"[s]\n{body}\nsample_size = 4\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (
+                "abc",
+                "section [threshold_cohort]: invalid literal for int() with "
+                "base 10: 'abc'",
+            ),
+            ("-4", "seed must be a non-negative integer, got -4"),
+        ],
+        ids=["malformed", "negative"],
+    )
+    def test_bad_seed_key_exits_2_under_seed_flag(
+        self, capsys, tmp_path, data_dir, value, message
+    ):
+        # --seed replaces the key's value, but the key is still read
+        text = (data_dir / "threshold_demo.cfg").read_text(encoding="utf-8")
+        config = tmp_path / "bad.cfg"
+        config.write_text(text.replace("seed = 7", f"seed = {value}"), encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(config), "--seed", "5")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_single_outcome_design_that_does_not_fit_exits_2(self, capsys, tmp_path):
@@ -750,11 +815,7 @@ class TestSimulateCommand:
         _, second, _ = run(capsys, "simulate", str(config), "--format", "csv")
         assert first == second
 
-    def test_manifest_seed_is_the_one_sections_ran_with(
-        self, capsys, monkeypatch, data_dir
-    ):
-        # both sections pin seed = 42, so the fallback -4 is never used
-        monkeypatch.setenv("RISKBOUNDS_SEED", "-4")
+    def test_manifest_seed_is_the_one_sections_ran_with(self, capsys, data_dir):
         code, out, _ = run(capsys, "simulate", str(data_dir / "scenarios_repeated.cfg"))
         assert code == 0
         assert "seed: 42" in out.splitlines()
@@ -780,29 +841,38 @@ class TestSimulateCommand:
             data_lines(out)
         )
 
+    MIXED = (
+        "[rep]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+        "repeats = 3\nseed = 1\n"
+        "[exact]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+        "[cohort]\nmodel = threshold\nthreshold_location = 0.5\n"
+        "provocation_rate = 2.0\nstrength_location = 0.0\n"
+        "follow_up = 1.0\ncohort_size = 5\n"
+    )
+
     def test_manifest_seed_names_each_section_when_they_differ(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, tmp_path
     ):
         config = tmp_path / "mixed.cfg"
-        config.write_text(
-            "[rep]\ndistribution = point\np = 0.5\nsample_size = 4\n"
-            "repeats = 3\nseed = 1\n"
-            "[exact]\ndistribution = point\np = 0.5\nsample_size = 4\n"
-            "[cohort]\nmodel = threshold\nthreshold_location = 0.5\n"
-            "provocation_rate = 2.0\nstrength_location = 0.0\n"
-            "follow_up = 1.0\ncohort_size = 5\n",
-            encoding="utf-8",
-        )
-        monkeypatch.setenv("RISKBOUNDS_SEED", "9")
+        config.write_text(self.MIXED, encoding="utf-8")
         _, out, _ = run(capsys, "simulate", str(config), "--format", "csv")
-        # the exact section draws nothing; cohort falls back to the env seed
-        assert "# seed: rep=1 cohort=9" in comment_lines(out)
+        # the exact section draws nothing; cohort has no seed key
+        assert "# seed: rep=1 cohort=0" in comment_lines(out)
         _, out, _ = run(capsys, "simulate", str(config), "--format", "csv", "--seed", "3")
         assert "# seed: 3" in comment_lines(out)
         _, out, _ = run(
             capsys, "simulate", str(config), "--format", "csv", "--reps", "1"
         )
-        assert "# seed: 9" in comment_lines(out)
+        assert "# seed: 0" in comment_lines(out)
+
+    def test_seed_environment_variable_is_ignored(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        config = tmp_path / "mixed.cfg"
+        config.write_text(self.MIXED, encoding="utf-8")
+        _, unset, _ = run(capsys, "simulate", str(config), "--format", "csv")
+        monkeypatch.setenv("RISKBOUNDS_SEED", "abc")
+        assert run(capsys, "simulate", str(config), "--format", "csv") == (0, unset, "")
 
 
 class TestRefutedCommand:
@@ -1235,25 +1305,18 @@ def parser_builds(monkeypatch):
 
 class TestParserReuse:
     @staticmethod
-    def _play(capsys, monkeypatch, steps, fresh):
+    def _play(capsys, steps, fresh):
         results = []
         for step in steps:
-            if isinstance(step, dict):
-                for key, value in step.items():
-                    if value is None:
-                        monkeypatch.delenv(key, raising=False)
-                    else:
-                        monkeypatch.setenv(key, value)
-                continue
             if fresh:
                 cli._parser.cache_clear()
             results.append(run(capsys, *step))
         return results
 
-    def _reused_equals_fresh(self, capsys, monkeypatch, builds, steps):
-        reused = self._play(capsys, monkeypatch, steps, fresh=False)
+    def _reused_equals_fresh(self, capsys, builds, steps):
+        reused = self._play(capsys, steps, fresh=False)
         assert len(builds) == 1
-        fresh = self._play(capsys, monkeypatch, steps, fresh=True)
+        fresh = self._play(capsys, steps, fresh=True)
         assert reused == fresh
         return reused
 
@@ -1266,42 +1329,21 @@ class TestParserReuse:
         assert len(parser_builds) == 1
 
     def test_defaults_do_not_leak_between_calls(
-        self, capsys, monkeypatch, parser_builds, vrag_path
+        self, capsys, parser_builds, vrag_path
     ):
         steps = [
             ("fit", str(vrag_path), "--expand", "3", "--format", "csv"),
             ("fit", str(vrag_path), "--format", "csv"),
         ]
-        expanded, plain = self._reused_equals_fresh(
-            capsys, monkeypatch, parser_builds, steps
-        )
+        expanded, plain = self._reused_equals_fresh(capsys, parser_builds, steps)
         assert "expand=3" in expanded[1]
         assert "expand=1" in plain[1]
 
-    def test_usage_error_then_valid_call(
-        self, capsys, monkeypatch, parser_builds, vrag_path
-    ):
+    def test_usage_error_then_valid_call(self, capsys, parser_builds, vrag_path):
         steps = [("fit",), ("wilson", str(vrag_path)), ("--version",), ("nosuch",)]
-        results = self._reused_equals_fresh(capsys, monkeypatch, parser_builds, steps)
+        results = self._reused_equals_fresh(capsys, parser_builds, steps)
         assert [code for code, _, _ in results] == [2, 0, 0, 2]
         assert results[0][2].startswith("usage: riskbounds fit")
-
-    def test_seed_environment_is_read_per_call(
-        self, capsys, monkeypatch, parser_builds, data_dir
-    ):
-        config = str(data_dir / "scenarios_single_outcome.cfg")
-        steps = [
-            {"RISKBOUNDS_SEED": "5"},
-            ("simulate", config, "--format", "csv"),
-            {"RISKBOUNDS_SEED": None},
-            ("simulate", config, "--format", "csv"),
-        ]
-        seeded, unseeded = self._reused_equals_fresh(
-            capsys, monkeypatch, parser_builds, steps
-        )
-        # the single-outcome sections are exact and draw no random numbers
-        assert "# seed: none" in comment_lines(seeded[1])
-        assert "# seed: none" in comment_lines(unseeded[1])
 
 
 def test_import_leaves_numpy_random_and_scipy_special_unloaded():

@@ -769,17 +769,6 @@ class TestScenarioConfig:
         assert scenario.seed == 7
         assert scenario.model.provocation_rate == 2.0
 
-    def test_seed_override_beats_section_seed(self, data_dir):
-        text = (data_dir / "scenarios_repeated.cfg").read_text()
-        specs = read_scenario_config(text, seed_override=99)
-        assert all(spec.seed == 99 for spec in specs.values())
-
-    def test_fallback_seed_fills_missing_seeds_only(self):
-        text = "[has_seed]\ndistribution = point\np = 0.5\nsample_size = 4\nseed = 3\n\n[no_seed]\ndistribution = point\np = 0.5\nsample_size = 4\n"
-        specs = read_scenario_config(text, fallback_seed=17)
-        assert specs["has_seed"].seed == 3
-        assert specs["no_seed"].seed == 17
-
     def test_inline_comments_are_stripped(self):
         text = "[s]\ndistribution = point  # shared risk\np = 0.5\nsample_size = 4\n"
         specs = read_scenario_config(text)
