@@ -6,7 +6,8 @@ threshold configs at a two-word and a five-word seed, ``simulate --reps 3`` on
 the repeated config (n*m = 30, so the permutation route runs) in each format
 and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
 the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
-four designs (one printing subnormal masses in full), and ``wilson`` and ``fit``
+four designs (one printing subnormal masses in full), ``simulate`` on one
+bad config per spec type (each refused with exit 2), and ``wilson`` and ``fit``
 on seeded tables, the first 20 at ``--round 12`` as well, run in-process with
 SOURCE_DATE_EPOCH pinned.  Two trees print
 the same stdout, stderr and written files exactly when their digests ``diff``
@@ -60,6 +61,21 @@ SCRIPTS = (
     "scripts/identifiability_experiment.py",
 )
 PRECISE_TABLES = 20  # seeded tables digested at --round 12 too
+COHORT = (
+    "model = threshold\nthreshold_location = 0.5\nprovocation_rate = 2.0\n"
+    "strength_location = 0.0\n"
+)
+# one fault per spec type, so that each refusal's stderr is digested
+REFUSALS = {
+    "point_risk": "distribution = point\np = 1.5\nsample_size = 4\n",
+    "two_point_risk": (
+        "distribution = two_point\np1 = 0.2\nw1 = 2\np2 = 0.4\nsample_size = 4\n"
+    ),
+    "beta_risk": "distribution = beta\na = 0\nb = 2\nsample_size = 4\n",
+    "scenario_spec": "distribution = point\np = 0.5\nsample_size = 0\n",
+    "threshold_model": f"{COHORT}follow_up = 0\ncohort_size = 5\n",
+    "threshold_scenario": f"{COHORT}follow_up = 1.0\ncohort_size = 0\n",
+}
 
 
 def corpus(seed: int, count: int) -> list[list[str]]:
@@ -82,6 +98,10 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     calls += [["coverage", *values.split()] for values in COVERAGE]
     rng = np.random.default_rng(seed)
     os.mkdir("tables")
+    for name, body in REFUSALS.items():
+        path = f"tables/{name}.cfg"
+        Path(path).write_text(f"[{name}]\n{body}", encoding="utf-8")
+        calls.append(["simulate", path])
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)
