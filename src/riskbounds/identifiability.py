@@ -656,47 +656,66 @@ class ThresholdScenario:
     seed: int
 
     def __post_init__(self):
+        check_integer(self.cohort_size, "cohort_size")
         _check_seed(self.seed)
 
 
-def _number(
+_RISK_TYPES = {"point": PointRisk, "two_point": TwoPointRisk, "beta": BetaRisk}
+# the keys a section may leave out, and the value each then takes
+_DEFAULTS = {
+    "seed": 0,
+    "repeats": 1,
+    "threshold_spread": 0.0,
+    "fluctuation_sd": 0.0,
+    "strength_spread": 0.0,
+}
+
+
+def _read_section(
     section: configparser.SectionProxy,
-    read: set[str],
-    key: str,
-    fallback: float | None = None,
-    integer: bool = False,
-):
-    """The section's ``key`` as a float (or int), added to ``read``.
+) -> ScenarioSpec | ThresholdScenario:
+    """The spec one config section describes.
 
-    A key that is missing raises, unless it has a fallback.
+    Keys are read in this order: ``seed``, then the fields of
+    ThresholdModelSpec and ``cohort_size`` for a threshold section, or the
+    fields of the risk type, ``sample_size`` and ``repeats`` for a risk
+    mixture.  Any other key, [DEFAULT] keys included, raises.
     """
-    read.add(key)
-    if key not in section:
-        if fallback is None:
-            raise InputError(f"section [{section.name}]: missing key {key!r}")
-        return fallback
-    return section.getint(key) if integer else section.getfloat(key)
+    read = set()
 
+    def value(key: str, convert=float):
+        read.add(key)
+        if key in section:
+            return convert(section[key])
+        if key not in _DEFAULTS:
+            raise InputError(f"missing key {key!r}")
+        return _DEFAULTS[key]
 
-def _build_risk_distribution(
-    section: configparser.SectionProxy, read: set[str]
-) -> RiskDistribution:
-    read.add("distribution")
-    kind = section.get("distribution")
-    if kind == "point":
-        return PointRisk(p=_number(section, read, "p"))
-    if kind == "two_point":
-        return TwoPointRisk(
-            p1=_number(section, read, "p1"),
-            w1=_number(section, read, "w1"),
-            p2=_number(section, read, "p2"),
+    def from_fields(spec_type):
+        return spec_type(*[value(f.name) for f in fields(spec_type)])
+
+    seed = value("seed", int)
+    if section.get("model") == "threshold":
+        read.add("model")
+        model = from_fields(ThresholdModelSpec)
+        spec = ThresholdScenario(model, value("cohort_size", int), seed)
+    elif "distribution" in section:
+        read.add("distribution")
+        kind = section["distribution"]
+        if kind not in _RISK_TYPES:
+            raise InputError(
+                f"unknown distribution {kind!r} (expected point, two_point, or beta)"
+            )
+        risk = from_fields(_RISK_TYPES[kind])
+        spec = ScenarioSpec(
+            risk, value("sample_size", int), value("repeats", int), seed
         )
-    if kind == "beta":
-        return BetaRisk(a=_number(section, read, "a"), b=_number(section, read, "b"))
-    raise InputError(
-        f"section [{section.name}]: unknown distribution {kind!r} "
-        "(expected point, two_point, or beta)"
-    )
+    else:
+        raise InputError("needs either a 'distribution' key or 'model = threshold'")
+    for key in section:
+        if key not in read:
+            raise InputError(f"unknown key {key!r}")
+    return spec
 
 
 def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenario]:
@@ -704,7 +723,8 @@ def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenari
 
     Each section is either a risk-mixture scenario (key ``distribution``)
     or a threshold-model run (key ``model = threshold``).  A section's
-    seed is its ``seed`` key, or 0 when it has none.
+    seed is its ``seed`` key, or 0 when it has none.  Every error in a
+    section names the section.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -721,44 +741,9 @@ def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenari
                 f"section name {name!r} contains ',', a tab or '|', which "
                 "separate the fields of the output"
             )
-        section = parser[name]
-        read: set[str] = set()  # the keys of the section's kind
+        # configparser.Error: a value whose '%' does not interpolate
         try:
-            seed = _number(section, read, "seed", 0, integer=True)
-            if section.get("model") == "threshold":
-                read.add("model")
-                model = ThresholdModelSpec(
-                    threshold_location=_number(section, read, "threshold_location"),
-                    threshold_spread=_number(section, read, "threshold_spread", 0.0),
-                    fluctuation_sd=_number(section, read, "fluctuation_sd", 0.0),
-                    provocation_rate=_number(section, read, "provocation_rate"),
-                    strength_location=_number(section, read, "strength_location"),
-                    strength_spread=_number(section, read, "strength_spread", 0.0),
-                    follow_up=_number(section, read, "follow_up"),
-                )
-                specs[name] = ThresholdScenario(
-                    model=model,
-                    cohort_size=_number(section, read, "cohort_size", integer=True),
-                    seed=seed,
-                )
-            elif section.get("distribution") is not None:
-                specs[name] = ScenarioSpec(
-                    risk_distribution=_build_risk_distribution(section, read),
-                    sample_size=_number(section, read, "sample_size", integer=True),
-                    repeats=_number(section, read, "repeats", 1, integer=True),
-                    seed=seed,
-                )
-            else:
-                raise InputError(
-                    f"section [{name}] needs either a 'distribution' key or "
-                    "'model = threshold'"
-                )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
+            specs[name] = _read_section(parser[name])
+        except (ValueError, configparser.Error) as exc:
             raise InputError(f"section [{name}]: {exc}") from exc
-        # [DEFAULT] keys are keys of every section
-        for key in section:
-            if key not in read:
-                raise InputError(f"section [{name}]: unknown key {key!r}")
     return specs

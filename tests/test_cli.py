@@ -677,11 +677,12 @@ class TestSimulateCommand:
         [
             (
                 ("provocation_rate = 2.0", "provocation_rate = nan"),
-                "provocation_rate must be finite, got nan",
+                "section [threshold_cohort]: provocation_rate must be finite, got nan",
             ),
             (
                 ("threshold_location = 0.5", "threshold_location = nan"),
-                "threshold_location must be finite, got nan",
+                "section [threshold_cohort]: threshold_location must be finite, "
+                "got nan",
             ),
             (
                 ("provocation_rate = 2.0\n", ""),
@@ -741,11 +742,11 @@ class TestSimulateCommand:
         [
             (
                 "distribution = beta\na = nan\nb = 2.0",
-                "beta parameters must be finite and > 0, got (nan, 2.0)",
+                "section [s]: beta parameters must be finite and > 0, got (nan, 2.0)",
             ),
             (
                 "distribution = beta\na = 2.0\nb = inf",
-                "beta parameters must be finite and > 0, got (2.0, inf)",
+                "section [s]: beta parameters must be finite and > 0, got (2.0, inf)",
             ),
             ("distribution = point", "section [s]: missing key 'p'"),
             (
@@ -764,10 +765,15 @@ class TestSimulateCommand:
                 "distribution = point\np = 0.5\np1 = 0.2",
                 "section [s]: unknown key 'p1'",
             ),
+            (
+                "distribution = point\np = 5%",
+                "section [s]: '%' must be followed by '%' or '(', found: '%'",
+            ),
         ],
         ids=[
             "nan_beta", "inf_beta", "missing_p", "bad_seed",
             "misspelt_repeats", "misspelt_seed", "other_distribution_key",
+            "bare_percent",
         ],
     )
     def test_bad_mixture_config_exits_2(self, capsys, tmp_path, body, message):
@@ -775,6 +781,60 @@ class TestSimulateCommand:
         config.write_text(f"[s]\n{body}\nsample_size = 4\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    COHORT = (
+        "model = threshold\nthreshold_location = 0.5\nprovocation_rate = 2.0\n"
+        "strength_location = 0.0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "distribution = point\np = 1.5\nsample_size = 4",
+                "risk must be in [0,1], got 1.5",
+            ),
+            (
+                "distribution = two_point\np1 = 0.2\nw1 = 2\np2 = 0.4\n"
+                "sample_size = 4",
+                "w1 must be in [0,1], got 2.0",
+            ),
+            (
+                "distribution = beta\na = 0\nb = 2\nsample_size = 4",
+                "beta parameters must be finite and > 0, got (0.0, 2.0)",
+            ),
+            (
+                "distribution = point\np = 0.5\nsample_size = 0",
+                "sample_size must be an integer >= 1, got 0",
+            ),
+            (
+                f"{COHORT}follow_up = 0\ncohort_size = 5",
+                "follow_up must be > 0, got 0.0",
+            ),
+            (
+                f"{COHORT}follow_up = 1.0\ncohort_size = 0",
+                "cohort_size must be an integer >= 1, got 0",
+            ),
+            (
+                f"{COHORT}follow_up = 1.0\ncohort_size = 5\nseed = -4",
+                "seed must be a non-negative integer, got -4",
+            ),
+        ],
+        ids=[
+            "point_risk", "two_point_risk", "beta_risk", "scenario_spec",
+            "threshold_model", "threshold_scenario_size", "threshold_scenario_seed",
+        ],
+    )
+    def test_spec_error_names_its_section(self, capsys, tmp_path, body, message):
+        # the first section is valid, so the name is the faulty section's
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            "[first]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+            f"[second]\n{body}\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (2, "", f"error: section [second]: {message}\n")
 
     @pytest.mark.parametrize(
         "value, message",
@@ -784,7 +844,11 @@ class TestSimulateCommand:
                 "section [threshold_cohort]: invalid literal for int() with "
                 "base 10: 'abc'",
             ),
-            ("-4", "seed must be a non-negative integer, got -4"),
+            (
+                "-4",
+                "section [threshold_cohort]: seed must be a non-negative "
+                "integer, got -4",
+            ),
         ],
         ids=["malformed", "negative"],
     )

@@ -674,6 +674,15 @@ class TestThresholdModel:
             simulate_threshold_cohort(self.BASE, n, seed)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("size", [0, True, 2.0])
+    def test_scenario_rejects_bad_cohort_size(self, size):
+        # refused when a config is read, not when the cohort is drawn
+        with pytest.raises(InputError) as excinfo:
+            ThresholdScenario(self.BASE, size, 1)
+        assert str(excinfo.value) == (
+            f"cohort_size must be an integer >= 1, got {size!r}"
+        )
+
 
 # the substream contract at seeds of every word count the seeding can see:
 # one 32-bit word, the edges of two, three words, five words, plus random
