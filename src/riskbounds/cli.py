@@ -661,7 +661,8 @@ def main(argv: list[str] | None = None) -> int:
         # AssertionError: the Wilson bounds failed their containment snap
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # InputError is a ValueError
+    # InputError is a ValueError; MemoryError: a simulation too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -251,16 +251,8 @@ class BetaRisk:
     def mean(self) -> float:
         return self.a / (self.a + self.b)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.beta(self.a, self.b))
-
 
 RiskDistribution = Union[PointRisk, TwoPointRisk, BetaRisk]
-
-
-def _check_seed(seed: int, name: str = "seed") -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InputError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +267,7 @@ class ScenarioSpec:
     def __post_init__(self):
         check_integer(self.sample_size, "sample_size")
         check_integer(self.repeats, "repeats")
-        _check_seed(self.seed)
+        check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +369,7 @@ def simulate_repeated(spec: ScenarioSpec) -> RepeatedOutcomes:
         uniforms = np.empty((n, m))
         risks = []
         for i, rng in enumerate(_substreams(spec.seed, n)):
-            risks.append(dist.sample(rng))
+            risks.append(float(rng.beta(dist.a, dist.b)))
             rng.random(out=uniforms[i])
         rows = uniforms < np.array(risks)[:, None]
     else:
@@ -450,7 +442,7 @@ def clustering_test(
     n*m), so the last table of them is kept and reused by the next call
     that asks for it.
     """
-    _check_seed(permutation_seed, "permutation_seed")
+    check_integer(permutation_seed, "permutation_seed", 0)
     n, m = data.n_individuals, data.n_repeats
     if n < 2:
         raise InputError("clustering test needs at least 2 individuals")
@@ -616,7 +608,7 @@ def simulate_threshold_cohort(
     against closed-form expectations rather than against themselves.
     """
     check_integer(n, "cohort size")
-    _check_seed(seed)
+    check_integer(seed, "seed", 0)
     events, risks = [], []
     intensity = spec.provocation_rate * spec.follow_up
     loc, spread = spec.strength_location, spec.strength_spread
@@ -657,7 +649,7 @@ class ThresholdScenario:
 
     def __post_init__(self):
         check_integer(self.cohort_size, "cohort_size")
-        _check_seed(self.seed)
+        check_integer(self.seed, "seed", 0)
 
 
 _RISK_TYPES = {"point": PointRisk, "two_point": TwoPointRisk, "beta": BetaRisk}

@@ -670,7 +670,7 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", str(data_dir / config), "--seed", "-1")
         assert code == 2
         assert out == ""
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         "change, message",
@@ -817,7 +817,7 @@ class TestSimulateCommand:
             ),
             (
                 f"{COHORT}follow_up = 1.0\ncohort_size = 5\nseed = -4",
-                "seed must be a non-negative integer, got -4",
+                "seed must be an integer >= 0, got -4",
             ),
         ],
         ids=[
@@ -846,8 +846,7 @@ class TestSimulateCommand:
             ),
             (
                 "-4",
-                "section [threshold_cohort]: seed must be a non-negative "
-                "integer, got -4",
+                "section [threshold_cohort]: seed must be an integer >= 0, got -4",
             ),
         ],
         ids=["malformed", "negative"],
@@ -872,6 +871,37 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out) == (2, "")
         assert err == f"error: n = {n}: its {n + 1} outcomes do not fit in memory\n"
+
+    HUGE = 3 * 10**12  # tens of TiB: each allocation fails at once
+
+    @pytest.mark.parametrize(
+        "body, shape",
+        [
+            (
+                f"distribution = point\np = 0.5\nsample_size = {HUGE}\nrepeats = 2",
+                f"({HUGE}, 3)",
+            ),
+            (
+                f"distribution = beta\na = 2\nb = 3\nsample_size = {HUGE}\n"
+                "repeats = 2",
+                f"({HUGE}, 2)",
+            ),
+            (
+                f"{COHORT}follow_up = 1.0\ncohort_size = {HUGE}",
+                f"({HUGE},)",
+            ),
+        ],
+        ids=["point", "beta", "threshold"],
+    )
+    def test_simulation_that_does_not_fit_exits_2(
+        self, capsys, tmp_path, body, shape
+    ):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"[a]\n{body}\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ")
+        assert f" shape {shape} " in err
 
     def test_determinism_across_runs(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"

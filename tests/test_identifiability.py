@@ -191,7 +191,7 @@ class TestScenarioSpecType:
             ScenarioSpec(PointRisk(0.5), 2, repeats=True)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(InputError, match="non-negative integer, got -1$"):
+        with pytest.raises(InputError, match="^seed must be an integer >= 0, got -1$"):
             ScenarioSpec(PointRisk(0.5), 2, seed=-1)
 
 
@@ -400,11 +400,11 @@ class TestClusteringTest:
     @pytest.mark.parametrize(
         "arguments, message",
         [
-            ({"permutation_seed": None}, "permutation_seed must be a non-negative integer, got None"),
-            ({"permutation_seed": True}, "permutation_seed must be a non-negative integer, got True"),
-            ({"permutation_seed": -1}, "permutation_seed must be a non-negative integer, got -1"),
-            ({"permutation_seed": [1, 2]}, "permutation_seed must be a non-negative integer, got [1, 2]"),
-            ({"permutation_seed": 1.0}, "permutation_seed must be a non-negative integer, got 1.0"),
+            ({"permutation_seed": None}, "permutation_seed must be an integer >= 0, got None"),
+            ({"permutation_seed": True}, "permutation_seed must be an integer >= 0, got True"),
+            ({"permutation_seed": -1}, "permutation_seed must be an integer >= 0, got -1"),
+            ({"permutation_seed": [1, 2]}, "permutation_seed must be an integer >= 0, got [1, 2]"),
+            ({"permutation_seed": 1.0}, "permutation_seed must be an integer >= 0, got 1.0"),
         ],
     )
     @pytest.mark.parametrize("design", [(5, 4), (10, 5)], ids=["small", "large"])
@@ -661,10 +661,10 @@ class TestThresholdModel:
     @pytest.mark.parametrize(
         "n, seed, message",
         [
-            (10, None, "seed must be a non-negative integer, got None"),
-            (10, -1, "seed must be a non-negative integer, got -1"),
-            (10, True, "seed must be a non-negative integer, got True"),
-            (10, 1.0, "seed must be a non-negative integer, got 1.0"),
+            (10, None, "seed must be an integer >= 0, got None"),
+            (10, -1, "seed must be an integer >= 0, got -1"),
+            (10, True, "seed must be an integer >= 0, got True"),
+            (10, 1.0, "seed must be an integer >= 0, got 1.0"),
             (True, 1, "cohort size must be an integer >= 1, got True"),
             (2.0, 1, "cohort size must be an integer >= 1, got 2.0"),
         ],
