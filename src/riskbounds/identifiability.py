@@ -673,7 +673,7 @@ def _read_section(
     fields of the risk type, ``sample_size`` and ``repeats`` for a risk
     mixture.  Any other key, [DEFAULT] keys included, raises.
     """
-    read = set()
+    read: set[str] = set()
 
     def value(key: str, convert=float):
         read.add(key)
