@@ -7,7 +7,8 @@ the repeated config (n*m = 30, so the permutation route runs) in each format
 and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
 the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
 four designs (one printing subnormal masses in full), ``simulate`` on one
-bad config per spec type (each refused with exit 2), and ``wilson`` and ``fit``
+bad config per spec type and on a repeated design of one person (each
+refused with exit 2), and ``wilson`` and ``fit``
 on seeded tables, the first 20 at ``--round 12`` as well, run in-process with
 SOURCE_DATE_EPOCH pinned.  Two trees print
 the same stdout, stderr and written files exactly when their digests ``diff``
@@ -65,7 +66,8 @@ COHORT = (
     "model = threshold\nthreshold_location = 0.5\nprovocation_rate = 2.0\n"
     "strength_location = 0.0\n"
 )
-# one fault per spec type, so that each refusal's stderr is digested
+# one fault per spec type, and a repeated design of one person, so that
+# each refusal's stderr is digested
 REFUSALS = {
     "point_risk": "distribution = point\np = 1.5\nsample_size = 4\n",
     "two_point_risk": (
@@ -75,6 +77,7 @@ REFUSALS = {
     "scenario_spec": "distribution = point\np = 0.5\nsample_size = 0\n",
     "threshold_model": f"{COHORT}follow_up = 0\ncohort_size = 5\n",
     "threshold_scenario": f"{COHORT}follow_up = 1.0\ncohort_size = 0\n",
+    "tiny": "distribution = point\np = 0.5\nsample_size = 1\nrepeats = 3\n",
 }
 
 

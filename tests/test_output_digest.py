@@ -41,9 +41,9 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, 6 bad configs, and wilson + fit on each seeded table,
+    # 4 coverage calls, 7 bad configs, and wilson + fit on each seeded table,
     # at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 6 + 8
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 7 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -62,12 +62,13 @@ def test_two_table_corpus(monkeypatch):
         "simulate data/scenarios_repeated.cfg --reps 3 --format pretty",
         "simulate data/scenarios_repeated.cfg --reps 3 --seed 4294967296",
     ]
-    # one bad config per spec type, each refused
-    assert [(code, argv) for _, code, argv in lines[92:98]] == [
+    # one bad config per spec type and a one-person repeated design, each
+    # refused
+    assert [(code, argv) for _, code, argv in lines[92:99]] == [
         (2, f"simulate tables/{name}.cfg")
         for name in [
             "point_risk", "two_point_risk", "beta_risk", "scenario_spec",
-            "threshold_model", "threshold_scenario",
+            "threshold_model", "threshold_scenario", "tiny",
         ]
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
