@@ -44,13 +44,15 @@ PERMUTATION_COUNT = 10_000
 # SeedSequence(s).spawn(n) through PCG64, as default_rng(child) would.
 # Building that generator per person is nearly all SeedSequence hashing,
 # done one child at a time.  The children differ only in their spawn key
-# (i,), which is the last word SeedSequence hashes, so the seed is mixed
-# once and the key word of every child in one numpy pass.  That pass ends
-# with the four 64-bit words PCG64 asks its seed sequence for, and PCG64
-# seeds itself from them through a stand-in sequence that hands them over.
-# The constants are numpy's (numpy/random/bit_generator.pyx);
+# (i,), which is the last word SeedSequence hashes, so numpy mixes the seed
+# once (SeedSequence(s).pool) and this module hashes the key word of every
+# child into that pool in one numpy pass.  The pass ends with the four
+# 64-bit output words PCG64 asks its seed sequence for, and PCG64 seeds
+# itself from them through a stand-in sequence that hands them over.  The
+# constants are numpy's (numpy/random/bit_generator.pyx);
 # tests/test_identifiability.py compares the words with the children's
-# generate_state(4, np.uint64) and the seeded PCG64 with PCG64(child), so an
+# generate_state(4, np.uint64) and with a plain-loop oracle of the
+# documented algorithm, and the seeded PCG64 with PCG64(child), so an
 # upstream change fails there.
 #
 # A point or two-point population reads nothing from a generator but
@@ -84,7 +86,7 @@ def _hash_multipliers(init: int, mult: int, count: int) -> list[int]:
 
 
 def _hashmix(value, before, after):
-    """One SeedSequence hash of 32-bit words (ints or uint64 arrays)."""
+    """One SeedSequence hash of arrays of 32-bit words held in uint64."""
     value = ((value ^ before) * after) & _MASK32
     return value ^ (value >> 16)
 
@@ -102,20 +104,17 @@ _OUT_POOL_WORD = np.arange(8) % _POOL_SIZE
 
 
 @functools.cache
-def _pool_steps(word_count: int):
-    """The ``(before, after)`` multipliers of each hash a spawned child makes.
+def _key_steps(word_count: int):
+    """The ``(before, after)`` multipliers of a spawned child's key hashes.
 
-    A seed of ``word_count`` words (at least the pool size) takes one hash
-    per pool word, one per mix of two pool words and one per later seed
-    word; the last _POOL_SIZE hash the spawn key and come back as two
-    uint64 columns for the numpy pass.
+    A seed of ``word_count`` words (at least the pool size) takes
+    _POOL_SIZE * word_count hashes to mix; the key's _POOL_SIZE hashes come
+    next and go back as two uint64 columns for the numpy pass.
     """
     mults = _hash_multipliers(_INIT_A, _MULT_A, _POOL_SIZE * (word_count + 1))
-    steps = tuple(zip(mults, mults[1:]))
-    key_steps = np.array(steps[-_POOL_SIZE:], dtype=np.uint64)
+    key_steps = np.array(mults[-_POOL_SIZE - 1:], dtype=np.uint64)
     key_steps.setflags(write=False)  # every caller shares the cached entry
-    before, after = key_steps.T[:, :, None]
-    return steps[:-_POOL_SIZE], before, after
+    return key_steps[:-1, None], key_steps[1:, None]
 
 
 def _substream_states(seed: int, n: int) -> np.ndarray:
@@ -125,27 +124,13 @@ def _substream_states(seed: int, n: int) -> np.ndarray:
     spawn key is the single 32-bit word i.  The ``(n, 4)`` uint64 array is
     C-contiguous, so each row is the block of words PCG64 seeds from.
     """
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    # a spawned sequence pads the seed to the pool size before its key
-    words += [0] * (_POOL_SIZE - len(words))
-    pool_steps, key_before, key_after = _pool_steps(len(words))
-    steps = iter(pool_steps)
-    pool = [_hashmix(word, *next(steps)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    # the seed's 32-bit words (one for seed 0, as numpy coerces it), padded
+    # to the pool size as a spawned sequence pads them before its key
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    key_before, key_after = _key_steps(words)
     key = _hashmix(np.arange(n, dtype=np.uint64), key_before, key_after)
-    pool = _mix(np.array(pool, dtype=np.uint64)[:, None], key)
-    out = _hashmix(pool[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
+    out = _hashmix(_mix(pool, key)[_OUT_POOL_WORD], _OUT_BEFORE, _OUT_AFTER)
     # little-endian pairs of 32-bit words make each 64-bit word
     return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
 
