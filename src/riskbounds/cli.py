@@ -359,6 +359,13 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
         )
         for name, spec in specs.items()
     }
+    # a repeated design's clustering test compares people
+    for name, spec in specs.items():
+        if isinstance(spec, ScenarioSpec) and spec.repeats > 1 and spec.sample_size < 2:
+            raise InputError(
+                f"section [{name}]: a design of {spec.repeats} repeats needs "
+                f"sample_size >= 2 for its clustering test, got {spec.sample_size}"
+            )
     # seed of each section that draws numbers
     drawn = {
         name: spec.seed

@@ -590,6 +590,32 @@ class TestSimulateCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "tiny, extra, repeats",
+        [("repeats = 3\n", (), 3), ("", ("--reps", "4"), 4)],
+        ids=["repeats_key", "reps_flag"],
+    )
+    def test_one_person_repeated_design_exits_2(
+        self, capsys, tmp_path, tiny, extra, repeats
+    ):
+        # the clustering test needs two people; the valid first section
+        # does not run, so no outcomes file is written
+        config = tmp_path / "tiny.cfg"
+        config.write_text(
+            "[first]\ndistribution = point\np = 0.5\nsample_size = 4\n"
+            f"[tiny]\ndistribution = point\np = 0.5\nsample_size = 1\n{tiny}",
+            encoding="utf-8",
+        )
+        outcomes = tmp_path / "outcomes.csv"
+        code, out, err = run(
+            capsys, "simulate", str(config), *extra, "--outcomes", str(outcomes)
+        )
+        assert (code, out, err) == (
+            2, "", f"error: section [tiny]: a design of {repeats} repeats needs "
+            "sample_size >= 2 for its clustering test, got 1\n",
+        )
+        assert not outcomes.exists()
+
+    @pytest.mark.parametrize(
         "config, extra",
         [
             ("scenarios_single_outcome.cfg", ()),
