@@ -703,7 +703,11 @@ def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenari
     seed is its ``seed`` key, or 0 when it has none.  Every error in a
     section names the section.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are read literally: an interpolation could only name a key
+    # that the section refuses
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#",)
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -718,9 +722,8 @@ def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenari
                 f"section name {name!r} contains ',', a tab or '|', which "
                 "separate the fields of the output"
             )
-        # configparser.Error: a value whose '%' does not interpolate
         try:
             specs[name] = _read_section(parser[name])
-        except (ValueError, configparser.Error) as exc:
+        except ValueError as exc:
             raise InputError(f"section [{name}]: {exc}") from exc
     return specs

@@ -793,7 +793,7 @@ class TestSimulateCommand:
             ),
             (
                 "distribution = point\np = 5%",
-                "section [s]: '%' must be followed by '%' or '(', found: '%'",
+                "section [s]: could not convert string to float: '5%'",
             ),
         ],
         ids=[
