@@ -453,47 +453,36 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     return report
 
 
+# the flags each --mode requires, and those it may take; it refuses the rest
+REFUTED_FLAGS = {
+    "hmc": (("theta",), ()),
+    "cm1": (("sigma", "beta0", "beta1", "n", "x_bar", "ss_x", "x_new"), ("df",)),
+}
+
+
 def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
-    cm1_args = {
-        "sigma": args.sigma,
-        "beta0": args.beta0,
-        "beta1": args.beta1,
-        "n": args.n,
-        "x_bar": args.x_bar,
-        "ss_x": args.ss_x,
-        "x_new": args.x_new,
-    }
+    required, optional = REFUTED_FLAGS[args.mode]
+    given = {k: getattr(args, k) for r, o in REFUTED_FLAGS.values() for k in r + o}
+    reads = required + optional
+    unused = [k for k, v in given.items() if v is not None and k not in reads]
+    missing = [k for k in required if given[k] is None]
+    for names, verb in ((unused, "does not use"), (missing, "requires")):
+        if names:
+            flags = ", ".join("--" + k.replace("_", "-") for k in names)
+            if verb == "requires" and args.mode == "cm1":
+                flags += (
+                    " (sigma has no default by design: the fit provides no "
+                    "such quantity)"
+                )
+            raise InputError(f"--mode {args.mode} {verb} {flags}")
     if args.mode == "hmc":
-        unused = [k for k, v in {**cm1_args, "df": args.df}.items() if v is not None]
-        if unused:
-            flags = ", ".join("--" + k.replace("_", "-") for k in unused)
-            raise InputError(f"--mode hmc does not use {flags}")
-        if args.theta is None:
-            raise InputError("--mode hmc requires --theta")
         est = hmc_individual_interval(args.theta, args.alpha)
         parameters = {"mode": "hmc", "theta": args.theta, "alpha": args.alpha}
         columns = ["theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
-            [
-                args.theta,
-                1,
-                est.lower,
-                est.upper,
-                est.level,
-                est.method,
-                est.valid,
-                est.note,
-            ]
+            [args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid, est.note]
         ]
     else:
-        if args.theta is not None:
-            raise InputError("--mode cm1 does not use --theta")
-        missing = ["--" + k.replace("_", "-") for k, v in cm1_args.items() if v is None]
-        if missing:
-            raise InputError(
-                f"--mode cm1 requires {', '.join(missing)} (sigma has no "
-                "default by design: the fit provides no such quantity)"
-            )
         inp = CM1PseudoInput(
             beta0=args.beta0,
             beta1=args.beta1,
@@ -505,6 +494,7 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
             alpha=args.alpha,
         )
         est = cm1_pseudo_interval(inp, df=args.df)
+        cm1_args = {k: given[k] for k in required}
         parameters = {"mode": "cm1", **cm1_args, "alpha": args.alpha, "df": args.df}
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
