@@ -412,6 +412,78 @@ def homogeneity_statistic_contingency(counts: np.ndarray, repeats: int) -> float
 
 
 # ---------------------------------------------------------------------------
+# numpy's SeedSequence from its specification (numpy/random/bit_generator.pyx,
+# after O'Neill's randutils seed_seq_fe): plain loops over 32-bit words, one
+# sequence at a time
+
+_SS_MASK = 0xFFFFFFFF
+_SS_POOL_SIZE = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _ss_words(value: int) -> list[int]:
+    """A non-negative int as little-endian 32-bit words; 0 is one word."""
+    words = []
+    while True:
+        words.append(value & _SS_MASK)
+        value >>= 32
+        if not value:
+            return words
+
+
+def _ss_hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
+    """One hash of a word; returns it with the advanced hash constant."""
+    value ^= const
+    const = (const * mult) & _SS_MASK
+    value = (value * const) & _SS_MASK
+    return value ^ (value >> 16), const
+
+
+def _ss_mix(x: int, y: int) -> int:
+    result = (_SS_MIX_L * x - _SS_MIX_R * y) & _SS_MASK
+    return result ^ (result >> 16)
+
+
+def seed_sequence_pool(entropy: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
+    """The pool of ``SeedSequence(entropy, spawn_key=spawn_key)``."""
+    words = _ss_words(entropy)
+    key = [word for part in spawn_key for word in _ss_words(part)]
+    if key:
+        # a spawned sequence pads its entropy to the pool size
+        words += [0] * (_SS_POOL_SIZE - len(words))
+    words += key
+    const = _SS_INIT_A
+    pool = []
+    # a pool word with no entropy word hashes 0
+    for word in (words + [0] * _SS_POOL_SIZE)[:_SS_POOL_SIZE]:
+        value, const = _ss_hashmix(word, const, _SS_MULT_A)
+        pool.append(value)
+    for src in range(_SS_POOL_SIZE):
+        for dst in range(_SS_POOL_SIZE):
+            if src != dst:
+                value, const = _ss_hashmix(pool[src], const, _SS_MULT_A)
+                pool[dst] = _ss_mix(pool[dst], value)
+    for word in words[_SS_POOL_SIZE:]:
+        for dst in range(_SS_POOL_SIZE):
+            value, const = _ss_hashmix(word, const, _SS_MULT_A)
+            pool[dst] = _ss_mix(pool[dst], value)
+    return pool
+
+
+def seed_sequence_state64(pool: list[int], count: int) -> list[int]:
+    """``generate_state(count, np.uint64)`` of the sequence with this pool."""
+    const = _SS_INIT_B
+    words = []
+    for i in range(2 * count):
+        value, const = _ss_hashmix(pool[i % _SS_POOL_SIZE], const, _SS_MULT_B)
+        words.append(value)
+    # little-endian pairs of 32-bit words
+    return [low | (high << 32) for low, high in zip(words[0::2], words[1::2])]
+
+
+# ---------------------------------------------------------------------------
 # the README's substream contract, through public numpy only: person i of a
 # run seeded with s draws from default_rng(child i of SeedSequence(s).spawn(n))
 

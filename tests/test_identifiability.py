@@ -758,6 +758,30 @@ class TestSubstreamContract:
             assert np.array_equal(cohort.latent_risks, risks), n
 
 
+@pytest.mark.parametrize("seed", CONTRACT_SEEDS)
+def test_seed_words_follow_the_specification(seed):
+    # numpy mixes the seed; the package hashes each spawn key into that pool
+    # and draws the output words.  The plain-loop oracle checks both stages
+    # against SeedSequence's documented algorithm, apart from numpy itself.
+    pool = oracles.seed_sequence_pool(seed)
+    assert np.random.SeedSequence(seed).pool.tolist() == pool, (
+        f"seed pool: numpy {np.__version__} mixes SeedSequence({seed}) "
+        "differently from the specification"
+    )
+    expected = [
+        oracles.seed_sequence_state64(oracles.seed_sequence_pool(seed, (i,)), 4)
+        for i in range(max(CONTRACT_SIZES))
+    ]
+    for n in CONTRACT_SIZES:
+        got = _substream_states(seed, n).tolist()
+        mismatched = [i for i in range(n) if got[i] != expected[i]]
+        assert not mismatched, (
+            f"spawn key and output words: _substream_states({seed}, {n}) differs "
+            f"from the specification at children {mismatched[:5]} (numpy "
+            f"{np.__version__})"
+        )
+
+
 class TestScenarioConfig:
     def test_reads_mixture_sections(self, data_dir):
         text = (data_dir / "scenarios_single_outcome.cfg").read_text()
