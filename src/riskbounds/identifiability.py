@@ -703,8 +703,7 @@ def read_scenario_config(text: str) -> dict[str, ScenarioSpec | ThresholdScenari
     seed is its ``seed`` key, or 0 when it has none.  Every error in a
     section names the section.
     """
-    # values are read literally: an interpolation could only name a key
-    # that the section refuses
+    # literal values: an interpolation could only name a key the section refuses
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
     )
