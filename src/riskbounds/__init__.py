@@ -51,7 +51,6 @@ from .logistic import (
     trend_test,
 )
 from .refuted import (
-    CM1PseudoInput,
     cm1_pseudo_interval,
     hmc_individual_interval,
     student_t_quantile,
@@ -61,7 +60,6 @@ from .wilson import (
     CoverageOutcome,
     CoverageReport,
     IntervalEstimate,
-    WilsonInput,
     binomial_pmf,
     exact_coverage,
     standard_normal_quantile,
@@ -74,7 +72,6 @@ __all__ = [
     "CategoryRow",
     "CategoryTable",
     "ClusteringTest",
-    "CM1PseudoInput",
     "CoverageOutcome",
     "CoverageReport",
     "IccEstimate",
@@ -94,7 +91,6 @@ __all__ = [
     "ThresholdScenario",
     "TrendTest",
     "TwoPointRisk",
-    "WilsonInput",
     "binomial_pmf",
     "clustering_test",
     "cm1_pseudo_interval",

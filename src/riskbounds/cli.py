@@ -47,12 +47,11 @@ from .logistic import (
 from .logistic import predict_risk  # noqa: F401
 from .refuted import (
     REFUTATION_BANNER,
-    CM1PseudoInput,
     cm1_pseudo_interval,
     hmc_individual_interval,
 )
 from .rounding import MAX_DIGITS, format_fixed
-from .wilson import WilsonInput, exact_coverage, score_bounds, wilson_interval
+from .wilson import exact_coverage, score_bounds, wilson_interval
 
 FORMATS = ("csv", "tsv", "pretty")
 DEFAULT_DIGITS = 4
@@ -232,7 +231,7 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
         columns = ["n", "theta_hat", "lower", "upper", "level", "method", "valid"]
         rows = []
         for n in sizes:
-            est = wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=args.alpha))
+            est = wilson_interval(theta, n, args.alpha)
             rows.append(
                 [n, theta, est.lower, est.upper, est.level, est.method, est.valid]
             )
@@ -483,17 +482,10 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
             [args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid, est.note]
         ]
     else:
-        inp = CM1PseudoInput(
-            beta0=args.beta0,
-            beta1=args.beta1,
-            sigma_hat=args.sigma,
-            n=args.n,
-            x_bar=args.x_bar,
-            ss_x=args.ss_x,
-            x_new=args.x_new,
-            alpha=args.alpha,
+        est = cm1_pseudo_interval(
+            args.beta0, args.beta1, args.sigma, args.n, args.x_bar, args.ss_x,
+            args.x_new, args.alpha, args.df,
         )
-        est = cm1_pseudo_interval(inp, df=args.df)
         cm1_args = {k: given[k] for k in required}
         parameters = {"mode": "cm1", **cm1_args, "alpha": args.alpha, "df": args.df}
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]

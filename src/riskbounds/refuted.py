@@ -25,10 +25,10 @@ log-odds scale tends to z * sigma_hat rather than 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .data import check_integer
-from .wilson import IntervalEstimate, WilsonInput, wilson_interval
+from .wilson import IntervalEstimate, wilson_interval
 
 NOTE_SINGLE_OUTCOME = (
     "single-outcome Wilson interval misread as an individual-risk interval"
@@ -42,38 +42,6 @@ REFUTATION_BANNER = (
     "interval for any individual's risk. They are reproduced only to\n"
     "document the mistake; do not use them for inference."
 )
-
-
-@dataclass(frozen=True)
-class CM1PseudoInput:
-    """Ingredients of the pseudo prediction interval on the log-odds scale.
-
-    ``sigma_hat`` must be supplied by the caller; there is deliberately no
-    default and no estimator for it, because a grouped logistic fit has no
-    residual standard deviation of this kind.  Inventing one would
-    misrepresent both the recipe and its refutation.
-    """
-
-    beta0: float
-    beta1: float
-    sigma_hat: float
-    n: int
-    x_bar: float
-    ss_x: float
-    x_new: float
-    alpha: float
-
-    def __post_init__(self):
-        check_integer(self.n, "n", 2)
-        if self.sigma_hat < 0.0:
-            raise ValueError(f"sigma_hat must be >= 0, got {self.sigma_hat}")
-        if self.ss_x <= 0.0:
-            raise ValueError(f"ss_x must be > 0, got {self.ss_x}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        for name in ("beta0", "beta1", "sigma_hat", "x_bar", "ss_x", "x_new"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 def student_t_quantile(p: float, df: int) -> float:
@@ -96,12 +64,13 @@ def hmc_individual_interval(theta_hat: float, alpha: float = 0.05) -> IntervalEs
     show), because the *reading* of the interval as individual risk is
     what is being refuted, not just the arithmetic.
     """
-    base = wilson_interval(WilsonInput(theta_hat=theta_hat, n=1.0, alpha=alpha))
+    base = wilson_interval(theta_hat, 1.0, alpha)
     return replace(base, method="fictitious_wilson", note=NOTE_SINGLE_OUTCOME)
 
 
 def cm1_pseudo_interval(
-    inp: CM1PseudoInput, df: int | None = None
+    beta0: float, beta1: float, sigma_hat: float, n: int, x_bar: float,
+    ss_x: float, x_new: float, alpha: float, df: int | None = None,
 ) -> IntervalEstimate:
     """Linear-regression prediction bounds mapped through the logistic.
 
@@ -111,21 +80,40 @@ def cm1_pseudo_interval(
     1 - alpha/2.  Degrees of freedom default to n - 2 (the simple linear
     regression convention); pass ``df`` to override, e.g. to probe what a
     different convention would have produced.
+
+    ``sigma_hat`` must be supplied by the caller; there is deliberately no
+    default and no estimator for it, because a grouped logistic fit has no
+    residual standard deviation of this kind.  Inventing one would
+    misrepresent both the recipe and its refutation.
     """
+    check_integer(n, "n", 2)
+    if sigma_hat < 0.0:
+        raise ValueError(f"sigma_hat must be >= 0, got {sigma_hat}")
+    if ss_x <= 0.0:
+        raise ValueError(f"ss_x must be > 0, got {ss_x}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    finite = dict(
+        beta0=beta0, beta1=beta1, sigma_hat=sigma_hat, x_bar=x_bar, ss_x=ss_x,
+        x_new=x_new,
+    )
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if df is None:
-        df = inp.n - 2
-    t = student_t_quantile(1.0 - inp.alpha / 2.0, df)
+        df = n - 2
+    t = student_t_quantile(1.0 - alpha / 2.0, df)
     # student_t_quantile has already imported scipy.special
     from scipy.special import expit
 
-    spread = math.sqrt(1.0 + 1.0 / inp.n + (inp.x_new - inp.x_bar) ** 2 / inp.ss_x)
-    half = t * inp.sigma_hat * spread
-    eta = inp.beta0 + inp.beta1 * inp.x_new
+    spread = math.sqrt(1.0 + 1.0 / n + (x_new - x_bar) ** 2 / ss_x)
+    half = t * sigma_hat * spread
+    eta = beta0 + beta1 * x_new
     return IntervalEstimate(
         point=float(expit(eta)),
         lower=float(expit(eta - half)),
         upper=float(expit(eta + half)),
-        level=1.0 - inp.alpha,
+        level=1.0 - alpha,
         method="cm1_pseudo",
         note=NOTE_PREDICTION_INTERVAL,
     )

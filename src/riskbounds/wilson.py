@@ -14,10 +14,10 @@ Real designs have an integer sample size and an integer event count, so
 the rows of a category table are real samples: ``CategoryRow`` holds
 integer counts with 1 <= total and 0 <= events <= total.  The only float
 route is ``wilson_interval`` (the CLI's ``--fictitious`` sweep and the
-refuted n = 1 reading).  Its input allows real-valued n so that "what if"
-calls with fractional implied event counts (theta_hat * n not an integer)
-can be computed; such calls are tagged ``fictitious_wilson`` and flagged
-invalid, because no actual sample could have produced them.
+refuted n = 1 reading).  It takes a real-valued n so that "what if" calls
+with fractional implied event counts (theta_hat * n not an integer) can be
+computed; such calls are tagged ``fictitious_wilson`` and flagged invalid,
+because no actual sample could have produced them.
 """
 
 from __future__ import annotations
@@ -85,26 +85,6 @@ class IntervalEstimate:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class WilsonInput:
-    """Inputs for a score interval: observed proportion, sample size, alpha.
-
-    ``n`` is real-valued on purpose; see the module docstring.
-    """
-
-    theta_hat: float
-    n: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta_hat <= 1.0:
-            raise ValueError(f"theta_hat must be in [0,1], got {self.theta_hat}")
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise ValueError(f"n must be positive and finite, got {self.n}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
 
 
 class CoverageOutcome(NamedTuple):
@@ -267,22 +247,28 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def wilson_interval(inp: WilsonInput) -> IntervalEstimate:
+def wilson_interval(theta_hat: float, n: float, alpha: float) -> IntervalEstimate:
     """Score interval for one proportion: ``score_bounds`` at one point.
 
-    The result is tagged ``wilson`` only when n >= 1 and n and the implied
-    event count theta_hat*n are both integers (within 1e-9); otherwise it
-    is tagged ``fictitious_wilson`` and flagged invalid.
+    ``n`` is real-valued on purpose; see the module docstring.  theta_hat
+    must lie in [0, 1] and n be positive and finite; ``score_bounds``
+    checks alpha.  The result is tagged ``wilson`` only when n >= 1 and n
+    and the implied event count theta_hat*n are both integers (within
+    1e-9); otherwise it is tagged ``fictitious_wilson`` and flagged invalid.
     """
-    n, th = float(inp.n), float(inp.theta_hat)
-    lower, upper = score_bounds(th, n, inp.alpha)
+    if not 0.0 <= theta_hat <= 1.0:
+        raise ValueError(f"theta_hat must be in [0,1], got {theta_hat}")
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError(f"n must be positive and finite, got {n}")
+    n, th = float(n), float(theta_hat)
+    lower, upper = score_bounds(th, n, alpha)
     real_sample = n >= 1.0 and _is_integral(n) and _is_integral(th * n)
     method = "wilson" if real_sample else "fictitious_wilson"
     return IntervalEstimate(
         point=th,
         lower=float(lower),
         upper=float(upper),
-        level=1.0 - inp.alpha,
+        level=1.0 - alpha,
         method=method,
         note=None if real_sample else "fractional sample: no such design exists",
     )

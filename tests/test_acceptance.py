@@ -19,7 +19,6 @@ from riskbounds import (
     PointRisk,
     ScenarioSpec,
     TwoPointRisk,
-    WilsonInput,
     clustering_test,
     exact_count_distribution,
     exact_coverage,
@@ -59,9 +58,7 @@ def test_01_category_proportions_and_totals(vrag_table):
 def test_02_published_interval_tables(vrag_table, vrag_fit):
     start = time.perf_counter()
     for row, (lo, hi) in zip(vrag_table.rows, goldens.WILSON_95_BOUNDS):
-        est = wilson_interval(
-            WilsonInput(theta_hat=row.events / row.total, n=row.total, alpha=0.05)
-        )
+        est = wilson_interval(row.events / row.total, row.total, 0.05)
         assert abs(_printed(est.lower, 2) - lo) <= BOUND_TOL
         assert abs(_printed(est.upper, 2) - hi) <= BOUND_TOL
     for alpha, table in (
@@ -79,14 +76,14 @@ def test_02_published_interval_tables(vrag_table, vrag_fit):
 def test_03_percent_scale_small_sample_rows():
     for n, events, lo_pct, hi_pct in goldens.PERCENT_SWEEP:
         theta = events / n if events is not None else 0.13
-        est = wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=0.05))
+        est = wilson_interval(theta, n, 0.05)
         assert abs(est.lower * 100.0 - lo_pct) <= PERCENT_TOL
         assert abs(est.upper * 100.0 - hi_pct) <= PERCENT_TOL
 
 
 def test_04_large_sample_interval_one_decimal():
     n, events, lo_pct, hi_pct = goldens.LARGE_SAMPLE_ROW
-    est = wilson_interval(WilsonInput(theta_hat=events / n, n=n, alpha=0.05))
+    est = wilson_interval(events / n, n, 0.05)
     assert _printed(est.lower * 100.0, 1) == pytest.approx(lo_pct, abs=1e-9)
     assert _printed(est.upper * 100.0, 1) == pytest.approx(hi_pct, abs=1e-9)
 

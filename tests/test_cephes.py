@@ -20,7 +20,7 @@ import pytest
 
 from riskbounds import _cephes
 from riskbounds.logistic import LogisticFit, predict_risk
-from riskbounds.refuted import CM1PseudoInput, cm1_pseudo_interval
+from riskbounds.refuted import cm1_pseudo_interval
 
 special = pytest.importorskip("scipy.special")
 scipy = pytest.importorskip("scipy")
@@ -112,10 +112,8 @@ def test_expit_underflows_to_zero_instead_of_raising():
     # eta - half near -2e5 in the cm1 recipe: exp(2e5) overflows, and the
     # lower bound is 0 rather than an OverflowError
     interval = cm1_pseudo_interval(
-        CM1PseudoInput(
-            beta0=0.0, beta1=0.0, sigma_hat=1e5, n=30, x_bar=0.0, ss_x=1.0,
-            x_new=0.0, alpha=0.05,
-        )
+        beta0=0.0, beta1=0.0, sigma_hat=1e5, n=30, x_bar=0.0, ss_x=1.0,
+        x_new=0.0, alpha=0.05,
     )
     assert (interval.lower, interval.point, interval.upper) == (0.0, 0.5, 1.0)
     assert all(type(v) is float for v in (interval.lower, interval.upper))

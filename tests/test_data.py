@@ -8,11 +8,11 @@ import goldens
 from riskbounds import (
     CategoryRow,
     CategoryTable,
-    CM1PseudoInput,
     InputError,
     ParseError,
     PointRisk,
     ScenarioSpec,
+    cm1_pseudo_interval,
     exact_coverage,
     expand_weights,
     parse_category_table,
@@ -235,10 +235,10 @@ class TestExpandWeights:
             )
 
 
-def _cm1_input(n):
-    return CM1PseudoInput(
+def _cm1_interval(n, df=None):
+    return cm1_pseudo_interval(
         beta0=-2.0, beta1=0.5, sigma_hat=1.0, n=n, x_bar=4.0, ss_x=60.0,
-        x_new=5.0, alpha=0.05,
+        x_new=5.0, alpha=0.05, df=df,
     )
 
 
@@ -260,8 +260,8 @@ class TestIntegerCheck:
              "n must be an integer >= 1, got 0"),
             (lambda: expand_weights(CategoryTable((CategoryRow(1, 2, 1),)), True),
              "weight factor must be an integer >= 1, got True"),
-            (lambda: _cm1_input(1), "n must be an integer >= 2, got 1"),
-            (lambda: _cm1_input(3.0), "n must be an integer >= 2, got 3.0"),
+            (lambda: _cm1_interval(1), "n must be an integer >= 2, got 1"),
+            (lambda: _cm1_interval(3.0), "n must be an integer >= 2, got 3.0"),
             (lambda: student_t_quantile(0.9, 0),
              "degrees of freedom must be an integer >= 1, got 0"),
             (lambda: student_t_quantile(0.9, True),
@@ -274,5 +274,6 @@ class TestIntegerCheck:
         assert str(exc.value) == message
 
     def test_accepts_the_minimum(self):
-        assert _cm1_input(2).n == 2
+        # n = 2 leaves the default df = n - 2 at 0, so give df
+        assert _cm1_interval(2, df=1).method == "cm1_pseudo"
         assert exact_coverage(1, 0.5, 0.95).coverage == 1.0

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 import goldens
 import oracles
 from riskbounds import (
-    CM1PseudoInput,
-    WilsonInput,
     cm1_pseudo_interval,
     hmc_individual_interval,
     standard_normal_quantile,
@@ -94,7 +92,7 @@ class TestSingleOutcomeRecipe:
             assert est.note == NOTE_SINGLE_OUTCOME
 
     def test_bounds_match_unit_sample_score_interval(self):
-        base = wilson_interval(WilsonInput(theta_hat=0.13, n=1.0, alpha=0.05))
+        base = wilson_interval(0.13, 1.0, 0.05)
         est = hmc_individual_interval(0.13)
         assert est.lower == base.lower
         assert est.upper == base.upper
@@ -117,7 +115,7 @@ class TestSingleOutcomeRecipe:
     )
     def test_wider_than_any_real_design(self, theta, n):
         single = hmc_individual_interval(theta)
-        real = wilson_interval(WilsonInput(theta_hat=theta, n=float(n), alpha=0.05))
+        real = wilson_interval(theta, float(n), 0.05)
         assert single.width > real.width
 
 
@@ -134,7 +132,7 @@ class TestPredictionIntervalRecipe:
     )
 
     def test_frozen_worked_example(self):
-        est = cm1_pseudo_interval(CM1PseudoInput(**self.EXAMPLE))
+        est = cm1_pseudo_interval(**self.EXAMPLE)
         assert est.point == pytest.approx(goldens.CM1_EXAMPLE_POINT, abs=1e-15)
         assert est.lower == pytest.approx(goldens.CM1_EXAMPLE_LOWER, abs=1e-15)
         assert est.upper == pytest.approx(goldens.CM1_EXAMPLE_UPPER, abs=1e-15)
@@ -143,15 +141,17 @@ class TestPredictionIntervalRecipe:
         assert est.note == NOTE_PREDICTION_INTERVAL
 
     def test_half_width_matches_oracle_route(self):
-        inp = CM1PseudoInput(**self.EXAMPLE)
-        est = cm1_pseudo_interval(inp)
-        t = oracles.t_quantile(1.0 - inp.alpha / 2.0, inp.n - 2)
+        inp = self.EXAMPLE
+        est = cm1_pseudo_interval(**inp)
+        t = oracles.t_quantile(1.0 - inp["alpha"] / 2.0, inp["n"] - 2)
         half = (
             t
-            * inp.sigma_hat
-            * math.sqrt(1.0 + 1.0 / inp.n + (inp.x_new - inp.x_bar) ** 2 / inp.ss_x)
+            * inp["sigma_hat"]
+            * math.sqrt(
+                1.0 + 1.0 / inp["n"] + (inp["x_new"] - inp["x_bar"]) ** 2 / inp["ss_x"]
+            )
         )
-        eta = inp.beta0 + inp.beta1 * inp.x_new
+        eta = inp["beta0"] + inp["beta1"] * inp["x_new"]
         assert est.lower == pytest.approx(
             1.0 / (1.0 + math.exp(-(eta - half))), rel=1e-9
         )
@@ -160,17 +160,16 @@ class TestPredictionIntervalRecipe:
         )
 
     def test_df_defaults_to_n_minus_2_and_can_be_overridden(self):
-        inp = CM1PseudoInput(**self.EXAMPLE)
-        default = cm1_pseudo_interval(inp)
-        explicit = cm1_pseudo_interval(inp, df=inp.n - 2)
+        inp = self.EXAMPLE
+        default = cm1_pseudo_interval(**inp)
+        explicit = cm1_pseudo_interval(**inp, df=inp["n"] - 2)
         assert default.lower == explicit.lower and default.upper == explicit.upper
-        single_df = cm1_pseudo_interval(inp, df=1)
+        single_df = cm1_pseudo_interval(**inp, df=1)
         # df=1 uses a much heavier tail, so the interval must widen
         assert single_df.width > default.width
 
     def test_zero_sigma_collapses_to_a_point(self):
-        inp = CM1PseudoInput(**{**self.EXAMPLE, "sigma_hat": 0.0})
-        est = cm1_pseudo_interval(inp)
+        est = cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": 0.0})
         assert est.lower == est.point == est.upper
         assert not est.valid
 
@@ -179,55 +178,47 @@ class TestPredictionIntervalRecipe:
         # confidence interval would shrink to nothing, this recipe cannot
         z = standard_normal_quantile(0.975)
         for n in (10, 100, 10_000, 1_000_000):
-            inp = CM1PseudoInput(
-                **{**self.EXAMPLE, "n": n, "ss_x": 5000.0 * n}
-            )
-            est = cm1_pseudo_interval(inp)
+            inp = {**self.EXAMPLE, "n": n, "ss_x": 5000.0 * n}
+            est = cm1_pseudo_interval(**inp)
             eta_width = math.log(est.upper / (1.0 - est.upper)) - math.log(
                 est.lower / (1.0 - est.lower)
             )
-            assert eta_width > 2.0 * z * inp.sigma_hat
+            assert eta_width > 2.0 * z * inp["sigma_hat"]
 
     def test_log_odds_width_limit_is_two_z_sigma(self):
         z = standard_normal_quantile(0.975)
-        inp = CM1PseudoInput(
-            **{**self.EXAMPLE, "n": 1_000_000, "ss_x": 5000.0 * 1_000_000}
-        )
-        est = cm1_pseudo_interval(inp)
+        inp = {**self.EXAMPLE, "n": 1_000_000, "ss_x": 5000.0 * 1_000_000}
+        est = cm1_pseudo_interval(**inp)
         eta_width = math.log(est.upper / (1.0 - est.upper)) - math.log(
             est.lower / (1.0 - est.lower)
         )
-        assert eta_width == pytest.approx(2.0 * z * inp.sigma_hat, abs=1e-4)
+        assert eta_width == pytest.approx(2.0 * z * inp["sigma_hat"], abs=1e-4)
 
     def test_probability_width_plateaus(self):
-        inp_big = CM1PseudoInput(
-            **{**self.EXAMPLE, "n": 10_000, "ss_x": 5000.0 * 10_000}
-        )
-        inp_bigger = CM1PseudoInput(
-            **{**self.EXAMPLE, "n": 1_000_000, "ss_x": 5000.0 * 1_000_000}
-        )
-        width_big = cm1_pseudo_interval(inp_big).width
-        width_bigger = cm1_pseudo_interval(inp_bigger).width
+        inp_big = {**self.EXAMPLE, "n": 10_000, "ss_x": 5000.0 * 10_000}
+        inp_bigger = {**self.EXAMPLE, "n": 1_000_000, "ss_x": 5000.0 * 1_000_000}
+        width_big = cm1_pseudo_interval(**inp_big).width
+        width_bigger = cm1_pseudo_interval(**inp_bigger).width
         assert width_bigger > 0.002
         assert width_big == pytest.approx(width_bigger, rel=1e-3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            CM1PseudoInput(**{**self.EXAMPLE, "n": 1})
+            cm1_pseudo_interval(**{**self.EXAMPLE, "n": 1})
         with pytest.raises(ValueError):
-            CM1PseudoInput(**{**self.EXAMPLE, "sigma_hat": -0.1})
+            cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": -0.1})
         with pytest.raises(ValueError):
-            CM1PseudoInput(**{**self.EXAMPLE, "ss_x": 0.0})
+            cm1_pseudo_interval(**{**self.EXAMPLE, "ss_x": 0.0})
         with pytest.raises(ValueError):
-            CM1PseudoInput(**{**self.EXAMPLE, "alpha": 0.0})
+            cm1_pseudo_interval(**{**self.EXAMPLE, "alpha": 0.0})
         with pytest.raises(ValueError):
-            CM1PseudoInput(**{**self.EXAMPLE, "beta0": math.inf})
+            cm1_pseudo_interval(**{**self.EXAMPLE, "beta0": math.inf})
         # an infinite sigma_hat used to give the interval (0, 1), an infinite
         # ss_x a finite one, and a NaN a bounds error naming neither
         for field in ("sigma_hat", "ss_x"):
             for value in (math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-                    CM1PseudoInput(**{**self.EXAMPLE, field: value})
+                    cm1_pseudo_interval(**{**self.EXAMPLE, field: value})
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -240,7 +231,7 @@ class TestPredictionIntervalRecipe:
     def test_never_valid_and_always_inside_unit_interval(
         self, beta0, beta1, sigma, n, x_new
     ):
-        inp = CM1PseudoInput(
+        est = cm1_pseudo_interval(
             beta0=beta0,
             beta1=beta1,
             sigma_hat=sigma,
@@ -250,7 +241,6 @@ class TestPredictionIntervalRecipe:
             x_new=x_new,
             alpha=0.05,
         )
-        est = cm1_pseudo_interval(inp)
         assert not est.valid
         assert 0.0 <= est.lower <= est.point <= est.upper <= 1.0
 

@@ -13,7 +13,6 @@ import oracles
 from riskbounds import (
     CoverageOutcome,
     IntervalEstimate,
-    WilsonInput,
     binomial_pmf,
     exact_coverage,
     standard_normal_quantile,
@@ -23,7 +22,7 @@ from riskbounds.wilson import CoverageReport, binomial_pmf_array, score_bounds
 
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
-    return wilson_interval(WilsonInput(theta_hat=theta, n=n, alpha=alpha))
+    return wilson_interval(theta, n, alpha)
 
 
 def pmf_by_three_gammaln_calls(n: int, p: float) -> np.ndarray:
@@ -192,13 +191,13 @@ class TestWilsonInterval:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            WilsonInput(theta_hat=1.2, n=10, alpha=0.05)
+            wilson_interval(1.2, 10, 0.05)
         with pytest.raises(ValueError):
-            WilsonInput(theta_hat=0.5, n=0, alpha=0.05)
+            wilson_interval(0.5, 0, 0.05)
         with pytest.raises(ValueError):
-            WilsonInput(theta_hat=0.5, n=10, alpha=1.0)
+            wilson_interval(0.5, 10, 1.0)
         with pytest.raises(ValueError):
-            WilsonInput(theta_hat=0.5, n=math.inf, alpha=0.05)
+            wilson_interval(0.5, math.inf, 0.05)
 
 
 def score_bounds_outcome(theta, n, alpha: float):
