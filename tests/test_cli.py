@@ -1466,6 +1466,24 @@ class TestParserReuse:
         assert results[0][2].startswith("usage: riskbounds fit")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "wilson --fictitious 0.13 167,x",
+            "--fictitious expects THETA and a comma-separated n list",
+        ),
+        ("wilson --fictitious 0.13 ,", "--fictitious n list is empty"),
+        ("fit data/vrag_categories.csv --alpha 0.05,x", "bad --alpha list '0.05,x'"),
+        ("fit data/vrag_categories.csv --alpha ,", "--alpha list is empty"),
+        ("simulate data/scenarios_repeated.cfg --reps 0", "--reps must be >= 1"),
+    ],
+)
+def test_bad_list_or_count_exits_2_with_one_line(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_import_leaves_numpy_random_and_scipy_special_unloaded():
     # both load on first use; at start-up they would add to every CLI call
     env = dict(os.environ)
