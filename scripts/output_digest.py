@@ -7,12 +7,13 @@ the repeated config (n*m = 30, so the permutation route runs) in each format
 and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
 the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
 four designs (one printing subnormal masses in full), ``simulate`` on one
-bad config per spec type and on a repeated design of one person (each
-refused with exit 2), and ``wilson`` and ``fit``
-on seeded tables, the first 20 at ``--round 12`` as well, run in-process with
-SOURCE_DATE_EPOCH pinned.  Two trees print
-the same stdout, stderr and written files exactly when their digests ``diff``
-clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
+bad config per spec type and on a repeated design of one person, bad or
+empty ``--fictitious`` and ``--alpha`` lists, ``simulate --reps 0`` and
+``refuted --mode cm1`` at the README's values with ``--n 2`` (each refused
+with exit 2), and ``wilson`` and ``fit`` on seeded tables, the first 20 at
+``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH pinned.  Two
+trees print the same stdout, stderr and written files exactly when their
+digests ``diff`` clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
 experiment script, hashing its stdout with the tree's path taken off the
 ``inputs:`` lines.
 """
@@ -79,6 +80,15 @@ REFUSALS = {
     "threshold_scenario": f"{COHORT}follow_up = 1.0\ncohort_size = 0\n",
     "tiny": "distribution = point\np = 0.5\nsample_size = 1\nrepeats = 3\n",
 }
+# calls refused after parsing, so that each refusal's stderr is digested
+REFUSED_CALLS = (
+    "wilson --fictitious 0.13 167,x",
+    "wilson --fictitious 0.13 ,",
+    f"fit {TABLES[0]} --alpha 0.05,x",
+    f"fit {TABLES[0]} --alpha ,",
+    f"simulate {CONFIGS[1]} --reps 0",
+    "refuted --mode cm1 " + CM1[0].replace("--n 255", "--n 2"),
+)
 
 
 def corpus(seed: int, count: int) -> list[list[str]]:
@@ -105,6 +115,7 @@ def corpus(seed: int, count: int) -> list[list[str]]:
         path = f"tables/{name}.cfg"
         Path(path).write_text(f"[{name}]\n{body}", encoding="utf-8")
         calls.append(["simulate", path])
+    calls += [call.split() for call in REFUSED_CALLS]
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)

@@ -41,9 +41,10 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, 7 bad configs, and wilson + fit on each seeded table,
-    # at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 7 + 8
+    # 4 coverage calls, 7 bad configs, 6 calls refused after parsing, and
+    # wilson + fit on each seeded table, at the default rounding and at
+    # --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 7 + 6 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -70,6 +71,12 @@ def test_two_table_corpus(monkeypatch):
             "point_risk", "two_point_risk", "beta_risk", "scenario_spec",
             "threshold_model", "threshold_scenario", "tiny",
         ]
+    ]
+    # bad lists, --reps 0 and the README's cm1 call at n = 2, each refused
+    refused = [(code, argv.split()[0]) for _, code, argv in lines[99:105]]
+    assert refused == [
+        (2, command)
+        for command in ["wilson", "wilson", "fit", "fit", "simulate", "refuted"]
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
