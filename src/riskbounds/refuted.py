@@ -78,8 +78,8 @@ def cm1_pseudo_interval(
     t * sigma_hat * sqrt(1 + 1/n + (x_new - x_bar)^2 / ss_x),
     centered at beta0 + beta1 * x_new, with t the Student quantile at
     1 - alpha/2.  Degrees of freedom default to n - 2 (the simple linear
-    regression convention); pass ``df`` to override, e.g. to probe what a
-    different convention would have produced.
+    regression convention), so n = 2 needs ``df``; pass ``df`` to override,
+    e.g. to probe what a different convention would have produced.
 
     ``sigma_hat`` must be supplied by the caller; there is deliberately no
     default and no estimator for it, because a grouped logistic fit has no
@@ -101,6 +101,8 @@ def cm1_pseudo_interval(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if df is None:
+        if n == 2:
+            raise ValueError("the default df = n - 2 needs n >= 3, got n = 2")
         df = n - 2
     t = student_t_quantile(1.0 - alpha / 2.0, df)
     # student_t_quantile has already imported scipy.special

@@ -1098,6 +1098,7 @@ class TestRefutedCommand:
         "flag,value,message",
         [
             ("--n", "1", "n must be an integer >= 2, got 1"),
+            ("--n", "2", "the default df = n - 2 needs n >= 3, got n = 2"),
             ("--ss-x", "0", "ss_x must be > 0, got 0.0"),
             ("--sigma", "-1", "sigma_hat must be >= 0, got -1.0"),
             ("--alpha", "1", "alpha must be in (0,1), got 1.0"),
@@ -1130,6 +1131,15 @@ class TestRefutedCommand:
             capsys, "refuted", "--mode", "hmc", "--theta", "0.13", *extra
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_cm1_n_of_2_with_df_runs(self, capsys):
+        code, out, err = run(
+            capsys, "refuted", "--mode", "cm1", "--beta0", "-2.0", "--beta1",
+            "0.5", "--sigma", "1.0", "--n", "2", "--x-bar", "20", "--ss-x",
+            "5000", "--x-new", "20", "--df", "1", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert data_lines(out)[1].split(",")[4:6] == ["cm1_pseudo", "false"]
 
     def test_cm1_with_theta_exits_2(self, capsys):
         code, out, err = run(

@@ -168,6 +168,14 @@ class TestPredictionIntervalRecipe:
         # df=1 uses a much heavier tail, so the interval must widen
         assert single_df.width > default.width
 
+    def test_n_of_2_needs_df(self):
+        # the default df = n - 2 would be 0: the refusal names n, not df
+        message = r"^the default df = n - 2 needs n >= 3, got n = 2$"
+        with pytest.raises(ValueError, match=message):
+            cm1_pseudo_interval(**{**self.EXAMPLE, "n": 2})
+        est = cm1_pseudo_interval(**{**self.EXAMPLE, "n": 2}, df=1)
+        assert est.lower < est.point < est.upper
+
     def test_zero_sigma_collapses_to_a_point(self):
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": 0.0})
         assert est.lower == est.point == est.upper
