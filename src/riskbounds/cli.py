@@ -388,38 +388,40 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     single_outcome: list[tuple[str, ScenarioSpec]] = []
 
     for name, spec in specs.items():
-        if isinstance(spec, ThresholdScenario):
-            cohort = simulate_threshold_cohort(
-                spec.model, spec.cohort_size, spec.seed
-            )
-            observed = float(cohort.outcomes.outcomes.mean())
-            rows.append([name, "threshold", "cohort_size", spec.cohort_size])
-            rows.append([name, "threshold", "observed_frequency", observed])
-            rows.append(
-                [name, "threshold", "mean_latent_risk", float(cohort.latent_risks.mean())]
-            )
-            panels[name] = cohort.outcomes.outcomes
-            continue
-        if spec.repeats == 1:
-            dist = exact_count_distribution(spec)
-            for k, prob in enumerate(dist):
-                rows.append([name, "count_distribution", k, float(prob)])
-            single_outcome.append((name, spec))
-            continue
-        data = simulate_repeated(spec)
-        cluster = clustering_test(data, permutation_seed=spec.seed)
-        icc = icc_estimate(data)
-        rows.append([name, "clustering", "statistic", cluster.statistic])
-        rows.append([name, "clustering", "df", cluster.df])
-        rows.append([name, "clustering", "p_value", cluster.p_value])
-        if cluster.p_value_permutation is not None:
-            rows.append(
-                [name, "clustering", "p_value_permutation", cluster.p_value_permutation]
-            )
-        rows.append([name, "clustering", "undefined", cluster.undefined])
-        rows.append([name, "icc", "estimate", icc.value])
-        rows.append([name, "icc", "undefined", icc.undefined])
-        panels[name] = data.outcomes
+        # a section that fails as it runs (its people do not fit in memory,
+        # say) is named, as a config error is
+        try:
+            if isinstance(spec, ThresholdScenario):
+                cohort = simulate_threshold_cohort(
+                    spec.model, spec.cohort_size, spec.seed
+                )
+                observed = float(cohort.outcomes.outcomes.mean())
+                latent = float(cohort.latent_risks.mean())
+                rows.append([name, "threshold", "cohort_size", spec.cohort_size])
+                rows.append([name, "threshold", "observed_frequency", observed])
+                rows.append([name, "threshold", "mean_latent_risk", latent])
+                panels[name] = cohort.outcomes.outcomes
+                continue
+            if spec.repeats == 1:
+                dist = exact_count_distribution(spec)
+                for k, prob in enumerate(dist):
+                    rows.append([name, "count_distribution", k, float(prob)])
+                single_outcome.append((name, spec))
+                continue
+            data = simulate_repeated(spec)
+            cluster = clustering_test(data, permutation_seed=spec.seed)
+            icc = icc_estimate(data)
+            rows.append([name, "clustering", "statistic", cluster.statistic])
+            rows.append([name, "clustering", "df", cluster.df])
+            rows.append([name, "clustering", "p_value", cluster.p_value])
+            if (permuted := cluster.p_value_permutation) is not None:
+                rows.append([name, "clustering", "p_value_permutation", permuted])
+            rows.append([name, "clustering", "undefined", cluster.undefined])
+            rows.append([name, "icc", "estimate", icc.value])
+            rows.append([name, "icc", "undefined", icc.undefined])
+            panels[name] = data.outcomes
+        except (ValueError, MemoryError) as exc:
+            raise InputError(f"section [{name}]: {exc}") from exc
 
     if len(single_outcome) >= 2:
         (name_a, spec_a), (name_b, spec_b) = single_outcome[0], single_outcome[1]

@@ -896,7 +896,10 @@ class TestSimulateCommand:
         )
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out) == (2, "")
-        assert err == f"error: n = {n}: its {n + 1} outcomes do not fit in memory\n"
+        assert err == (
+            f"error: section [s]: n = {n}: its {n + 1} outcomes do not fit in "
+            "memory\n"
+        )
 
     HUGE = 3 * 10**12  # tens of TiB: each allocation fails at once
 
@@ -926,8 +929,21 @@ class TestSimulateCommand:
         config.write_text(f"[a]\n{body}\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out) == (2, "")
-        assert err.startswith("error: Unable to allocate ")
+        assert err.startswith("error: section [a]: Unable to allocate ")
         assert f" shape {shape} " in err
+
+    def test_failure_names_the_section_that_ran_out(self, capsys, tmp_path):
+        # the first section runs; the second cannot be allocated
+        config = tmp_path / "huge.cfg"
+        config.write_text(
+            "[small]\ndistribution = point\np = 0.5\nsample_size = 3\nrepeats = 2\n"
+            f"[huge]\ndistribution = point\np = 0.5\nsample_size = {self.HUGE}\n"
+            "repeats = 2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: section [huge]: Unable to allocate ")
 
     def test_determinism_across_runs(self, capsys, data_dir):
         config = data_dir / "scenarios_repeated.cfg"
