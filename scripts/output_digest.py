@@ -13,9 +13,9 @@ empty ``--fictitious`` and ``--alpha`` lists, ``simulate --reps 0`` and
 with exit 2), and ``wilson`` and ``fit`` on seeded tables, the first 20 at
 ``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH pinned.  Two
 trees print the same stdout, stderr and written files exactly when their
-digests ``diff`` clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
-experiment script, hashing its stdout with the tree's path taken off the
-``inputs:`` lines.
+digests ``diff`` clean.  ``--scripts`` prints instead one ``sha256 exit
+script`` line per experiment script, hashing its stdout with the tree's path
+taken off the ``inputs:`` lines.
 """
 
 import argparse
