@@ -7,15 +7,21 @@ the repeated config (n*m = 30, so the permutation route runs) in each format
 and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
 the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
 four designs (one printing subnormal masses in full), ``simulate`` on one
-bad config per spec type and on a repeated design of one person, bad or
-empty ``--fictitious`` and ``--alpha`` lists, ``simulate --reps 0`` and
-``refuted --mode cm1`` at the README's values with ``--n 2`` (each refused
-with exit 2), and ``wilson`` and ``fit`` on seeded tables, the first 20 at
-``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH pinned.  Two
-trees print the same stdout, stderr and written files exactly when their
-digests ``diff`` clean.  ``--scripts`` prints instead one ``sha256 exit
-script`` line per experiment script, hashing its stdout with the tree's path
-taken off the ``inputs:`` lines.
+bad config per spec type, on a repeated design of one person and on a
+Poisson rate too large to draw, bad or empty ``--fictitious`` and
+``--alpha`` lists, ``simulate --reps 0``, ``refuted --mode cm1`` at the
+README's values with ``--n 2``, alpha = 1e-17 on ``wilson`` (table and
+``--fictitious``), ``fit`` and both ``refuted`` modes, a ``coverage`` level
+one ulp below 1 and ``wilson --fictitious`` at alpha = 2**-53 (each refused
+with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
+2**-52 and ``coverage`` at level 1 - 2**-52 (the last values that run), a
+``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), and
+``wilson`` and ``fit`` on seeded tables, the first 20 at ``--round 12`` as
+well, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
+same stdout, stderr and written files exactly when their digests ``diff``
+clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
+experiment script, hashing its stdout with the tree's path taken off the
+``inputs:`` lines.
 """
 
 import argparse
@@ -67,8 +73,8 @@ COHORT = (
     "model = threshold\nthreshold_location = 0.5\nprovocation_rate = 2.0\n"
     "strength_location = 0.0\n"
 )
-# one fault per spec type, and a repeated design of one person, so that
-# each refusal's stderr is digested
+# one fault per spec type, a repeated design of one person and a Poisson
+# rate numpy cannot draw, so that each refusal's stderr is digested
 REFUSALS = {
     "point_risk": "distribution = point\np = 1.5\nsample_size = 4\n",
     "two_point_risk": (
@@ -79,8 +85,12 @@ REFUSALS = {
     "threshold_model": f"{COHORT}follow_up = 0\ncohort_size = 5\n",
     "threshold_scenario": f"{COHORT}follow_up = 1.0\ncohort_size = 0\n",
     "tiny": "distribution = point\np = 0.5\nsample_size = 1\nrepeats = 3\n",
+    "poisson_rate": (
+        f"{COHORT.replace('2.0', '1e308')}follow_up = 1.0\ncohort_size = 5\n"
+    ),
 }
-# calls refused after parsing, so that each refusal's stderr is digested
+# calls refused or failing after parsing, and the last values that still
+# run, so that each refusal's stderr is digested beside its edge
 REFUSED_CALLS = (
     "wilson --fictitious 0.13 167,x",
     "wilson --fictitious 0.13 ,",
@@ -88,6 +98,23 @@ REFUSED_CALLS = (
     f"fit {TABLES[0]} --alpha ,",
     f"simulate {CONFIGS[1]} --reps 0",
     "refuted --mode cm1 " + CM1[0].replace("--n 255", "--n 2"),
+    # alpha (or 1 - level) so small that 1 - alpha/2 rounds to 1; alpha =
+    # 2**-52 and level = 1 - 2**-52 still run at each site that checks them,
+    # and alpha = 2**-53 does not
+    f"wilson {TABLES[0]} --alpha 1e-17",
+    "wilson --fictitious 0.13 10 --alpha 1e-17",
+    f"fit {TABLES[0]} --alpha 1e-17",
+    "refuted --mode hmc --theta 0.13 --alpha 1e-17",
+    f"refuted --mode cm1 {CM1[0]} --alpha 1e-17",
+    "coverage --n 10 --p 0.2 --level 0.9999999999999999",
+    f"wilson {TABLES[0]} --alpha {2**-52!r} --round 12",
+    f"fit {TABLES[0]} --alpha {2**-52!r} --round 12",
+    f"refuted --mode cm1 {CM1[0]} --alpha {2**-52!r} --round 12",
+    f"coverage --n 10 --p 0.2 --level {1 - 2**-52!r} --round 12",
+    f"wilson --fictitious 0.13 10 --alpha {2**-53!r}",
+    # (x_new - x_bar)**2 overflows
+    "refuted --mode cm1 --beta0 1e308 --beta1 5e-324 --sigma -0 --x-bar 1e308 "
+    "--ss-x 1e-300 --x-new 5e-324 --n 3 --df 5 --alpha 0.9",
 )
 
 

@@ -41,10 +41,10 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, 7 bad configs, 6 calls refused after parsing, and
-    # wilson + fit on each seeded table, at the default rounding and at
-    # --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 7 + 6 + 8
+    # 4 coverage calls, 8 bad configs, 18 calls refused or failing after
+    # parsing or at the edge of a refusal, and wilson + fit on each seeded
+    # table, at the default rounding and at --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 18 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -63,20 +63,29 @@ def test_two_table_corpus(monkeypatch):
         "simulate data/scenarios_repeated.cfg --reps 3 --format pretty",
         "simulate data/scenarios_repeated.cfg --reps 3 --seed 4294967296",
     ]
-    # one bad config per spec type and a one-person repeated design, each
-    # refused
-    assert [(code, argv) for _, code, argv in lines[92:99]] == [
+    # one bad config per spec type, a one-person repeated design and a
+    # Poisson rate too large to draw, each refused
+    assert [(code, argv) for _, code, argv in lines[92:100]] == [
         (2, f"simulate tables/{name}.cfg")
         for name in [
             "point_risk", "two_point_risk", "beta_risk", "scenario_spec",
-            "threshold_model", "threshold_scenario", "tiny",
+            "threshold_model", "threshold_scenario", "tiny", "poisson_rate",
         ]
     ]
-    # bad lists, --reps 0 and the README's cm1 call at n = 2, each refused
-    refused = [(code, argv.split()[0]) for _, code, argv in lines[99:105]]
+    # bad lists, --reps 0, the README's cm1 call at n = 2 and six alphas or
+    # levels too close to 0 or 1, each refused; four calls at alpha = 2**-52
+    # or level = 1 - 2**-52, which run, and one at alpha = 2**-53, refused;
+    # then a cm1 overflow, exit 3
+    refused = [(code, argv.split()[0]) for _, code, argv in lines[100:118]]
     assert refused == [
         (2, command)
-        for command in ["wilson", "wilson", "fit", "fit", "simulate", "refuted"]
+        for command in [
+            "wilson", "wilson", "fit", "fit", "simulate", "refuted",
+            "wilson", "wilson", "fit", "refuted", "refuted", "coverage",
+        ]
+    ] + [
+        (0, "wilson"), (0, "fit"), (0, "refuted"), (0, "coverage"),
+        (2, "wilson"), (3, "refuted"),
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
