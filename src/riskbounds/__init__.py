@@ -7,109 +7,54 @@ logistic regressions with delta-method risk intervals, reproduces two
 refuted "individual risk" interval recipes with permanent invalid flags,
 and runs exact/Monte Carlo identifiability experiments showing what
 single-outcome designs can and cannot reveal about risk heterogeneity.
+
+Names load lazily (PEP 562): ``import riskbounds`` imports no submodule and
+no numpy; reading a name imports only the submodule that defines it.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .data import (
-    CategoryRow,
-    CategoryTable,
-    InputError,
-    ParseError,
-    expand_weights,
-    parse_category_table,
-)
-from .identifiability import (
-    BetaRisk,
-    ClusteringTest,
-    IccEstimate,
-    PointRisk,
-    RepeatedOutcomes,
-    ScenarioSpec,
-    ThresholdCohort,
-    ThresholdModelSpec,
-    ThresholdScenario,
-    TwoPointRisk,
-    clustering_test,
-    exact_count_distribution,
-    icc_estimate,
-    latent_risk,
-    marginal_equivalence_check,
-    read_scenario_config,
-    simulate_repeated,
-    simulate_threshold_cohort,
-)
-from .logistic import (
-    LogisticFit,
-    NonConvergenceError,
-    NumericalError,
-    RiskPrediction,
-    SeparationError,
-    TrendTest,
-    fit_grouped_logistic,
-    predict_risk,
-    trend_test,
-)
-from .refuted import (
-    cm1_pseudo_interval,
-    hmc_individual_interval,
-    student_t_quantile,
-)
-from .rounding import format_fixed
-from .wilson import (
-    CoverageOutcome,
-    CoverageReport,
-    IntervalEstimate,
-    binomial_pmf,
-    exact_coverage,
-    standard_normal_quantile,
-    wilson_interval,
-)
+_EXPORTS = {
+    "data": (
+        "CategoryRow", "CategoryTable", "InputError", "ParseError",
+        "expand_weights", "parse_category_table",
+    ),
+    "identifiability": (
+        "BetaRisk", "ClusteringTest", "IccEstimate", "PointRisk",
+        "RepeatedOutcomes", "ScenarioSpec", "ThresholdCohort",
+        "ThresholdModelSpec", "ThresholdScenario", "TwoPointRisk",
+        "clustering_test", "exact_count_distribution", "icc_estimate",
+        "latent_risk", "marginal_equivalence_check", "read_scenario_config",
+        "simulate_repeated", "simulate_threshold_cohort",
+    ),
+    "logistic": (
+        "LogisticFit", "NonConvergenceError", "NumericalError", "RiskPrediction",
+        "SeparationError", "TrendTest", "fit_grouped_logistic", "predict_risk",
+        "trend_test",
+    ),
+    "refuted": ("cm1_pseudo_interval", "hmc_individual_interval", "student_t_quantile"),
+    "rounding": ("format_fixed",),
+    "wilson": (
+        "CoverageOutcome", "CoverageReport", "IntervalEstimate", "binomial_pmf",
+        "exact_coverage", "standard_normal_quantile", "wilson_interval",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BetaRisk",
-    "CategoryRow",
-    "CategoryTable",
-    "ClusteringTest",
-    "CoverageOutcome",
-    "CoverageReport",
-    "IccEstimate",
-    "InputError",
-    "IntervalEstimate",
-    "LogisticFit",
-    "NonConvergenceError",
-    "NumericalError",
-    "ParseError",
-    "PointRisk",
-    "RepeatedOutcomes",
-    "RiskPrediction",
-    "ScenarioSpec",
-    "SeparationError",
-    "ThresholdCohort",
-    "ThresholdModelSpec",
-    "ThresholdScenario",
-    "TrendTest",
-    "TwoPointRisk",
-    "binomial_pmf",
-    "clustering_test",
-    "cm1_pseudo_interval",
-    "exact_count_distribution",
-    "exact_coverage",
-    "expand_weights",
-    "fit_grouped_logistic",
-    "format_fixed",
-    "hmc_individual_interval",
-    "icc_estimate",
-    "latent_risk",
-    "marginal_equivalence_check",
-    "parse_category_table",
-    "predict_risk",
-    "read_scenario_config",
-    "simulate_repeated",
-    "simulate_threshold_cohort",
-    "standard_normal_quantile",
-    "student_t_quantile",
-    "trend_test",
-    "wilson_interval",
-]
+__all__ = ["__version__", *sorted(_SOURCE)]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

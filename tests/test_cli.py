@@ -1510,19 +1510,51 @@ def test_bad_list_or_count_exits_2_with_one_line(capsys, monkeypatch, argv, mess
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
-def test_import_leaves_numpy_random_and_scipy_special_unloaded():
-    # both load on first use; at start-up they would add to every CLI call
+def _fresh_python(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh interpreter on this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     child = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, riskbounds.cli; "
-            "print(sorted({'numpy.random', 'scipy.special'} & set(sys.modules)))",
-        ],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert child.stdout == "[]\n"
+    return child.stdout
+
+
+def test_import_leaves_numpy_random_and_scipy_special_unloaded():
+    # both load on first use; at start-up they would add to every CLI call
+    stdout = _fresh_python(
+        "import sys, riskbounds.cli; "
+        "print(sorted({'numpy.random', 'scipy.special'} & set(sys.modules)))"
+    )
+    assert stdout == "[]\n"
+
+
+def test_import_riskbounds_loads_no_numpy_scipy_or_submodule():
+    # names load on first read, and a name loads only its submodule; the
+    # submodules resolve as attributes of the bare package
+    stdout = _fresh_python(
+        "import sys, riskbounds\n"
+        "def loaded():\n"
+        "    roots = {'numpy', 'scipy', 'riskbounds'}\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "print(loaded())\n"
+        "riskbounds.format_fixed\n"
+        "print(loaded())\n"
+        "for name in ('data', 'identifiability', 'logistic', 'refuted',\n"
+        "             'rounding', 'wilson'):\n"
+        "    module = getattr(riskbounds, name)\n"
+        "    print(module is sys.modules['riskbounds.' + name], module.__name__)\n"
+    )
+    assert stdout.splitlines() == [
+        "['riskbounds']",
+        "['riskbounds', 'riskbounds.rounding']",
+        "True riskbounds.data",
+        "True riskbounds.identifiability",
+        "True riskbounds.logistic",
+        "True riskbounds.refuted",
+        "True riskbounds.rounding",
+        "True riskbounds.wilson",
+    ]
