@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CategoryTable, InputError
-from .wilson import IntervalEstimate, standard_normal_quantile
+from .wilson import IntervalEstimate, check_tail, standard_normal_quantile
 
 DEVIANCE_TOL = 1e-10
 MAX_ITERATIONS = 50
@@ -259,8 +259,7 @@ def predict_bounds(
     that category, and a failure raises the error of the first category
     that fails.  Internal: not in ``riskbounds.__all__``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_tail("alpha", alpha, alpha)
     if not fit.converged:
         raise NumericalError("predict_risk requires a converged fit")
     x = np.asarray(categories, dtype=float)
@@ -268,14 +267,9 @@ def predict_bounds(
     eta = fit.beta0 + fit.beta1 * x
     var = cov[0, 0] + 2.0 * x * cov[0, 1] + x * x * cov[1, 1]
     # inverse-information matrices can carry float dust on the diagonal:
-    # variances in [-1e-12, 0) count as 0, lower ones raise, the first
-    # category's before z is computed
+    # variances in [-1e-12, 0) count as 0, lower ones raise
     negative = var < -1e-12
-    if negative[:1].any():
-        raise NumericalError(f"negative variance {float(var[0])} for eta")
     se = np.sqrt(np.where(var < 0.0, 0.0, var))
-    # raises where alpha/2 vanishes next to 1, which covers every alpha whose
-    # level 1 - alpha would round to 1
     z = standard_normal_quantile(1.0 - alpha / 2.0)
     expit = _ufuncs()[0]
     risk = expit(eta)

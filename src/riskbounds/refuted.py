@@ -28,7 +28,7 @@ import math
 from dataclasses import replace
 
 from .data import check_integer
-from .wilson import IntervalEstimate, wilson_interval
+from .wilson import IntervalEstimate, check_tail, wilson_interval
 
 NOTE_SINGLE_OUTCOME = (
     "single-outcome Wilson interval misread as an individual-risk interval"
@@ -91,8 +91,7 @@ def cm1_pseudo_interval(
         raise ValueError(f"sigma_hat must be >= 0, got {sigma_hat}")
     if ss_x <= 0.0:
         raise ValueError(f"ss_x must be > 0, got {ss_x}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_tail("alpha", alpha, alpha)
     finite = dict(
         beta0=beta0, beta1=beta1, sigma_hat=sigma_hat, x_bar=x_bar, ss_x=ss_x,
         x_new=x_new,

@@ -177,6 +177,24 @@ def standard_normal_quantile(p: float) -> float:
     return ndtri(float(p))
 
 
+def check_tail(name: str, value: float, alpha: float) -> None:
+    """Refuse ``name`` = ``value`` unless it lies in (0, 1) and its two-sided
+    tail ``alpha`` leaves the quantile point 1 - alpha/2 below 1.
+
+    Every z and t here is taken at 1 - alpha/2, which rounds to 1 for an
+    alpha at or below 2**-53 (a level that close to 1); the quantile there
+    is infinite.  A value that passes also keeps the level 1 - alpha below
+    1.  Internal: not in ``riskbounds.__all__``.
+    """
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0,1), got {value}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(
+            f"{name} = {value!r} is too close to {round(value)}: "
+            "its quantile point 1 - alpha/2 rounds to 1"
+        )
+
+
 def _is_integral(x: float) -> bool:
     return abs(x - round(x)) <= _INTEGRAL_TOL
 
@@ -203,8 +221,7 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     the most, and ValueError names the first entry still out of order
     (a NaN theta, say).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    check_tail("alpha", alpha, alpha)
     z = standard_normal_quantile(1.0 - alpha / 2.0)
     z2 = z * z
     # numpy overflows to inf silently, as Python floats do (4 n^2 at
@@ -390,8 +407,7 @@ def exact_coverage(n: int, p_true: float, level: float) -> CoverageReport:
     check_integer(n, "n")
     if not 0.0 <= p_true <= 1.0:
         raise ValueError(f"p_true must be in [0,1], got {p_true}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
+    check_tail("level", level, 1.0 - level)
     _reserve_outcomes(n)  # refuse an n the full table could not hold, before any work
     z = standard_normal_quantile(1.0 - (1.0 - level) / 2.0)
     center = n * p_true

@@ -1510,6 +1510,33 @@ def test_bad_list_or_count_exits_2_with_one_line(capsys, monkeypatch, argv, mess
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "wilson data/vrag_categories.csv --alpha 1e-17",
+        "wilson --fictitious 0.13 10 --alpha 1e-17",
+        "fit data/vrag_categories.csv --alpha 1e-17",
+        "refuted --mode hmc --theta 0.13 --alpha 1e-17",
+        "refuted --mode cm1 --beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 "
+        "--x-bar 20 --ss-x 5000 --x-new 20 --alpha 1e-17",
+        "coverage --n 10 --p 0.2 --level 0.9999999999999999",
+    ],
+)
+def test_alpha_or_level_without_a_quantile_exits_2_naming_it(
+    capsys, monkeypatch, argv
+):
+    # 1 - alpha/2 rounds to 1 (alpha = 1 - level for coverage); the refusal
+    # names the flag, not the quantile function's argument
+    monkeypatch.chdir(ROOT)
+    name, value = argv.split()[-2:]
+    edge = 1 if name == "--level" else 0
+    message = (
+        f"error: {name[2:]} = {value} is too close to {edge}: "
+        "its quantile point 1 - alpha/2 rounds to 1\n"
+    )
+    assert run(capsys, *argv.split()) == (2, "", message)
+
+
 def _fresh_python(code: str) -> str:
     """stdout of ``python -c code`` in a fresh interpreter on this tree."""
     env = dict(os.environ)

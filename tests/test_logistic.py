@@ -666,22 +666,31 @@ class TestArrayLevelPrediction:
         assert _raised(predict_bounds, fit, categories, 0.05) == want
         assert _raised(predict_bounds, fit, (1,), 0.05) is None
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan"), 1e-20])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
     def test_bad_alpha_raises_as_before(self, vrag_fit, vrag_table, alpha):
-        # 1e-20 passes the alpha check, and 1 - alpha/2 == 1.0 has no
-        # normal quantile
         want = _raised(_scalar_bounds, vrag_fit, vrag_table.categories, alpha)
         assert want is not None
         assert _raised(predict_bounds, vrag_fit, vrag_table.categories, alpha) == want
 
     @pytest.mark.parametrize("categories", [(2, 1), (1, 2)])
-    def test_first_variance_is_checked_before_the_quantile(self, categories):
-        # var(x) = -1e-12 x: the scalar route raises at category 2 only if
-        # it comes first; otherwise z at alpha 1e-20 raises first
+    @pytest.mark.parametrize("alpha", [1e-20, 2.0**-53])
+    def test_alpha_without_a_quantile_is_refused_first(self, categories, alpha):
+        # 1 - alpha/2 rounds to 1, so z would be infinite; the refusal names
+        # alpha before any variance is checked (var(x) = -1e-12 x fails at
+        # category 2)
         fit = _hand_fit([[0.0, -5e-13], [-5e-13, 0.0]])
-        want = _raised(_scalar_bounds, fit, categories, 1e-20)
-        assert want[0] is (NumericalError if categories[0] == 2 else ValueError)
-        assert _raised(predict_bounds, fit, categories, 1e-20) == want
+        assert _raised(predict_bounds, fit, categories, alpha) == (
+            ValueError,
+            f"alpha = {alpha!r} is too close to 0: its quantile point "
+            "1 - alpha/2 rounds to 1",
+        )
+
+    def test_smallest_alpha_with_a_quantile_matches_the_scalar_copy(
+        self, vrag_fit, vrag_table
+    ):
+        got = predict_bounds(vrag_fit, vrag_table.categories, 2.0**-52)
+        want = _scalar_bounds(vrag_fit, vrag_table.categories, 2.0**-52)
+        assert [g.tolist() for g in got] == list(want)
 
     def test_unconverged_fit_is_refused(self, vrag_fit):
         fit = LogisticFit(

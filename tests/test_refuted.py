@@ -176,6 +176,19 @@ class TestPredictionIntervalRecipe:
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "n": 2}, df=1)
         assert est.lower < est.point < est.upper
 
+    def test_alpha_without_a_quantile_is_refused_by_name(self):
+        # 1 - alpha/2 rounds to 1 at alpha = 2**-53, not at 2**-52
+        message = (
+            r"^alpha = 1\.1102230246251565e-16 is too close to 0: its quantile "
+            r"point 1 - alpha/2 rounds to 1$"
+        )
+        with pytest.raises(ValueError, match=message):
+            cm1_pseudo_interval(**{**self.EXAMPLE, "alpha": 2.0**-53})
+        with pytest.raises(ValueError, match=message):
+            hmc_individual_interval(0.13, 2.0**-53)
+        est = cm1_pseudo_interval(**{**self.EXAMPLE, "alpha": 2.0**-52})
+        assert est.lower < est.point < est.upper
+
     def test_zero_sigma_collapses_to_a_point(self):
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": 0.0})
         assert est.lower == est.point == est.upper

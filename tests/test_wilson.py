@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -23,6 +24,14 @@ from riskbounds.wilson import CoverageReport, binomial_pmf_array, score_bounds
 
 def interval_for(theta: float, n: float, alpha: float = 0.05) -> IntervalEstimate:
     return wilson_interval(theta, n, alpha)
+
+
+def no_quantile(name: str, value: float) -> str:
+    """The refusal of a ``name`` whose quantile point 1 - alpha/2 is 1."""
+    return (
+        f"^{name} = {re.escape(repr(value))} is too close to {round(value)}: "
+        "its quantile point 1 - alpha/2 rounds to 1$"
+    )
 
 
 def pmf_by_three_gammaln_calls(n: int, p: float) -> np.ndarray:
@@ -199,6 +208,14 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(0.5, math.inf, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-53])
+    def test_alpha_without_a_quantile_is_refused_by_name(self, alpha):
+        # 1 - alpha/2 rounds to 1 at alpha <= 2**-53; 2**-52 still runs
+        # (TestScoreBoundsAcceptOnce.test_python_floats)
+        for call in (wilson_interval, score_bounds):
+            with pytest.raises(ValueError, match=no_quantile("alpha", alpha)):
+                call(0.13, 10.0, alpha)
+
 
 def score_bounds_outcome(theta, n, alpha: float):
     """``score_bounds`` against ``oracles.score_bounds_checked``: the same
@@ -261,6 +278,8 @@ class TestScoreBoundsAcceptOnce:
             (-0.0, 1.0, 0.5, None),
             (1.0, 9.0, 0.05, None),
             (0.13, 167.0, 0.05, None),
+            # the smallest alpha whose 1 - alpha/2 is below 1
+            (0.13, 10.0, 2.0**-52, None),
             (0.5, 10.5, 0.05, None),
             (0.5, 1e-12, 0.05, None),
             (0.5, 1e-320, 0.05, ZeroDivisionError),
@@ -493,3 +512,12 @@ class TestExactCoverage:
             exact_coverage(10, 0.2, 1.0)
         with pytest.raises(ValueError):  # 1 - level rounds to 1
             exact_coverage(10, 0.2, 1e-20)
+
+    def test_level_without_a_quantile_is_refused_by_name(self):
+        level = 1.0 - 2.0**-53
+        with pytest.raises(ValueError, match=no_quantile("level", level)):
+            exact_coverage(10, 0.2, level)
+        # the level nearest 1 that still has a quantile
+        level = 1.0 - 2.0**-52
+        coverage, _ = coverage_by_scalar_calls(10, 0.2, level)
+        assert exact_coverage(10, 0.2, level).coverage == coverage
