@@ -107,7 +107,13 @@ def cm1_pseudo_interval(
     # student_t_quantile has already imported scipy.special
     from scipy.special import expit
 
-    spread = math.sqrt(1.0 + 1.0 / n + (x_new - x_bar) ** 2 / ss_x)
+    try:
+        leverage = (x_new - x_bar) ** 2 / ss_x
+    except OverflowError:  # float ** raises where * would give inf
+        raise ArithmeticError(
+            f"(x_new - x_bar)**2 / ss_x overflows at x_new - x_bar = {x_new - x_bar!r}"
+        ) from None
+    spread = math.sqrt(1.0 + 1.0 / n + leverage)
     half = t * sigma_hat * spread
     eta = beta0 + beta1 * x_new
     return IntervalEstimate(

@@ -1295,6 +1295,19 @@ class TestNumericalFailures:
         assert out == ""
         assert err == "numerical failure: float division by zero\n"
 
+    def test_cm1_overflow_names_the_quantity(self, capsys):
+        # (x_new - x_bar)**2 overflows; it printed a bare errno tuple
+        argv = (
+            "refuted --mode cm1 --beta0 1e308 --beta1 5e-324 --sigma -0 "
+            "--x-bar 1e308 --ss-x 1e-300 --x-new 5e-324 --n 3 --df 5 --alpha 0.9"
+        )
+        assert run(capsys, *argv.split()) == (
+            3,
+            "",
+            "numerical failure: (x_new - x_bar)**2 / ss_x overflows at "
+            "x_new - x_bar = -1e+308\n",
+        )
+
     def test_failed_wilson_snap_exits_3(self, capsys):
         # at n ~ 1e-161 and a level near 0 the float bounds miss the point
         # by more than the snap tolerance, so wilson_interval raises

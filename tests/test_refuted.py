@@ -189,6 +189,14 @@ class TestPredictionIntervalRecipe:
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "alpha": 2.0**-52})
         assert est.lower < est.point < est.upper
 
+    def test_overflowing_leverage_names_the_quantity(self):
+        # (20 - 1e200)**2 is beyond the largest double
+        message = (
+            r"^\(x_new - x_bar\)\*\*2 / ss_x overflows at x_new - x_bar = -1e\+200$"
+        )
+        with pytest.raises(ArithmeticError, match=message):
+            cm1_pseudo_interval(**{**self.EXAMPLE, "x_bar": 1e200})
+
     def test_zero_sigma_collapses_to_a_point(self):
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": 0.0})
         assert est.lower == est.point == est.upper
