@@ -603,7 +603,13 @@ def simulate_threshold_cohort(
             spec.threshold_location + spec.threshold_spread * rng.standard_normal()
         )
         risks.append(latent_risk(spec, threshold))
-        count = rng.poisson(intensity) if intensity > 0.0 else 0
+        try:
+            count = rng.poisson(intensity) if intensity > 0.0 else 0
+        except ValueError as exc:  # numpy refuses a rate above its own limit
+            raise ValueError(
+                f"provocation_rate * follow_up = {intensity!r} is too large "
+                "for a Poisson draw"
+            ) from exc
         # one draw gives the strengths' normals, then the fluctuations'
         normals = rng.standard_normal(2 * count).tolist() if count > 0 else []
         events.append(

@@ -706,6 +706,11 @@ class TestSimulateCommand:
                 "section [threshold_cohort]: provocation_rate must be finite, got nan",
             ),
             (
+                ("provocation_rate = 2.0", "provocation_rate = 1e308"),
+                "section [threshold_cohort]: provocation_rate * follow_up = "
+                "1e+308 is too large for a Poisson draw",
+            ),
+            (
                 ("threshold_location = 0.5", "threshold_location = nan"),
                 "section [threshold_cohort]: threshold_location must be finite, "
                 "got nan",
@@ -748,7 +753,7 @@ class TestSimulateCommand:
             ),
         ],
         ids=[
-            "nan_rate", "nan_location", "missing_rate", "bad_seed",
+            "nan_rate", "huge_rate", "nan_location", "missing_rate", "bad_seed",
             "mixture_key", "misspelt_key", "default_key",
             "comma_name", "tab_name", "pipe_name",
         ],

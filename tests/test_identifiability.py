@@ -643,6 +643,21 @@ class TestThresholdModel:
         with pytest.raises(InputError):
             simulate_threshold_cohort(self.BASE, 0, seed=1)
 
+    @pytest.mark.parametrize("rate, follow_up", [(1e308, 1.0), (1e200, 1e200)])
+    def test_rate_numpy_cannot_draw_names_the_product(self, rate, follow_up):
+        spec = dataclasses.replace(
+            self.BASE, provocation_rate=rate, follow_up=follow_up
+        )
+        message = (
+            f"provocation_rate * follow_up = {rate * follow_up!r} is too large "
+            "for a Poisson draw"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            simulate_threshold_cohort(spec, 3, seed=1)
+        assert str(excinfo.value) == message
+        # numpy's own refusal is chained, so its limit stays numpy's
+        assert type(excinfo.value.__cause__) is ValueError
+
     @pytest.mark.parametrize(
         "name, value, message",
         [
