@@ -14,7 +14,7 @@ README's values with ``--n 2``, alpha = 1e-17 on ``wilson`` (table and
 ``--fictitious``), ``fit`` and both ``refuted`` modes, a ``coverage`` level
 one ulp below 1 and ``wilson --fictitious`` at alpha = 2**-53 (each refused
 with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
-2**-52 and ``coverage`` at level 1 - 2**-52 (the last values that run), a
+2**-52 and ``coverage`` at level 1 - 2**-52 (which still run), a
 ``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), and
 ``wilson`` and ``fit`` on seeded tables, the first 20 at ``--round 12`` as
 well, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
@@ -89,8 +89,8 @@ REFUSALS = {
         f"{COHORT.replace('2.0', '1e308')}follow_up = 1.0\ncohort_size = 5\n"
     ),
 }
-# calls refused or failing after parsing, and the last values that still
-# run, so that each refusal's stderr is digested beside its edge
+# calls refused or failing after parsing, and calls at the edge of a
+# refusal that still run, so that each refusal is digested beside its edge
 REFUSED_CALLS = (
     "wilson --fictitious 0.13 167,x",
     "wilson --fictitious 0.13 ,",

@@ -685,7 +685,7 @@ class TestArrayLevelPrediction:
             "1 - alpha/2 rounds to 1",
         )
 
-    def test_smallest_alpha_with_a_quantile_matches_the_scalar_copy(
+    def test_alpha_of_2_to_the_minus_52_matches_the_scalar_copy(
         self, vrag_fit, vrag_table
     ):
         got = predict_bounds(vrag_fit, vrag_table.categories, 2.0**-52)

@@ -278,7 +278,7 @@ class TestScoreBoundsAcceptOnce:
             (-0.0, 1.0, 0.5, None),
             (1.0, 9.0, 0.05, None),
             (0.13, 167.0, 0.05, None),
-            # the smallest alpha whose 1 - alpha/2 is below 1
+            # alpha = 2**-52: 1 - alpha/2 = 1 - 2**-53 is still below 1
             (0.13, 10.0, 2.0**-52, None),
             (0.5, 10.5, 0.05, None),
             (0.5, 1e-12, 0.05, None),
