@@ -15,8 +15,10 @@ README's values with ``--n 2``, alpha = 1e-17 on ``wilson`` (table and
 one ulp below 1 and ``wilson --fictitious`` at alpha = 2**-53 (each refused
 with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
 2**-52 and ``coverage`` at level 1 - 2**-52 (which still run), a
-``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), and
-``wilson`` and ``fit`` on seeded tables, the first 20 at ``--round 12`` as
+``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), a
+``coverage`` level so close to 0 that 1 - level rounds to 1, a ``refuted
+--mode cm1`` whose x_new - x_bar overflows, and ``wilson`` and ``fit`` on
+seeded tables, the first 20 at ``--round 12`` as
 well, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
 same stdout, stderr and written files exactly when their digests ``diff``
 clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
@@ -115,6 +117,11 @@ REFUSED_CALLS = (
     # (x_new - x_bar)**2 overflows
     "refuted --mode cm1 --beta0 1e308 --beta1 5e-324 --sigma -0 --x-bar 1e308 "
     "--ss-x 1e-300 --x-new 5e-324 --n 3 --df 5 --alpha 0.9",
+    # a level so close to 0 that 1 - level rounds to 1
+    "coverage --n 10 --p 0.2 --level 1e-20",
+    # x_new - x_bar overflows
+    "refuted --mode cm1 --beta0 0 --beta1 0 --sigma 0 --x-bar=-1e308 --ss-x 1 "
+    "--x-new 1e308 --n 5",
 )
 
 

@@ -41,10 +41,10 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, 8 bad configs, 18 calls refused or failing after
+    # 4 coverage calls, 8 bad configs, 20 calls refused or failing after
     # parsing or at the edge of a refusal, and wilson + fit on each seeded
     # table, at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 18 + 8
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -75,8 +75,9 @@ def test_two_table_corpus(monkeypatch):
     # bad lists, --reps 0, the README's cm1 call at n = 2 and six alphas or
     # levels too close to 0 or 1, each refused; four calls at alpha = 2**-52
     # or level = 1 - 2**-52, which run, and one at alpha = 2**-53, refused;
-    # then a cm1 overflow, exit 3
-    refused = [(code, argv.split()[0]) for _, code, argv in lines[100:118]]
+    # then a cm1 overflow, exit 3, a coverage level too close to 0 and a cm1
+    # difference that overflows
+    refused = [(code, argv.split()[0]) for _, code, argv in lines[100:120]]
     assert refused == [
         (2, command)
         for command in [
@@ -85,7 +86,7 @@ def test_two_table_corpus(monkeypatch):
         ]
     ] + [
         (0, "wilson"), (0, "fit"), (0, "refuted"), (0, "coverage"),
-        (2, "wilson"), (3, "refuted"),
+        (2, "wilson"), (3, "refuted"), (2, "coverage"), (2, "refuted"),
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
