@@ -183,8 +183,9 @@ def check_tail(name: str, value: float, alpha: float) -> None:
 
     Every z and t here is taken at 1 - alpha/2, which rounds to 1 for an
     alpha at or below 2**-53 (a level that close to 1); the quantile there
-    is infinite.  A value that passes also keeps the level 1 - alpha below
-    1.  Internal: not in ``riskbounds.__all__``.
+    is infinite.  A level at or below 2**-54 is refused too: its alpha =
+    1 - level rounds to 1.  A value that passes also keeps the level
+    1 - alpha below 1.  Internal: not in ``riskbounds.__all__``.
     """
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0,1), got {value}")
@@ -192,6 +193,11 @@ def check_tail(name: str, value: float, alpha: float) -> None:
         raise ValueError(
             f"{name} = {value!r} is too close to {round(value)}: "
             "its quantile point 1 - alpha/2 rounds to 1"
+        )
+    if alpha == 1.0:
+        raise ValueError(
+            f"{name} = {value!r} is too close to 0: its alpha = 1 - {name} "
+            "rounds to 1"
         )
 
 

@@ -1555,6 +1555,20 @@ def test_alpha_or_level_without_a_quantile_exits_2_naming_it(
     assert run(capsys, *argv.split()) == (2, "", message)
 
 
+@pytest.mark.parametrize("level", ["1e-20", "1e-17", "5.551115123125783e-17"])
+def test_coverage_level_whose_alpha_rounds_to_1_exits_2_naming_it(capsys, level):
+    # 1 - level rounds to 1 at level <= 2**-54: the refusal names the level,
+    # not the alpha = 1.0 derived from it
+    message = (
+        f"error: level = {level} is too close to 0: its alpha = 1 - level "
+        "rounds to 1\n"
+    )
+    argv = ("coverage", "--n", "10", "--p", "0.2", "--level", level)
+    assert run(capsys, *argv) == (2, "", message)
+    # 2**-53, the smallest power of 2 whose 1 - level is below 1, still runs
+    assert run(capsys, *argv[:-1], repr(2.0**-53))[0] == 0
+
+
 def _fresh_python(code: str) -> str:
     """stdout of ``python -c code`` in a fresh interpreter on this tree."""
     env = dict(os.environ)

@@ -510,8 +510,26 @@ class TestExactCoverage:
             exact_coverage(10, 1.2, 0.95)
         with pytest.raises(ValueError):
             exact_coverage(10, 0.2, 1.0)
-        with pytest.raises(ValueError):  # 1 - level rounds to 1
-            exact_coverage(10, 0.2, 1e-20)
+
+    @pytest.mark.parametrize("level", [1e-20, 1e-17, 2.0**-54])
+    def test_level_whose_alpha_rounds_to_1_is_refused_by_name(self, level):
+        # 1 - level rounds to 1 at level <= 2**-54; the refusal names the
+        # level, not the alpha derived from it
+        message = (
+            f"^level = {re.escape(repr(level))} is too close to 0: its alpha "
+            "= 1 - level rounds to 1$"
+        )
+        with pytest.raises(ValueError, match=message):
+            exact_coverage(10, 0.2, level)
+
+    def test_levels_nearest_0_that_run(self):
+        # 1 - level rounds to 1 - 2**-53 above level = 2**-54; the quantile
+        # point 1 - alpha/2 then rounds to 1/2, so z = 0 and only k = n p = 2
+        # is covered
+        for level in (2.0**-53, math.nextafter(2.0**-54, 1.0)):
+            coverage, _ = coverage_by_scalar_calls(10, 0.2, level)
+            assert exact_coverage(10, 0.2, level).coverage == coverage
+            assert coverage == binomial_pmf(2, 10, 0.2)
 
     def test_level_without_a_quantile_is_refused_by_name(self):
         level = 1.0 - 2.0**-53
