@@ -107,11 +107,16 @@ def cm1_pseudo_interval(
     # student_t_quantile has already imported scipy.special
     from scipy.special import expit
 
+    difference = x_new - x_bar
+    if not math.isfinite(difference):  # two finite doubles that overflow
+        raise ArithmeticError(
+            f"x_new - x_bar overflows at x_new = {x_new!r}, x_bar = {x_bar!r}"
+        )
     try:
-        leverage = (x_new - x_bar) ** 2 / ss_x
+        leverage = difference**2 / ss_x
     except OverflowError:  # float ** raises where * would give inf
         raise ArithmeticError(
-            f"(x_new - x_bar)**2 / ss_x overflows at x_new - x_bar = {x_new - x_bar!r}"
+            f"(x_new - x_bar)**2 / ss_x overflows at x_new - x_bar = {difference!r}"
         ) from None
     spread = math.sqrt(1.0 + 1.0 / n + leverage)
     half = t * sigma_hat * spread

@@ -1313,6 +1313,19 @@ class TestNumericalFailures:
             "x_new - x_bar = -1e+308\n",
         )
 
+    def test_cm1_difference_overflow_names_it(self, capsys):
+        # x_new - x_bar overflows; it exited 2 naming NaN bounds
+        argv = (
+            "refuted --mode cm1 --beta0 0 --beta1 0 --sigma 0 --x-bar=-1e308 "
+            "--ss-x 1 --x-new 1e308 --n 5"
+        )
+        assert run(capsys, *argv.split()) == (
+            3,
+            "",
+            "numerical failure: x_new - x_bar overflows at x_new = 1e+308, "
+            "x_bar = -1e+308\n",
+        )
+
     def test_failed_wilson_snap_exits_3(self, capsys):
         # at n ~ 1e-161 and a level near 0 the float bounds miss the point
         # by more than the snap tolerance, so wilson_interval raises

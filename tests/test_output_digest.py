@@ -75,8 +75,8 @@ def test_two_table_corpus(monkeypatch):
     # bad lists, --reps 0, the README's cm1 call at n = 2 and six alphas or
     # levels too close to 0 or 1, each refused; four calls at alpha = 2**-52
     # or level = 1 - 2**-52, which run, and one at alpha = 2**-53, refused;
-    # then a cm1 overflow, exit 3, a coverage level too close to 0 and a cm1
-    # difference that overflows
+    # then a cm1 overflow, exit 3, a coverage level too close to 0, refused,
+    # and a cm1 difference that overflows, exit 3
     refused = [(code, argv.split()[0]) for _, code, argv in lines[100:120]]
     assert refused == [
         (2, command)
@@ -86,7 +86,7 @@ def test_two_table_corpus(monkeypatch):
         ]
     ] + [
         (0, "wilson"), (0, "fit"), (0, "refuted"), (0, "coverage"),
-        (2, "wilson"), (3, "refuted"), (2, "coverage"), (2, "refuted"),
+        (2, "wilson"), (3, "refuted"), (2, "coverage"), (3, "refuted"),
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",

@@ -197,6 +197,16 @@ class TestPredictionIntervalRecipe:
         with pytest.raises(ArithmeticError, match=message):
             cm1_pseudo_interval(**{**self.EXAMPLE, "x_bar": 1e200})
 
+    @pytest.mark.parametrize("sigma_hat", [0.0, 1.0])
+    def test_overflowing_difference_names_it(self, sigma_hat):
+        # 1e308 - (-1e308) is beyond the largest double; at sigma_hat = 0
+        # the half-width was 0 * inf = NaN, and at sigma_hat = 1 the bounds
+        # were read off an infinite leverage
+        message = r"^x_new - x_bar overflows at x_new = 1e\+308, x_bar = -1e\+308$"
+        args = {**self.EXAMPLE, "sigma_hat": sigma_hat, "x_bar": -1e308}
+        with pytest.raises(ArithmeticError, match=message):
+            cm1_pseudo_interval(**{**args, "x_new": 1e308})
+
     def test_zero_sigma_collapses_to_a_point(self):
         est = cm1_pseudo_interval(**{**self.EXAMPLE, "sigma_hat": 0.0})
         assert est.lower == est.point == est.upper
