@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "data": (
-        "CategoryRow", "CategoryTable", "InputError", "ParseError",
-        "expand_weights", "parse_category_table",
+        "CategoryRow", "CategoryTable", "InputError", "NumericalError",
+        "ParseError", "expand_weights", "parse_category_table",
     ),
     "identifiability": (
         "BetaRisk", "ClusteringTest", "IccEstimate", "PointRisk",
@@ -30,9 +30,8 @@ _EXPORTS = {
         "simulate_repeated", "simulate_threshold_cohort",
     ),
     "logistic": (
-        "LogisticFit", "NonConvergenceError", "NumericalError", "RiskPrediction",
-        "SeparationError", "TrendTest", "fit_grouped_logistic", "predict_risk",
-        "trend_test",
+        "LogisticFit", "NonConvergenceError", "RiskPrediction", "SeparationError",
+        "TrendTest", "fit_grouped_logistic", "predict_risk", "trend_test",
     ),
     "refuted": ("cm1_pseudo_interval", "hmc_individual_interval", "student_t_quantile"),
     "rounding": ("format_fixed",),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import os
 import sys
 import time
@@ -19,32 +20,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .data import InputError, expand_weights, parse_category_table
-from .identifiability import (
-    ScenarioSpec,
-    ThresholdScenario,
-    clustering_test,
-    exact_count_distribution,
-    icc_estimate,
-    marginal_equivalence_check,
-    read_scenario_config,
-    simulate_repeated,
-    simulate_threshold_cohort,
-)
-from .logistic import (
-    NumericalError,
-    fit_grouped_logistic,
-    predict_bounds,
-    trend_test,
-)
-
-# predict_risk stays importable from this module: perfbench/tracing.py
-# wraps it here for its logistic.predict span, although cmd_fit now calls
-# predict_bounds
-from .logistic import predict_risk  # noqa: F401
+from .data import InputError, NumericalError, expand_weights, parse_category_table
 from .refuted import (
     REFUTATION_BANNER,
     cm1_pseudo_interval,
@@ -55,6 +32,35 @@ from .wilson import exact_coverage, score_bounds, wilson_interval
 
 FORMATS = ("csv", "tsv", "pretty")
 DEFAULT_DIGITS = 4
+
+# the submodules that load numpy, and the names this module takes from them;
+# cmd_fit and cmd_simulate bind theirs with _load, and __getattr__ serves any
+# other read, so each name is an attribute here, as an import would make it
+# (predict_risk is read here from outside; cmd_fit calls predict_bounds)
+_LAZY = {
+    "identifiability": (
+        "ScenarioSpec", "ThresholdScenario", "clustering_test",
+        "exact_count_distribution", "icc_estimate", "marginal_equivalence_check",
+        "read_scenario_config", "simulate_repeated", "simulate_threshold_cohort",
+    ),
+    "logistic": ("fit_grouped_logistic", "predict_bounds", "predict_risk", "trend_test"),
+}
+_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _load(module: str) -> None:
+    """Bind ``module``'s names in ``_LAZY`` here, keeping any already bound:
+    a name replaced by ``setattr`` before the first call stays replaced."""
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY_SOURCE[name])
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +261,17 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
     # every row is a real sample: CategoryRow holds integer counts with
     # 1 <= total and 0 <= events <= total; float() in Python converts
     # totals above 2**63 too
-    lower, upper = score_bounds(
-        np.array([row.proportion for row in table.rows]),
-        np.array([float(row.total) for row in table.rows]),
-        args.alpha,
-    )
     level, real = 1.0 - args.alpha, ("wilson", True)  # method, valid
-    rows = [
-        [row.category, row.total, row.events, row.proportion, lo, hi, level, *real]
-        for row, lo, hi in zip(table.rows, lower.tolist(), upper.tolist())
-    ]
+    rows = []
+    for row in table.rows:
+        theta = row.proportion
+        lo, hi = score_bounds(theta, float(row.total), args.alpha)
+        rows.append([row.category, row.total, row.events, theta, lo, hi, level, *real])
     return Report(columns, rows, {"alpha": args.alpha}, inputs=(args.table,))
 
 
 def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
+    _load("logistic")
     try:
         alphas = [float(part) for part in args.alpha.split(",") if part]
     except ValueError:
@@ -338,6 +341,7 @@ def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
+    _load("identifiability")
     specs = read_scenario_config(_read_text(args.config))
     if args.reps is not None:
         if args.reps < 1:
@@ -384,7 +388,7 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
 
     columns = ["section", "record", "key", "value"]
     rows: list[list[object]] = []
-    panels: dict[str, np.ndarray] = {}  # outcomes of each section that draws
+    panels = {}  # outcome arrays of each section that draws
     single_outcome: list[tuple[str, ScenarioSpec]] = []
 
     for name, spec in specs.items():

@@ -18,6 +18,10 @@ class InputError(ValueError):
     """Bad user-supplied data: malformed file, impossible counts, bad flags."""
 
 
+class NumericalError(RuntimeError):
+    """Fit failed for numerical reasons (no MLE, singular information...)."""
+
+
 def check_integer(value: int, name: str, minimum: int = 1) -> None:
     """Raise InputError unless ``value`` is an int (not a bool) >= ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:

@@ -19,16 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CategoryTable, InputError
+from .data import CategoryTable, InputError, NumericalError
 from .wilson import IntervalEstimate, check_tail, standard_normal_quantile
 
 DEVIANCE_TOL = 1e-10
 MAX_ITERATIONS = 50
 _MAX_HALVINGS = 12
-
-
-class NumericalError(RuntimeError):
-    """Fit failed for numerical reasons (no MLE, singular information...)."""
 
 
 class NonConvergenceError(NumericalError):

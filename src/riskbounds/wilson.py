@@ -4,11 +4,13 @@ The score interval for a binomial proportion inverts the normal score test
 of H0: p = p0, which keeps the bounds inside [0, 1] and behaves sensibly at
 observed proportions of 0 or 1, unlike the Wald interval.
 
-``score_bounds`` computes the bounds for arrays, and nothing else does:
-``exact_coverage``, the CLI's table route and the scalar wrapper
-``wilson_interval`` all call it.  ``exact_coverage`` computes masses and
-bounds only on the O(sqrt(n)) run of outcomes whose interval covers p; the
-full outcome table of a ``CoverageReport`` is built when it is first read.
+``score_bounds`` computes the bounds, and nothing else does: on arrays for
+``exact_coverage``, and on two Python floats for the CLI's table route (one
+call per row) and the scalar wrapper ``wilson_interval``.  numpy is
+imported on the first array call, so the float route loads none.
+``exact_coverage`` computes masses and bounds only on the O(sqrt(n)) run of
+outcomes whose interval covers p; the full outcome table of a
+``CoverageReport`` is built when it is first read.
 
 Real designs have an integer sample size and an integer event count, so
 the rows of a category table are real samples: ``CategoryRow`` holds
@@ -23,11 +25,10 @@ because no actual sample could have produced them.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from ._cephes import ndtri
 from .data import check_integer
@@ -40,6 +41,22 @@ METHODS = frozenset({"wilson", "logistic_delta", "fictitious_wilson", "cm1_pseud
 INVALID_METHODS = frozenset({"fictitious_wilson", "cm1_pseudo"})
 
 _INTEGRAL_TOL = 1e-9
+
+np = None  # numpy, bound by _numpy() on the first array call
+
+
+def _numpy():
+    """numpy, imported on first use and kept as the module global ``np``.
+
+    The hot functions read the global: an import statement in each of
+    them costs a lookup per call.
+    """
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
 
 
 @dataclass(frozen=True)
@@ -205,17 +222,20 @@ def _is_integral(x: float) -> bool:
     return abs(x - round(x)) <= _INTEGRAL_TOL
 
 
-def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def score_bounds(theta, n, alpha: float):
     """Score bounds (lower, upper) for proportions ``theta`` at sizes ``n``.
 
     The bounds solve (theta - b)^2 = z^2 b(1-b)/n in b, with z the standard
     normal quantile at 1 - alpha/2, clamped to [0, 1].  ``theta`` and ``n``
-    are float arrays, or Python floats from ``wilson_interval``.  The terms
-    use arithmetic operators only, so floats and arrays take the same
-    rounding steps, and two floats stay Python floats: a scalar call raises
-    Python's ``ZeroDivisionError`` where 4 n^2 underflows and prints no
-    numpy warning.  Returns float arrays (0-d for two floats).  Internal:
-    not in ``riskbounds.__all__``.
+    are float arrays, or two Python floats (``wilson_interval`` and the
+    CLI's table route).  The terms use arithmetic operators only, so floats
+    and arrays take the same rounding steps, and two floats stay Python
+    floats: a scalar call raises Python's ``ZeroDivisionError`` where 4 n^2
+    underflows and prints no numpy warning.  Two floats take ``math.sqrt``
+    and conditional clamps, which are exactly the ``np.sqrt`` and
+    ``np.where`` of arrays, and load no numpy unless a bound needs the snap
+    below.  Returns two float arrays, or two Python floats for two floats.
+    Internal: not in ``riskbounds.__all__``.
 
     The clamped bounds are returned at once when lower <= theta <= upper
     holds at every entry, which is nearly every call.  That is exactly
@@ -230,21 +250,32 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     check_tail("alpha", alpha, alpha)
     z = standard_normal_quantile(1.0 - alpha / 2.0)
     z2 = z * z
+    floats = type(theta) is float and type(n) is float
     # numpy overflows to inf silently, as Python floats do (4 n^2 at
     # totals above about 1e154)
-    with np.errstate(over="ignore"):
+    with nullcontext() if floats else _numpy().errstate(over="ignore"):
         center = theta + z2 / (2.0 * n)
         spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
         denom = 1.0 + z2 / n
-        half = z * np.sqrt(spread)
+        if floats:
+            # np.sqrt gives NaN for a negative spread (theta outside [0, 1])
+            half = z * (math.sqrt(spread) if spread >= 0.0 else math.nan)
+        else:
+            half = z * np.sqrt(spread)
         lower = (center - half) / denom
         upper = (center + half) / denom
     # np.where with these comparisons is exactly Python's max/min, -0.0
     # and NaN included
+    if floats:
+        lower = lower if lower > 0.0 else 0.0
+        upper = upper if upper < 1.0 else 1.0
+        if lower <= theta <= upper:
+            return lower, upper
+        _numpy()  # the snap and order check below work on arrays
     lower = np.where(lower > 0.0, lower, 0.0)
     upper = np.where(upper < 1.0, upper, 1.0)
     th = np.asarray(theta, dtype=float)
-    if ((lower <= th) & (th <= upper)).all():
+    if not floats and ((lower <= th) & (th <= upper)).all():
         return lower, upper
     # The formula contains theta by construction; snap away float dust
     # so the containment invariant cannot trip at the boundaries.
@@ -267,7 +298,7 @@ def score_bounds(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray]:
             f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
             f"({lower.flat[k]}, {th.flat[k]}, {upper.flat[k]}) at index {k}"
         )
-    return lower, upper
+    return (float(lower), float(upper)) if floats else (lower, upper)
 
 
 def wilson_interval(theta_hat: float, n: float, alpha: float) -> IntervalEstimate:
@@ -289,8 +320,8 @@ def wilson_interval(theta_hat: float, n: float, alpha: float) -> IntervalEstimat
     method = "wilson" if real_sample else "fictitious_wilson"
     return IntervalEstimate(
         point=th,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         level=1.0 - alpha,
         method=method,
         note=None if real_sample else "fractional sample: no such design exists",
@@ -312,7 +343,7 @@ def _reserve_outcomes(n: int) -> None:
     the same at any n.
     """
     try:
-        np.empty(n + 1)
+        _numpy().empty(n + 1)
     except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
         raise ValueError(f"n = {n}: its {n + 1} outcomes do not fit in memory") from None
 

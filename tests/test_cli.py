@@ -1604,6 +1604,56 @@ def test_import_leaves_numpy_random_and_scipy_special_unloaded():
     assert stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["wilson", "vrag_categories.csv"], ["numpy"]),
+        (["wilson", "--fictitious", "0.13", "167,50,10,5,1"], ["numpy"]),
+        (["refuted", "--mode", "hmc", "--theta", "0.13"], ["numpy"]),
+        (
+            ["coverage", "--n", "40", "--p", "0.37"],
+            ["riskbounds.identifiability", "riskbounds.logistic"],
+        ),
+        (["fit", "vrag_categories.csv"], ["riskbounds.identifiability"]),
+        (["simulate", "scenarios_repeated.cfg"], ["riskbounds.logistic"]),
+    ],
+    ids=["wilson", "fictitious", "hmc", "coverage", "fit", "simulate"],
+)
+def test_a_call_loads_only_the_modules_it_uses(argv, unloaded):
+    # a command imports the submodules it calls, and numpy only with them;
+    # the three commands that touch no array run without numpy
+    argv = [str(ROOT / "data" / a) if a.endswith((".csv", ".cfg")) else a for a in argv]
+    stdout = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from riskbounds import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    assert stdout == "0 []\n"
+
+
+def test_a_name_set_before_the_first_call_is_kept(vrag_path):
+    # perfbench/tracing.py replaces riskbounds.cli's names by setattr
+    # before any call; loading the submodule on first use must keep them
+    stdout = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from riskbounds import cli\n"
+        "print('riskbounds.logistic' in sys.modules)\n"
+        "from riskbounds import logistic\n"
+        "calls = []\n"
+        "def spy(table):\n"
+        "    calls.append(table)\n"
+        "    return logistic.fit_grouped_logistic(table)\n"
+        "setattr(cli, 'fit_grouped_logistic', spy)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['fit', {str(vrag_path)!r}])\n"
+        "print(code, len(calls), cli.fit_grouped_logistic is spy)\n"
+        "print(cli.trend_test is logistic.trend_test)\n"
+    )
+    assert stdout.splitlines() == ["False", "0 1 True", "True"]
+
+
 def test_import_riskbounds_loads_no_numpy_scipy_or_submodule():
     # names load on first read, and a name loads only its submodule; the
     # submodules resolve as attributes of the bare package

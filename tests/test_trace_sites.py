@@ -64,7 +64,9 @@ KEPT_IMPORTS = _kept_imports()
 
 
 def test_kept_imports_were_found():
-    assert ("riskbounds.cli", ("predict_risk",)) in KEPT_IMPORTS
+    assert (
+        "riskbounds.identifiability", ("binomial_pmf", "binomial_pmf_array")
+    ) in KEPT_IMPORTS
 
 
 @pytest.mark.parametrize(
