@@ -17,8 +17,10 @@ with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
 2**-52 and ``coverage`` at level 1 - 2**-52 (which still run), a
 ``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), a
 ``coverage`` level so close to 0 that 1 - level rounds to 1, a ``refuted
---mode cm1`` whose x_new - x_bar overflows, and ``wilson`` and ``fit`` on
-seeded tables, the first 20 at ``--round 12`` as
+--mode cm1`` whose x_new - x_bar overflows, ``simulate --round 12`` on two
+repeated designs whose chi-square p-values take an even df (n = 11, m = 4)
+and a large one (n = 2001, all-or-none at m = 2), and ``wilson`` and
+``fit`` on seeded tables, the first 20 at ``--round 12`` as
 well, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
 same stdout, stderr and written files exactly when their digests ``diff``
 clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
@@ -91,6 +93,18 @@ REFUSALS = {
         f"{COHORT.replace('2.0', '1e308')}follow_up = 1.0\ncohort_size = 5\n"
     ),
 }
+# repeated designs whose clustering p-value takes an even df (10) and a
+# large one (2000, at a statistic of 4002)
+DESIGNS = {
+    "even_df": (
+        "distribution = two_point\np1 = 0.7\nw1 = 0.5\np2 = 0.3\n"
+        "sample_size = 11\nrepeats = 4\nseed = 5\n"
+    ),
+    "large_df": (
+        "distribution = two_point\np1 = 1.0\nw1 = 0.5\np2 = 0.0\n"
+        "sample_size = 2001\nrepeats = 2\n"
+    ),
+}
 # calls refused or failing after parsing, and calls at the edge of a
 # refusal that still run, so that each refusal is digested beside its edge
 REFUSED_CALLS = (
@@ -125,6 +139,13 @@ REFUSED_CALLS = (
 )
 
 
+def write_config(name: str, body: str) -> str:
+    """Write ``[name]`` with ``body`` under tables/ and return its path."""
+    path = f"tables/{name}.cfg"
+    Path(path).write_text(f"[{name}]\n{body}", encoding="utf-8")
+    return path
+
+
 def corpus(seed: int, count: int) -> list[list[str]]:
     """The calls, after writing ``count`` seeded tables under tables/."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
@@ -146,10 +167,10 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     rng = np.random.default_rng(seed)
     os.mkdir("tables")
     for name, body in REFUSALS.items():
-        path = f"tables/{name}.cfg"
-        Path(path).write_text(f"[{name}]\n{body}", encoding="utf-8")
-        calls.append(["simulate", path])
+        calls.append(["simulate", write_config(name, body)])
     calls += [call.split() for call in REFUSED_CALLS]
+    for name, body in DESIGNS.items():
+        calls.append(["simulate", write_config(name, body), "--round", "12"])
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)

@@ -42,9 +42,10 @@ def test_two_table_corpus(monkeypatch):
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
     # 4 coverage calls, 8 bad configs, 20 calls refused or failing after
-    # parsing or at the edge of a refusal, and wilson + fit on each seeded
-    # table, at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 8
+    # parsing or at the edge of a refusal, 2 repeated designs for the
+    # p-value, and wilson + fit on each seeded table, at the default
+    # rounding and at --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -87,6 +88,11 @@ def test_two_table_corpus(monkeypatch):
     ] + [
         (0, "wilson"), (0, "fit"), (0, "refuted"), (0, "coverage"),
         (2, "wilson"), (3, "refuted"), (2, "coverage"), (3, "refuted"),
+    ]
+    # an even df and a large one, each run
+    assert [(code, argv) for _, code, argv in lines[120:122]] == [
+        (0, f"simulate tables/{name}.cfg --round 12")
+        for name in ["even_df", "large_df"]
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
