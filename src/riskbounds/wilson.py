@@ -232,10 +232,10 @@ def score_bounds(theta, n, alpha: float):
     and arrays take the same rounding steps, and two floats stay Python
     floats: a scalar call raises Python's ``ZeroDivisionError`` where 4 n^2
     underflows and prints no numpy warning.  Two floats take ``math.sqrt``
-    and conditional clamps, which are exactly the ``np.sqrt`` and
-    ``np.where`` of arrays, and load no numpy unless a bound needs the snap
-    below.  Returns two float arrays, or two Python floats for two floats.
-    Internal: not in ``riskbounds.__all__``.
+    and conditional clamps and snaps, which are exactly the ``np.sqrt``
+    and ``np.where`` of arrays, and load no numpy.  Returns two float
+    arrays, or two Python floats for two floats.  Internal: not in
+    ``riskbounds.__all__``.
 
     The clamped bounds are returned at once when lower <= theta <= upper
     holds at every entry, which is nearly every call.  That is exactly
@@ -271,11 +271,23 @@ def score_bounds(theta, n, alpha: float):
         upper = upper if upper < 1.0 else 1.0
         if lower <= theta <= upper:
             return lower, upper
-        _numpy()  # the snap and order check below work on arrays
+        # the array block below at one entry, index 0
+        if lower - theta > 1e-9:
+            raise AssertionError(f"wilson lower bound {lower} above point {theta}")
+        lower = theta if lower > theta else lower
+        if theta - upper > 1e-9:
+            raise AssertionError(f"wilson upper bound {upper} below point {theta}")
+        upper = theta if upper < theta else upper
+        if not 0.0 <= lower <= theta <= upper <= 1.0:
+            raise ValueError(
+                f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
+                f"({lower}, {theta}, {upper}) at index 0"
+            )
+        return lower, upper
     lower = np.where(lower > 0.0, lower, 0.0)
     upper = np.where(upper < 1.0, upper, 1.0)
     th = np.asarray(theta, dtype=float)
-    if not floats and ((lower <= th) & (th <= upper)).all():
+    if ((lower <= th) & (th <= upper)).all():
         return lower, upper
     # The formula contains theta by construction; snap away float dust
     # so the containment invariant cannot trip at the boundaries.
@@ -298,7 +310,7 @@ def score_bounds(theta, n, alpha: float):
             f"bounds must satisfy 0 <= lower <= point <= upper <= 1, got "
             f"({lower.flat[k]}, {th.flat[k]}, {upper.flat[k]}) at index {k}"
         )
-    return (float(lower), float(upper)) if floats else (lower, upper)
+    return lower, upper
 
 
 def wilson_interval(theta_hat: float, n: float, alpha: float) -> IntervalEstimate:

@@ -1609,6 +1609,8 @@ def test_import_leaves_numpy_random_and_scipy_special_unloaded():
     [
         (["wilson", "vrag_categories.csv"], ["numpy"]),
         (["wilson", "--fictitious", "0.13", "167,50,10,5,1"], ["numpy"]),
+        # bounds that miss their point by float dust, snapped without numpy
+        (["wilson", "--fictitious", "0", "1,2,3,0.5,11,1e-5"], ["numpy"]),
         (["refuted", "--mode", "hmc", "--theta", "0.13"], ["numpy"]),
         (
             ["coverage", "--n", "40", "--p", "0.37"],
@@ -1617,7 +1619,7 @@ def test_import_leaves_numpy_random_and_scipy_special_unloaded():
         (["fit", "vrag_categories.csv"], ["riskbounds.identifiability"]),
         (["simulate", "scenarios_repeated.cfg"], ["riskbounds.logistic"]),
     ],
-    ids=["wilson", "fictitious", "hmc", "coverage", "fit", "simulate"],
+    ids=["wilson", "fictitious", "fictitious-snap", "hmc", "coverage", "fit", "simulate"],
 )
 def test_a_call_loads_only_the_modules_it_uses(argv, unloaded):
     # a command imports the submodules it calls, and numpy only with them;

@@ -299,6 +299,18 @@ class TestScoreBoundsAcceptOnce:
     def test_python_floats(self, theta, n, alpha, raises):
         assert score_bounds_outcome(theta, n, alpha) is raises
 
+    def test_python_floats_snap_as_arrays_do(self):
+        # at alpha = 0.05, theta = 0 misses its bound by float dust at 22
+        # of the sizes 1..100 and theta = 1 at 21, so the float route snaps;
+        # out-of-contract floats raise the array block's exceptions
+        for n in range(1, 101):
+            for theta in (0.0, 1.0):
+                assert score_bounds_outcome(theta, float(n), 0.05) is None
+        for bad, raises in [
+            (math.nan, ValueError), (-0.1, AssertionError), (1.5, AssertionError)
+        ]:
+            assert score_bounds_outcome(bad, 1.0, 0.05) is raises
+
     @pytest.mark.parametrize(
         "bad,n,raises",
         [
