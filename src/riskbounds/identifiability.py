@@ -25,6 +25,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from ._loader import chi2_upper_tail
 from .data import InputError, check_integer
 # binomial_pmf stays importable from this module: perfbench/tracing.py
 # wraps the scalar pmf at this name as well as in wilson
@@ -371,7 +372,8 @@ def simulate_repeated(spec: ScenarioSpec) -> RepeatedOutcomes:
 class ClusteringTest:
     """Homogeneity test of per-individual success counts.
 
-    ``p_value`` is the asymptotic chi-square tail with df = n - 1.  For
+    ``p_value`` is the asymptotic chi-square tail with df = n - 1, summed
+    by ``_loader.chi2_upper_tail`` in pure Python (no scipy).  For
     designs with fewer than SMALL_DESIGN_THRESHOLD total observations,
     ``p_value_permutation`` holds a permutation p-value as well: outcomes
     shuffled across individuals a fixed PERMUTATION_COUNT (10,000) times,
@@ -444,10 +446,7 @@ def clustering_test(
             undefined=True,
         )
     stat = float(((counts - m * p_hat) ** 2).sum() / (m * p_hat * (1.0 - p_hat)))
-    # imported on first use: scipy.special is most of the start-up time
-    from scipy.special import gammaincc
-
-    p_value = float(gammaincc((n - 1) / 2.0, stat / 2.0))
+    p_value = chi2_upper_tail(n - 1, stat)
     p_perm = None
     if n * m < SMALL_DESIGN_THRESHOLD:
         table = _permutation_table(permutation_seed, n * m)

@@ -178,6 +178,23 @@ def cm1_interval(
         return float(expit(eta)), float(expit(eta - half)), float(expit(eta + half))
 
 
+def chi2_survival(stat: float, df: int) -> float:
+    """Upper chi-square tail at 50 digits, independent of scipy."""
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+def stirlerr(n: float) -> float:
+    """log Gamma(n + 1) - (n + 1/2) log n + n - log sqrt(2 pi) at 50 digits,
+    rounded to double: Stirling's series' error, which Loader tabulates."""
+    with mpmath.workdps(50):
+        v = mpmath.mpf(n)
+        return float(
+            mpmath.loggamma(v + 1) - (v + 0.5) * mpmath.log(v) + v
+            - mpmath.log(2 * mpmath.pi) / 2
+        )
+
+
 def chi2_survival_1df(x: float) -> float:
     """P(X > x) for a 1-df chi-square, through the normal tail."""
     with mpmath.workdps(50):

@@ -1617,13 +1617,19 @@ def test_import_leaves_numpy_random_and_scipy_special_unloaded():
             ["riskbounds.identifiability", "riskbounds.logistic"],
         ),
         (["fit", "vrag_categories.csv"], ["riskbounds.identifiability"]),
-        (["simulate", "scenarios_repeated.cfg"], ["riskbounds.logistic"]),
+        # the clustering test's p-value and the threshold cohort need no scipy
+        (["simulate", "scenarios_repeated.cfg"], ["riskbounds.logistic", "scipy"]),
+        (["simulate", "threshold_demo.cfg"], ["riskbounds.logistic", "scipy"]),
     ],
-    ids=["wilson", "fictitious", "fictitious-snap", "hmc", "coverage", "fit", "simulate"],
+    ids=[
+        "wilson", "fictitious", "fictitious-snap", "hmc", "coverage", "fit",
+        "simulate", "threshold",
+    ],
 )
 def test_a_call_loads_only_the_modules_it_uses(argv, unloaded):
     # a command imports the submodules it calls, and numpy only with them;
-    # the three commands that touch no array run without numpy
+    # the three commands that touch no array run without numpy, and only
+    # single-outcome simulate sections load scipy
     argv = [str(ROOT / "data" / a) if a.endswith((".csv", ".cfg")) else a for a in argv]
     stdout = _fresh_python(
         "import contextlib, io, sys\n"

@@ -4,7 +4,6 @@ import math
 import random
 import re
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,12 +40,6 @@ from riskbounds.identifiability import (
 
 SCENARIO_A = ScenarioSpec(PointRisk(0.6), sample_size=2)
 SCENARIO_B = ScenarioSpec(TwoPointRisk(p1=1.0, w1=0.6, p2=0.0), sample_size=2)
-
-
-def chi2_survival(stat: float, df: int) -> float:
-    """Upper chi-square tail at 50 digits, independent of scipy."""
-    with mpmath.workdps(50):
-        return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
 
 
 @st.composite
@@ -280,7 +273,7 @@ class TestClusteringTest:
         spec = ScenarioSpec(PointRisk(0.6), 10, repeats=5, seed=42)
         result = clustering_test(simulate_repeated(spec))
         assert result.p_value == pytest.approx(
-            chi2_survival(result.statistic, result.df), rel=1e-10
+            oracles.chi2_survival(result.statistic, result.df), rel=1e-10
         )
 
     def test_degenerate_pooled_proportion_is_undefined(self):
