@@ -85,21 +85,19 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _split(a: float) -> tuple[float, float]:
-    """a as hi + lo, each with at most 26 significant bits (Dekker)."""
-    if abs(a) > 1e300:  # scaled by powers of 2, so that c cannot overflow
-        hi, lo = _split(a * 2.0**-28)
-        return hi * 2.0**28, lo * 2.0**28
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a * b as p + e exactly, p the rounded product (Dekker)."""
+    """a * b as p + e exactly, p the rounded product (Dekker: each factor
+    split into two halves of at most 26 bits).  ``a`` may be any finite
+    double, |b| at most 1e300."""
+    if abs(a) > 1e300:  # 2**27 a would overflow: scale by a power of 2
+        p, e = _two_prod(a * 2.0**-28, b)
+        return p * 2.0**28, e * 2.0**28
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    c = 134217729.0 * a  # 2**27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -125,7 +123,7 @@ def bd0(i: float, x: float) -> tuple[float, float]:
     if i * abs(log_q) > 16.0 and abs(d) < 0.5 * (i + x):
         total, total_lo = _two_sum(i, x)
         v = d / total
-        p, p_lo = _two_prod(v, total)
+        p, p_lo = _two_prod(total, v)
         v_lo = ((d - p) - p_lo + d_lo - v * total_lo) / total
         s, s_lo = _two_prod(d, v)
         s_lo += d * v_lo + d_lo * v
@@ -139,7 +137,7 @@ def bd0(i: float, x: float) -> tuple[float, float]:
             if series == last:
                 return _two_sum(s, s_lo + series)
             j += 2.0
-    p, p_lo = _two_prod(q, x)
+    p, p_lo = _two_prod(x, q)
     rho = (i - p) - p_lo  # i - q x, exact
     log_term, log_lo = _two_prod(i, log_q)
     hi, lo = _two_sum(log_term, -d)
@@ -156,7 +154,8 @@ def _poisson_term(i: float, x: float) -> float:
 
 
 def _erfc_sqrt(x: float) -> float:
-    """erfc(sqrt(x)), with the rounding of the root taken back out.
+    """erfc(sqrt(x)), the whole tail at df 1, with the rounding of the root
+    taken back out.
 
     erfc(r) falls by a relative 2 r^2 (r' - r) / r as r rises to r', so the
     half-ulp rounding of r = sqrt(x) would cost up to x 2**-52 (1.5e-13 at
@@ -197,16 +196,20 @@ def chi2_upper_tail(df: int, stat: float) -> float:
     if x < 1e-33:
         # 1 - Q = P(a, x) <= P(1/2, x) = erf(sqrt(x)) < 2**-54: Q rounds to 1
         return 1.0
+    if df == 1:
+        return _erfc_sqrt(x)
     if a - 1.0 < x:
-        total = 0.0
         i = a - 1.0
-        if i >= 0.0:
-            total = term = _poisson_term(i, x)
-            while i >= 1.0 and term > _STOP * total:
-                term *= i / x
-                i -= 1.0
-                total += term
-        return total + _erfc_sqrt(x) if df % 2 else total
+        total = term = _poisson_term(i, x)
+        while i >= 1.0 and term > _STOP * total:
+            term *= i / x
+            i -= 1.0
+            total += term
+        if df % 2:
+            # from df 3 on erfc(sqrt(x)) is at most 1/(2x) of Q, so the
+            # rounding of the root costs Q under 2**-53 and is left in
+            total += math.erfc(math.sqrt(x))
+        return total
     i = a
     total = term = _poisson_term(i, x)
     while term > _STOP * total:
