@@ -1628,8 +1628,8 @@ def test_import_leaves_numpy_random_and_scipy_special_unloaded():
 )
 def test_a_call_loads_only_the_modules_it_uses(argv, unloaded):
     # a command imports the submodules it calls, and numpy only with them;
-    # the three commands that touch no array run without numpy, and only
-    # single-outcome simulate sections load scipy
+    # the three commands that touch no array run without numpy, and
+    # simulate loads scipy only for single-outcome sections
     argv = [str(ROOT / "data" / a) if a.endswith((".csv", ".cfg")) else a for a in argv]
     stdout = _fresh_python(
         "import contextlib, io, sys\n"
