@@ -65,16 +65,12 @@ _STOP = 1e-17
 
 def stirlerr(n: float) -> float:
     """log Gamma(n + 1) - (n + 1/2) log n + n - log sqrt(2 pi), for n > 0 a
-    multiple of 1/2: the table up to 15, Loader's Stirling series beyond."""
+    multiple of 1/2: the table up to 15, the Stirling series beyond (all
+    five of Loader's terms: he drops the last ones from n = 35 on, for
+    speed)."""
     if n <= 15.0:
         return _STIRLERR_HALVES[int(2.0 * n) - 1]
     nn = n * n
-    if n > 500.0:
-        return (_S0 - _S1 / nn) / n
-    if n > 80.0:
-        return (_S0 - (_S1 - _S2 / nn) / nn) / n
-    if n > 35.0:
-        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
 
 
