@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 
-# stirlerr(n) at n = 1/2, 1, 3/2, ..., 15: 50-digit mpmath values of
+# stirlerr(n) at n = 0, 1/2, 1, ..., 15: 50-digit mpmath values of
 # log Gamma(n + 1) - (n + 1/2) log n + n - log sqrt(2 pi), rounded to double
 # (pinned in tests/test_loader.py).  stirlerr(0) is infinite; the i = 0 term
 # is e^-x and never reads it.
 _STIRLERR_HALVES = (
+    math.inf,
     0.15342640972002736,
     0.08106146679532726,
     0.05481412105191765,
@@ -64,12 +65,12 @@ _STOP = 1e-17
 
 
 def stirlerr(n: float) -> float:
-    """log Gamma(n + 1) - (n + 1/2) log n + n - log sqrt(2 pi), for n > 0 a
+    """log Gamma(n + 1) - (n + 1/2) log n + n - log sqrt(2 pi), for n >= 0 a
     multiple of 1/2: the table up to 15, the Stirling series beyond (all
     five of Loader's terms: he drops the last ones from n = 35 on, for
     speed)."""
     if n <= 15.0:
-        return _STIRLERR_HALVES[int(2.0 * n) - 1]
+        return _STIRLERR_HALVES[int(2.0 * n)]
     nn = n * n
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
 

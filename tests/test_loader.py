@@ -31,9 +31,10 @@ def grid_stats(df: int) -> list[float]:
 
 
 def test_stirlerr_table_is_the_oracle_rounded_to_double():
+    # n = 0, 1/2, ..., 15; stirlerr(0) is +inf
     halves = _loader._STIRLERR_HALVES
-    assert len(halves) == 30
-    for k, value in enumerate(halves, start=1):
+    assert len(halves) == 31
+    for k, value in enumerate(halves):
         assert value == oracles.stirlerr(k / 2), k / 2
         assert stirlerr(k / 2) == value
 
