@@ -19,9 +19,13 @@ with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
 ``coverage`` level so close to 0 that 1 - level rounds to 1, a ``refuted
 --mode cm1`` whose x_new - x_bar overflows, ``simulate --round 12`` on two
 repeated designs whose chi-square p-values take an even df (n = 11, m = 4)
-and a large one (n = 2001, all-or-none at m = 2), and ``wilson`` and
-``fit`` on seeded tables, the first 20 at ``--round 12`` as
-well, run in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
+and a large one (n = 2001, all-or-none at m = 2), ``--help`` at the top
+level and for each subcommand, ``--version`` and seven usage errors, with
+argparse wrapping at COLUMNS=80, ``wilson`` and ``fit`` on a table whose
+total is too large for a double, a ``fit`` whose ``--expand`` makes one,
+``wilson --fictitious`` at an n whose 4 n**2 underflows, and ``wilson``
+and ``fit`` on seeded tables, the first 20 at ``--round 12`` as well, run
+in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
 same stdout, stderr and written files exactly when their digests ``diff``
 clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
 experiment script, hashing its stdout with the tree's path taken off the
@@ -138,6 +142,25 @@ REFUSED_CALLS = (
     "--x-new 1e308 --n 5",
 )
 
+# the parser's own output: each --help, --version and usage errors (no
+# subcommand, an unknown one, a missing flag, a bad int, a bad choice of
+# --format and of --mode, and too few --fictitious values)
+PARSER_CALLS = (
+    "--help",
+    *(f"{name} --help" for name in ["wilson", "fit", "coverage", "simulate"]),
+    "refuted --help",
+    "--version",
+    "",
+    "bogus",
+    "coverage --p 0.2",
+    "coverage --n x --p 0.2",
+    "wilson --format xml",
+    "refuted --mode abc",
+    "wilson --fictitious 0.1",
+)
+# a total of 10**400, which no double holds, beside a second stratum
+HUGE_TABLE = f"category,total,events\n1,{10**400},1\n2,10,5\n"
+
 
 def write_config(name: str, body: str) -> str:
     """Write ``[name]`` with ``body`` under tables/ and return its path."""
@@ -171,6 +194,11 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     calls += [call.split() for call in REFUSED_CALLS]
     for name, body in DESIGNS.items():
         calls.append(["simulate", write_config(name, body), "--round", "12"])
+    calls += [call.split() for call in PARSER_CALLS]
+    Path("tables/huge.csv").write_text(HUGE_TABLE, encoding="utf-8")
+    calls += [["wilson", "tables/huge.csv"], ["fit", "tables/huge.csv"]]
+    calls.append(["fit", TABLES[0], "--expand", str(10**308)])  # 11 * 10**308
+    calls.append(["wilson", "--fictitious", "0.5", "1e-320"])  # 4 n**2 is 0
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)
@@ -225,6 +253,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
     os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps --help to
     if args.scripts:
         for script in SCRIPTS:
             print(*script_digest(script), script)
@@ -235,7 +264,7 @@ def main(argv: list[str] | None = None) -> None:
         os.symlink(ROOT / "data", Path(tmp) / "data")
         os.chdir(tmp)
         for call in corpus(args.seed, args.tables):
-            print(*digest(call), " ".join(call))
+            print(*digest(call), " ".join(call) or "(no arguments)")
         os.chdir(home)
 
 
