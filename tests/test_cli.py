@@ -80,6 +80,41 @@ class TestManifest:
         assert code == 0
         assert out.strip() == "riskbounds 0.1.0"
 
+    # the keys on each route's parameters: line, sorted as printed; main
+    # adds format and round to every stdout manifest, and to an --outcomes
+    # file, which shares its dict; the --figure file has its own
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            ("wilson {vrag}", "alpha format round"),
+            ("wilson --fictitious 0.13 167,50", "alpha format n_list round theta"),
+            ("fit {vrag}", "alpha expand format round"),
+            ("fit {vrag} --figure {out}", "alpha expand figure round"),
+            ("coverage --n 10 --p 0.2", "format level n p round"),
+            ("simulate {repeated}", "format reps round"),
+            ("simulate {repeated} --outcomes {out}", "format reps round"),
+            ("refuted --mode hmc --theta 0.13", "alpha format mode round theta"),
+            (
+                "refuted --mode cm1 --beta0 -2.0 --beta1 0.5 --sigma 1.0 --n 255 "
+                "--x-bar 20 --ss-x 5000 --x-new 20",
+                "alpha beta0 beta1 df format mode n round sigma ss_x x_bar x_new",
+            ),
+        ],
+    )
+    def test_parameter_keys_of_each_route(
+        self, capsys, tmp_path, vrag_path, data_dir, argv, keys
+    ):
+        written = tmp_path / "written.csv"
+        repeated = data_dir / "scenarios_repeated.cfg"
+        argv = argv.format(vrag=vrag_path, repeated=repeated, out=written)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        text = written.read_text(encoding="utf-8") if written.exists() else out
+        # a csv file comments its manifest out, the pretty stdout does not
+        lines = (line.removeprefix("# ") for line in text.splitlines())
+        line = next(line for line in lines if line.startswith("parameters: "))
+        assert [item.split("=")[0] for item in line.split()[1:]] == keys.split()
+
 
 class TestWilsonCommand:
     def test_category_table_rows(self, capsys, vrag_path):
