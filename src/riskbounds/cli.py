@@ -480,9 +480,11 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
                     "such quantity)"
                 )
             raise InputError(f"--mode {args.mode} {verb} {flags}")
+    parameters = {
+        "mode": args.mode, "alpha": args.alpha, **{k: given[k] for k in reads}
+    }
     if args.mode == "hmc":
         est = hmc_individual_interval(args.theta, args.alpha)
-        parameters = {"mode": "hmc", "theta": args.theta, "alpha": args.alpha}
         columns = ["theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
             [args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid, est.note]
@@ -492,8 +494,6 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
             args.beta0, args.beta1, args.sigma, args.n, args.x_bar, args.ss_x,
             args.x_new, args.alpha, args.df,
         )
-        cm1_args = {k: given[k] for k in required}
-        parameters = {"mode": "cm1", **cm1_args, "alpha": args.alpha, "df": args.df}
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
         rows = [
             [est.point, est.lower, est.upper, est.level, est.method, est.valid, est.note]
@@ -503,6 +503,64 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+# the flags every subcommand takes first, as (flag, add_argument keywords)
+SHARED = (
+    ("--format", dict(choices=FORMATS, default="pretty", help="output layout")),
+    ("--round", dict(type=int, metavar="DIGITS", help=(
+        "presentation rounding (default: 4 decimals)"
+    ))),
+)
+# each subcommand's handler and help line, then its own flags in --help order
+COMMANDS = {
+    "wilson": (
+        cmd_wilson, "score intervals per stratum, or for a what-if theta/n sweep",
+        ("table", dict(nargs="?", help="category,total,events CSV")),
+        ("--alpha", dict(type=float, default=0.05)),
+        ("--fictitious", dict(nargs=2, metavar=("THETA", "N_LIST"), help=(
+            "fixed proportion and comma-separated sample sizes, real samples or not"
+        ))),
+    ),
+    "fit": (
+        cmd_fit, "grouped logistic fit with per-category risk intervals",
+        ("table", dict(help="category,total,events CSV")),
+        ("--alpha", dict(default="0.05", help="comma-separated significance levels")),
+        ("--expand", dict(type=int, default=1, metavar="K", help=(
+            "replicate all counts K-fold before fitting"
+        ))),
+        ("--figure", dict(metavar="PATH", help="write the plot dataset CSV here")),
+    ),
+    "coverage": (
+        cmd_coverage, "exact finite-sample coverage of the score interval",
+        ("--n", dict(type=int, required=True)),
+        ("--p", dict(type=float, required=True)),
+        ("--level", dict(type=float, default=0.95)),
+    ),
+    "simulate": (
+        cmd_simulate, "identifiability scenarios from a config file",
+        ("config", dict(help="INI config of scenario sections")),
+        ("--seed", dict(type=int, help="override every section's seed")),
+        ("--reps", dict(type=int, help="override repeats per individual")),
+        ("--outcomes", dict(metavar="PATH", help="write raw outcome rows CSV here")),
+    ),
+    "refuted": (
+        cmd_refuted, "reproduce a refuted individual-risk interval (flagged invalid)",
+        ("--mode", dict(choices=("hmc", "cm1"), required=True)),
+        ("--alpha", dict(type=float, default=0.05)),
+        ("--theta", dict(type=float, help="observed proportion (hmc mode)")),
+        ("--beta0", dict(type=float, help="intercept (cm1 mode)")),
+        ("--beta1", dict(type=float, help="slope (cm1 mode)")),
+        ("--sigma", dict(type=float, help=(
+            "claimed residual SD (cm1 mode, no default)"
+        ))),
+        ("--n", dict(type=int, help="sample size (cm1 mode)")),
+        ("--x-bar", dict(type=float, help="predictor mean (cm1 mode)")),
+        ("--ss-x", dict(type=float, help="predictor sum of squares (cm1 mode)")),
+        ("--x-new", dict(type=float, help="target score (cm1 mode)")),
+        ("--df", dict(type=int, help="override t degrees of freedom (cm1)")),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,105 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"riskbounds {__version__}"
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=FORMATS, default="pretty", help="output layout"
-    )
-    shared.add_argument(
-        "--round",
-        type=int,
-        default=None,
-        metavar="DIGITS",
-        help="presentation rounding (default: 4 decimals)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_wilson = sub.add_parser(
-        "wilson",
-        parents=[shared],
-        help="score intervals per stratum, or for a what-if theta/n sweep",
-    )
-    p_wilson.add_argument("table", nargs="?", help="category,total,events CSV")
-    p_wilson.add_argument("--alpha", type=float, default=0.05)
-    p_wilson.add_argument(
-        "--fictitious",
-        nargs=2,
-        metavar=("THETA", "N_LIST"),
-        help="fixed proportion and comma-separated sample sizes, real samples or not",
-    )
-    p_wilson.set_defaults(func=cmd_wilson)
-
-    p_fit = sub.add_parser(
-        "fit",
-        parents=[shared],
-        help="grouped logistic fit with per-category risk intervals",
-    )
-    p_fit.add_argument("table", help="category,total,events CSV")
-    p_fit.add_argument(
-        "--alpha", default="0.05", help="comma-separated significance levels"
-    )
-    p_fit.add_argument(
-        "--expand",
-        type=int,
-        default=1,
-        metavar="K",
-        help="replicate all counts K-fold before fitting",
-    )
-    p_fit.add_argument(
-        "--figure", metavar="PATH", help="write the plot dataset CSV here"
-    )
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_cov = sub.add_parser(
-        "coverage",
-        parents=[shared],
-        help="exact finite-sample coverage of the score interval",
-    )
-    p_cov.add_argument("--n", type=int, required=True)
-    p_cov.add_argument("--p", type=float, required=True)
-    p_cov.add_argument("--level", type=float, default=0.95)
-    p_cov.set_defaults(func=cmd_coverage)
-
-    p_sim = sub.add_parser(
-        "simulate",
-        parents=[shared],
-        help="identifiability scenarios from a config file",
-    )
-    p_sim.add_argument("config", help="INI config of scenario sections")
-    p_sim.add_argument(
-        "--seed", type=int, default=None, help="override every section's seed"
-    )
-    p_sim.add_argument(
-        "--reps", type=int, default=None, help="override repeats per individual"
-    )
-    p_sim.add_argument(
-        "--outcomes", metavar="PATH", help="write raw outcome rows CSV here"
-    )
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ref = sub.add_parser(
-        "refuted",
-        parents=[shared],
-        help="reproduce a refuted individual-risk interval (flagged invalid)",
-    )
-    p_ref.add_argument("--mode", choices=("hmc", "cm1"), required=True)
-    p_ref.add_argument("--alpha", type=float, default=0.05)
-    p_ref.add_argument("--theta", type=float, help="observed proportion (hmc mode)")
-    p_ref.add_argument("--beta0", type=float, help="intercept (cm1 mode)")
-    p_ref.add_argument("--beta1", type=float, help="slope (cm1 mode)")
-    p_ref.add_argument(
-        "--sigma", type=float, help="claimed residual SD (cm1 mode, no default)"
-    )
-    p_ref.add_argument("--n", type=int, help="sample size (cm1 mode)")
-    p_ref.add_argument("--x-bar", type=float, help="predictor mean (cm1 mode)")
-    p_ref.add_argument(
-        "--ss-x", type=float, help="predictor sum of squares (cm1 mode)"
-    )
-    p_ref.add_argument("--x-new", type=float, help="target score (cm1 mode)")
-    p_ref.add_argument(
-        "--df", type=int, default=None, help="override t degrees of freedom (cm1)"
-    )
-    p_ref.set_defaults(func=cmd_refuted)
+    for name, (_, help_line, *flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, keywords in (*SHARED, *flags):
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -635,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         digits = _digits(args.round)
         timestamp = _timestamp()
-        report = args.func(args, digits)
+        report = COMMANDS[args.command][0](args, digits)  # the handler
         for path in report.files:
             for source in report.inputs:
                 if _same_file(path, source):
