@@ -259,8 +259,8 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
         "valid",
     ]
     # every row is a real sample: CategoryRow holds integer counts with
-    # 1 <= total and 0 <= events <= total; float() in Python converts
-    # totals above 2**63 too
+    # 1 <= total and 0 <= events <= total, and no total past the largest
+    # double, so float() converts each
     level, real = 1.0 - args.alpha, ("wilson", True)  # method, valid
     rows = []
     for row in table.rows:

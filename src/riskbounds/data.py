@@ -11,6 +11,7 @@ starting with ``#`` are comments and are ignored, as are blank lines.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -37,6 +38,9 @@ class ParseError(InputError):
 
 
 CSV_HEADER = "category,total,events"
+# the largest integer float() converts: a category or total above it has no
+# double, so the messages name its column and not its digits
+_MAX_COUNT = int(sys.float_info.max)
 _HEADER_FIELDS = tuple(CSV_HEADER.split(","))
 
 
@@ -61,9 +65,18 @@ class CategoryRow:
                     raise InputError(f"{name} must be an integer, got {value!r}")
         if self.category < 1:
             raise InputError(f"category index must be >= 1, got {self.category}")
+        if self.category > _MAX_COUNT:
+            raise InputError(
+                f"category index exceeds the largest double ({sys.float_info.max:g})"
+            )
         if self.total < 1:
             raise InputError(
                 f"category {self.category}: stratum has no subjects (total=0)"
+            )
+        if self.total > _MAX_COUNT:
+            raise InputError(
+                f"category {self.category}: total exceeds the largest double "
+                f"({sys.float_info.max:g})"
             )
         if self.events < 0:
             raise InputError(f"category {self.category}: negative event count")
@@ -183,8 +196,8 @@ def expand_weights(table: CategoryTable, k: int) -> CategoryTable:
 
     Observed proportions are unchanged exactly (rational equality), which
     is what makes the weight-expansion experiment meaningful: only the
-    apparent information content grows.  Python integers do not overflow,
-    so no overflow guard is needed beyond validating k.
+    apparent information content grows.  Python integers do not overflow;
+    a total past the largest double is refused by ``CategoryRow``.
     """
     check_integer(k, "weight factor")
     rows = tuple(

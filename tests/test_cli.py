@@ -203,8 +203,10 @@ class TestWilsonCommand:
             (2**64 + 1, 3, "0.0000,0.0000,0.0000,0.9500"),
             # 4 * n * n overflows to inf, silently, as in Python floats
             (10**200, 3 * 10**199, "0.3000,0.3000,0.3000,0.9500"),
+            # the largest total float() converts
+            (int(sys.float_info.max), 1, "0.0000,0.0000,0.0000,0.9500"),
         ],
-        ids=["2**64+1", "10**200"],
+        ids=["2**64+1", "10**200", "largest_double"],
     )
     def test_huge_totals(self, capsys, tmp_path, total, events, cells):
         table = tmp_path / "huge.csv"
@@ -212,6 +214,18 @@ class TestWilsonCommand:
         code, out, err = run(capsys, "wilson", str(table), "--format", "csv")
         assert (code, err) == (0, "")
         assert data_lines(out)[1] == f"1,{total},{events},{cells},wilson,true"
+
+    @pytest.mark.parametrize("command", ["wilson", "fit"])
+    def test_total_past_the_largest_double_exits_2(self, capsys, tmp_path, command):
+        # it exited 3 with "int too large to convert to float", naming no row
+        table = tmp_path / "huge.csv"
+        table.write_text(f"category,total,events\n1,{10**400},1\n2,10,5\n")
+        assert run(capsys, command, str(table)) == (
+            2,
+            "",
+            "error: line 2: category 1: total exceeds the largest double "
+            "(1.79769e+308)\n",
+        )
 
     def test_table_alpha_out_of_range_exits_2(self, capsys, vrag_path):
         code, out, err = run(capsys, "wilson", str(vrag_path), "--alpha", "1.5")
@@ -314,6 +328,15 @@ class TestFitCommand:
             assert w["fitted"] == b["fitted"]
             assert float(w["lower"]) >= float(b["lower"])
             assert float(w["upper"]) <= float(b["upper"])
+
+    def test_expansion_past_the_largest_double_exits_2(self, capsys, vrag_path):
+        # 11 * 10**308 in category 1; it exited 3 naming no row
+        argv = ["fit", str(vrag_path), "--expand", str(10**308)]
+        assert run(capsys, *argv) == (
+            2,
+            "",
+            "error: category 1: total exceeds the largest double (1.79769e+308)\n",
+        )
 
     def test_figure_file_contents(self, capsys, tmp_path, vrag_path):
         figure = tmp_path / "figure.csv"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,9 @@ from riskbounds import (
     parse_category_table,
     student_t_quantile,
 )
+
+
+MAX_COUNT = int(sys.float_info.max)  # the largest integer float() converts
 
 
 @st.composite
@@ -66,6 +70,34 @@ class TestRowValidation:
 
         row = CategoryRow(Count(2), 10, Count(3))
         assert (row.category, row.total, row.events) == (2, 10, 3)
+
+    def test_counts_up_to_the_largest_double_are_accepted(self):
+        largest = int(sys.float_info.max)
+        row = CategoryRow(largest, largest, 1)
+        assert float(row.total) == float(row.category) == sys.float_info.max
+
+    @pytest.mark.parametrize(
+        "category,total,message",
+        [
+            (
+                MAX_COUNT + 1, 10,
+                "category index exceeds the largest double (1.79769e+308)",
+            ),
+            (
+                3, MAX_COUNT + 1,
+                "category 3: total exceeds the largest double (1.79769e+308)",
+            ),
+            # 10**5000 has more digits than str() converts
+            (3, 10**5000, "category 3: total exceeds the largest double (1.79769e+308)"),
+        ],
+        ids=["category", "total", "total_of_5001_digits"],
+    )
+    def test_counts_past_the_largest_double_are_refused_by_name(
+        self, category, total, message
+    ):
+        with pytest.raises(InputError) as exc:
+            CategoryRow(category, total, 0)
+        assert str(exc.value) == message
 
 
 class TestTableValidation:
@@ -197,6 +229,15 @@ class TestParsing:
         assert type(row.total) is int
         assert (row.total, row.events) == (18446744073709551617, 3)
 
+    def test_total_past_the_largest_double_is_refused_with_its_line(self):
+        text = f"category,total,events\n1,10,2\n2,{10**400},3\n"
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(text)
+        assert exc.value.line == 3
+        assert str(exc.value) == (
+            "line 3: category 2: total exceeds the largest double (1.79769e+308)"
+        )
+
     @given(tables())
     def test_serialize_parse_round_trip(self, table):
         text = "category,total,events\n" + "".join(
@@ -225,6 +266,16 @@ class TestExpandWeights:
     def test_rejects_bad_factor(self, vrag_table, k):
         with pytest.raises(InputError):
             expand_weights(vrag_table, k)
+
+    def test_factor_past_the_largest_double_is_refused_by_name(self, vrag_table):
+        # category 5 has the most people, 116: 116 * k is the largest total
+        largest = MAX_COUNT // 116
+        assert expand_weights(vrag_table, largest).rows[4].total == 116 * largest
+        with pytest.raises(InputError) as exc:
+            expand_weights(vrag_table, largest + 1)
+        assert str(exc.value) == (
+            "category 5: total exceeds the largest double (1.79769e+308)"
+        )
 
     @given(tables(), st.integers(min_value=1, max_value=1000))
     def test_proportions_invariant_as_rationals(self, table, k):

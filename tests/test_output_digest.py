@@ -96,16 +96,16 @@ def test_two_table_corpus(monkeypatch):
         for name in ["even_df", "large_df"]
     ]
     # each --help and --version, printed, and seven usage errors; then a
-    # total of 10**400, a fit whose --expand makes one and an n whose
-    # 4 n**2 underflows, each failing
+    # total of 10**400 and a fit whose --expand makes one, each refused,
+    # and an n whose 4 n**2 underflows, failing
     helps = ["wilson", "fit", "coverage", "simulate", "refuted"]
     assert [(code, argv) for _, code, argv in lines[122:140]] == [
         (0, "--help"), *((0, f"{name} --help") for name in helps), (0, "--version"),
         (2, "(no arguments)"), (2, "bogus"), (2, "coverage --p 0.2"),
         (2, "coverage --n x --p 0.2"), (2, "wilson --format xml"),
         (2, "refuted --mode abc"), (2, "wilson --fictitious 0.1"),
-        (3, "wilson tables/huge.csv"), (3, "fit tables/huge.csv"),
-        (3, f"fit data/vrag_categories.csv --expand {10**308}"),
+        (2, "wilson tables/huge.csv"), (2, "fit tables/huge.csv"),
+        (2, f"fit data/vrag_categories.csv --expand {10**308}"),
         (3, "wilson --fictitious 0.5 1e-320"),
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
