@@ -230,10 +230,10 @@ def score_bounds(theta, n, alpha: float):
     are float arrays, or two Python floats (``wilson_interval`` and the
     CLI's table route).  The terms use arithmetic operators only, so floats
     and arrays take the same rounding steps, and two floats stay Python
-    floats: a scalar call raises Python's ``ZeroDivisionError`` where 4 n^2
-    underflows and prints no numpy warning.  Two floats take ``math.sqrt``
-    and conditional clamps and snaps, which are exactly the ``np.sqrt``
-    and ``np.where`` of arrays, and load no numpy.  Returns two float
+    floats: a scalar call raises Python's ``ZeroDivisionError``, naming n,
+    where 4 n^2 underflows and prints no numpy warning.  Two floats take
+    ``math.sqrt`` and conditional clamps and snaps, which are exactly the
+    ``np.sqrt`` and ``np.where`` of arrays, and load no numpy.  Returns two float
     arrays, or two Python floats for two floats.  Internal: not in
     ``riskbounds.__all__``.
 
@@ -255,7 +255,10 @@ def score_bounds(theta, n, alpha: float):
     # totals above about 1e154)
     with nullcontext() if floats else _numpy().errstate(over="ignore"):
         center = theta + z2 / (2.0 * n)
-        spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        try:
+            spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        except ZeroDivisionError:  # Python floats only: arrays give inf
+            raise ZeroDivisionError(f"4 n**2 underflows to 0 at n = {n!r}") from None
         denom = 1.0 + z2 / n
         if floats:
             # np.sqrt gives NaN for a negative spread (theta outside [0, 1])

@@ -234,7 +234,8 @@ def score_bounds_checked(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray
     """Closed-form score bounds with the clamp, snap and check run at every
     call: each bound is clamped to [0, 1], snapped to theta when within
     1e-9 of the wrong side (AssertionError when further), and the order
-    0 <= lower <= theta <= upper <= 1 checked (ValueError).  z is scipy's
+    0 <= lower <= theta <= upper <= 1 checked (ValueError); two floats
+    whose 4 n**2 underflows raise ZeroDivisionError naming n.  z is scipy's
     ``ndtri`` as a Python float, so that two floats stay Python floats.
     The reference for a fast route that skips the snap when every bound
     already contains its point."""
@@ -242,7 +243,10 @@ def score_bounds_checked(theta, n, alpha: float) -> tuple[np.ndarray, np.ndarray
     z2 = z * z
     with np.errstate(over="ignore"):
         center = theta + z2 / (2.0 * n)
-        spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        try:
+            spread = theta * (1.0 - theta) / n + z2 / (4.0 * n * n)
+        except ZeroDivisionError:  # two Python floats, whose 4 n**2 is 0
+            raise ZeroDivisionError(f"4 n**2 underflows to 0 at n = {n!r}") from None
         denom = 1.0 + z2 / n
         half = z * np.sqrt(spread)
         lower = (center - half) / denom
