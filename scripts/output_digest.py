@@ -23,9 +23,10 @@ and a large one (n = 2001, all-or-none at m = 2), ``--help`` at the top
 level and for each subcommand, ``--version`` and seven usage errors, with
 argparse wrapping at COLUMNS=80, ``wilson`` and ``fit`` on a table whose
 total is too large for a double, a ``fit`` whose ``--expand`` makes one,
-``wilson --fictitious`` at an n whose 4 n**2 underflows, and ``wilson``
-and ``fit`` on seeded tables, the first 20 at ``--round 12`` as well, run
-in-process with SOURCE_DATE_EPOCH pinned.  Two trees print the
+``wilson --fictitious`` at an n whose 4 n**2 underflows, a ``fit`` whose
+Newton sums overflow, and ``wilson`` and ``fit`` on seeded tables, the
+first 20 at ``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH
+pinned.  Two trees print the
 same stdout, stderr and written files exactly when their digests ``diff``
 clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
 experiment script, hashing its stdout with the tree's path taken off the
@@ -199,6 +200,7 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     calls += [["wilson", "tables/huge.csv"], ["fit", "tables/huge.csv"]]
     calls.append(["fit", TABLES[0], "--expand", str(10**308)])  # 11 * 10**308
     calls.append(["wilson", "--fictitious", "0.5", "1e-320"])  # 4 n**2 is 0
+    calls.append(["fit", TABLES[0], "--expand", str(10**306)])  # sums overflow
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)

@@ -199,49 +199,65 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     # halvings are the IEEE operations of the length-2 array forms
     pooled = total_events / total_subjects
     b0, b1 = math.log(pooled / (1.0 - pooled)), 0.0
-    pi, dev = evaluate(b0, b1)
-    trace: list[tuple[int, float, float, float]] = [(0, b0, b1, dev)]
+    # totals near the largest double overflow the sums of a step: numpy
+    # reports each overflow to ``overflows``, set once for the whole fit, and
+    # a step that fails after one raises a NumericalError naming it
+    overflows: list[str] = []
+    with np.errstate(over="call", call=lambda kind, flag: overflows.append(kind)):
+        pi, dev = evaluate(b0, b1)
+        trace: list[tuple[int, float, float, float]] = [(0, b0, b1, dev)]
 
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        grad, info = _score_information(x, t, e, pi)
-        try:
-            s0, s1 = np.linalg.solve(info, grad).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"information matrix singular at iteration {iteration}"
-            ) from exc
+        for iteration in range(1, MAX_ITERATIONS + 1):
+            grad, info = _score_information(x, t, e, pi)
+            try:
+                s0, s1 = np.linalg.solve(info, grad).tolist()
+            except np.linalg.LinAlgError as exc:
+                _check_overflow(overflows, iteration)
+                raise NumericalError(
+                    f"information matrix singular at iteration {iteration}"
+                ) from exc
 
-        # the full step, then up to _MAX_HALVINGS halvings of it, until the
-        # deviance does not rise
-        for _ in range(_MAX_HALVINGS + 1):
-            c0, c1 = b0 + s0, b1 + s1
-            new_pi, new_dev = evaluate(c0, c1)
-            if math.isfinite(new_dev) and new_dev <= dev + 1e-12:
-                break
-            s0, s1 = s0 / 2.0, s1 / 2.0
-        else:
-            raise NonConvergenceError(
-                f"deviance would not decrease at iteration {iteration}", trace
-            )
+            # the full step, then up to _MAX_HALVINGS halvings of it, until
+            # the deviance does not rise
+            for _ in range(_MAX_HALVINGS + 1):
+                c0, c1 = b0 + s0, b1 + s1
+                new_pi, new_dev = evaluate(c0, c1)
+                if math.isfinite(new_dev) and new_dev <= dev + 1e-12:
+                    break
+                s0, s1 = s0 / 2.0, s1 / 2.0
+            else:
+                _check_overflow(overflows, iteration)
+                raise NonConvergenceError(
+                    f"deviance would not decrease at iteration {iteration}", trace
+                )
 
-        b0, b1, pi = c0, c1, new_pi
-        trace.append((iteration, b0, b1, new_dev))
-        if abs(dev - new_dev) < DEVIANCE_TOL:
-            cov = np.linalg.inv(_score_information(x, t, e, pi)[1])
-            cov = (cov + cov.T) / 2.0
-            return LogisticFit(
-                beta0=b0,
-                beta1=b1,
-                cov=cov,
-                deviance=new_dev,
-                iterations=iteration,
-                converged=True,
-            )
-        dev = new_dev
+            b0, b1, pi = c0, c1, new_pi
+            trace.append((iteration, b0, b1, new_dev))
+            if abs(dev - new_dev) < DEVIANCE_TOL:
+                cov = np.linalg.inv(_score_information(x, t, e, pi)[1])
+                cov = (cov + cov.T) / 2.0
+                return LogisticFit(
+                    beta0=b0,
+                    beta1=b1,
+                    cov=cov,
+                    deviance=new_dev,
+                    iterations=iteration,
+                    converged=True,
+                )
+            dev = new_dev
 
     raise NonConvergenceError(
         f"no convergence after {MAX_ITERATIONS} iterations", trace
     )
+
+
+def _check_overflow(overflows: list[str], iteration: int) -> None:
+    """Raise NumericalError if numpy reported an overflow during the fit."""
+    if overflows:
+        raise NumericalError(
+            f"the Newton sums overflow at iteration {iteration}: the totals "
+            "are too large for doubles"
+        )
 
 
 def predict_bounds(

@@ -1384,6 +1384,17 @@ class TestNumericalFailures:
             "x_bar = -1e+308\n",
         )
 
+    def test_fit_overflow_is_one_line(self, capsys, vrag_path):
+        # it printed two numpy overflow warnings, which escaped main as
+        # exceptions under warnings-as-errors
+        argv = ["fit", str(vrag_path), "--expand", str(10**306)]
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            "numerical failure: the Newton sums overflow at iteration 1: the "
+            "totals are too large for doubles\n",
+        )
+
     def test_failed_wilson_snap_exits_3(self, capsys):
         # at n ~ 1e-161 and a level near 0 the float bounds miss the point
         # by more than the snap tolerance, so wilson_interval raises

@@ -202,6 +202,20 @@ class TestFit:
         assert fit100.beta0 == pytest.approx(vrag_fit.beta0, abs=1e-10)
         assert fit100.beta1 == pytest.approx(vrag_fit.beta1, abs=1e-10)
 
+    def test_totals_near_the_largest_double_name_the_overflow(
+        self, vrag_table, vrag_fit
+    ):
+        # 116 * 10**304 still fits; at 10**306 the information sums
+        # overflow, which printed two numpy warnings before a stall message
+        fit = fit_grouped_logistic(expand_weights(vrag_table, 10**304))
+        assert fit.beta1 == pytest.approx(vrag_fit.beta1, abs=1e-10)
+        with pytest.raises(NumericalError) as exc:
+            fit_grouped_logistic(expand_weights(vrag_table, 10**306))
+        assert str(exc.value) == (
+            "the Newton sums overflow at iteration 1: the totals are too large "
+            "for doubles"
+        )
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 2: the Newton fit stops early or exits 3 on "

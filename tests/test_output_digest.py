@@ -43,10 +43,10 @@ def test_two_table_corpus(monkeypatch):
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
     # 4 coverage calls, 8 bad configs, 20 calls refused or failing after
     # parsing or at the edge of a refusal, 2 repeated designs for the
-    # p-value, 14 calls of the parser's own output, 4 calls on a count
+    # p-value, 14 calls of the parser's own output, 5 calls on a count
     # too large for a double or an n too small for one, and wilson + fit on
     # each seeded table, at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 14 + 4 + 8
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 14 + 5 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -97,9 +97,9 @@ def test_two_table_corpus(monkeypatch):
     ]
     # each --help and --version, printed, and seven usage errors; then a
     # total of 10**400 and a fit whose --expand makes one, each refused,
-    # and an n whose 4 n**2 underflows, failing
+    # an n whose 4 n**2 underflows and a fit whose sums overflow, failing
     helps = ["wilson", "fit", "coverage", "simulate", "refuted"]
-    assert [(code, argv) for _, code, argv in lines[122:140]] == [
+    assert [(code, argv) for _, code, argv in lines[122:141]] == [
         (0, "--help"), *((0, f"{name} --help") for name in helps), (0, "--version"),
         (2, "(no arguments)"), (2, "bogus"), (2, "coverage --p 0.2"),
         (2, "coverage --n x --p 0.2"), (2, "wilson --format xml"),
@@ -107,6 +107,7 @@ def test_two_table_corpus(monkeypatch):
         (2, "wilson tables/huge.csv"), (2, "fit tables/huge.csv"),
         (2, f"fit data/vrag_categories.csv --expand {10**308}"),
         (3, "wilson --fictitious 0.5 1e-320"),
+        (3, f"fit data/vrag_categories.csv --expand {10**306}"),
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
