@@ -26,11 +26,10 @@ total is too large for a double, a ``fit`` whose ``--expand`` makes one,
 ``wilson --fictitious`` at an n whose 4 n**2 underflows, a ``fit`` whose
 Newton sums overflow, and ``wilson`` and ``fit`` on seeded tables, the
 first 20 at ``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH
-pinned.  Two trees print the
-same stdout, stderr and written files exactly when their digests ``diff``
-clean.  ``--scripts`` prints instead one ``sha256 exit script`` line per
-experiment script, hashing its stdout with the tree's path taken off the
-``inputs:`` lines.
+pinned.  Two trees print the same stdout, stderr and written files exactly
+when their digests ``diff`` clean.  ``--scripts`` prints instead one
+``sha256 exit script`` line per experiment script, hashing its stdout with
+the tree's path taken off the ``inputs:`` lines.
 """
 
 import argparse
@@ -148,7 +147,10 @@ REFUSED_CALLS = (
 # --format and of --mode, and too few --fictitious values)
 PARSER_CALLS = (
     "--help",
-    *(f"{name} --help" for name in ["wilson", "fit", "coverage", "simulate"]),
+    "wilson --help",
+    "fit --help",
+    "coverage --help",
+    "simulate --help",
     "refuted --help",
     "--version",
     "",

@@ -168,7 +168,8 @@ def fit_grouped_logistic(table: CategoryTable) -> LogisticFit:
     deviance changes by less than 1e-10 or 50 iterations pass.  The
     covariance is the inverse observed information at the MLE.  A table
     whose MLE is at infinity (see ``_check_overlap``) raises
-    ``SeparationError`` before any Newton step.
+    ``SeparationError`` before any Newton step; totals so large that a
+    step's sums overflow raise ``NumericalError`` naming the overflow.
 
     Each step takes the two score sums and the three information sums from
     one ``.sum(axis=1)`` over a ``(5, k)`` array of products.  numpy sums

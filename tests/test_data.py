@@ -72,8 +72,7 @@ class TestRowValidation:
         assert (row.category, row.total, row.events) == (2, 10, 3)
 
     def test_counts_up_to_the_largest_double_are_accepted(self):
-        largest = int(sys.float_info.max)
-        row = CategoryRow(largest, largest, 1)
+        row = CategoryRow(MAX_COUNT, MAX_COUNT, 1)
         assert float(row.total) == float(row.category) == sys.float_info.max
 
     @pytest.mark.parametrize(
