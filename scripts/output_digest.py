@@ -163,6 +163,17 @@ PARSER_CALLS = (
 )
 # a total of 10**400, which no double holds, beside a second stratum
 HUGE_TABLE = f"category,total,events\n1,{10**400},1\n2,10,5\n"
+# rows of counts no double holds (5000 digits is past the 4300 that int()
+# reads), events past their total and a negative total, one table each
+NINES = "9" * 5000
+COUNT_ROWS = {
+    "long_category": f"{NINES},10,5",
+    "long_total": f"1,{NINES},1",
+    "long_events": f"1,10,{NINES}",
+    "long_negative_events": f"1,10,-{NINES}",
+    "events_over_total": f"1,10,{'9' * 400}",
+    "negative_total": "1,-5,1",
+}
 
 
 def write_config(name: str, body: str) -> str:
@@ -203,6 +214,10 @@ def corpus(seed: int, count: int) -> list[list[str]]:
     calls.append(["fit", TABLES[0], "--expand", str(10**308)])  # 11 * 10**308
     calls.append(["wilson", "--fictitious", "0.5", "1e-320"])  # 4 n**2 is 0
     calls.append(["fit", TABLES[0], "--expand", str(10**306)])  # sums overflow
+    for name, row in COUNT_ROWS.items():
+        path = f"tables/{name}.csv"
+        Path(path).write_text(f"category,total,events\n{row}\n", encoding="utf-8")
+        calls.append(["wilson", path])
     for i in range(count):
         k = int(rng.integers(2, 41))  # strata; totals log-uniform on [10, 1e9)
         totals = np.floor(10.0 ** rng.uniform(1.0, 9.0, k)).astype(np.int64)

@@ -44,9 +44,10 @@ def test_two_table_corpus(monkeypatch):
     # 4 coverage calls, 8 bad configs, 20 calls refused or failing after
     # parsing or at the edge of a refusal, 2 repeated designs for the
     # p-value, 14 calls of the parser's own output, 5 calls on a count
-    # too large for a double or an n too small for one, and wilson + fit on
-    # each seeded table, at the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 14 + 5 + 8
+    # too large for a double or an n too small for one, 6 tables of a count
+    # too long or out of range, and wilson + fit on each seeded table, at
+    # the default rounding and at --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 14 + 5 + 6 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -108,6 +109,15 @@ def test_two_table_corpus(monkeypatch):
         (2, f"fit data/vrag_categories.csv --expand {10**308}"),
         (3, "wilson --fictitious 0.5 1e-320"),
         (3, f"fit data/vrag_categories.csv --expand {10**306}"),
+    ]
+    # a category, total or events of 5000 digits, negative events that long,
+    # events past their total and a negative total, each refused
+    assert [(code, argv) for _, code, argv in lines[141:147]] == [
+        (2, f"wilson tables/{name}.csv")
+        for name in [
+            "long_category", "long_total", "long_events", "long_negative_events",
+            "events_over_total", "negative_total",
+        ]
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
         "wilson tables/t001.csv --format csv --round 12",
