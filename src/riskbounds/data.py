@@ -38,9 +38,11 @@ class ParseError(InputError):
 
 
 CSV_HEADER = "category,total,events"
-# the largest integer float() converts: a category or total above it has no
-# double, so the messages name its column and not its digits
+# the largest integer float() converts: a count past it has no double, so
+# the messages name its column and this bound, not its digits
 _MAX_COUNT = int(sys.float_info.max)
+_MAX_DIGITS = len(str(_MAX_COUNT))  # 309
+_LARGEST = f"the largest double ({sys.float_info.max:g})"
 _HEADER_FIELDS = tuple(CSV_HEADER.split(","))
 
 
@@ -63,23 +65,27 @@ class CategoryRow:
                 value = getattr(self, name)
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.category < -_MAX_COUNT:
+            raise InputError(f"category index is below minus {_LARGEST}")
         if self.category < 1:
             raise InputError(f"category index must be >= 1, got {self.category}")
         if self.category > _MAX_COUNT:
+            raise InputError(f"category index exceeds {_LARGEST}")
+        if self.total < -_MAX_COUNT:
             raise InputError(
-                f"category index exceeds the largest double ({sys.float_info.max:g})"
+                f"category {self.category}: total is below minus {_LARGEST}"
             )
         if self.total < 1:
             raise InputError(
-                f"category {self.category}: stratum has no subjects (total=0)"
+                f"category {self.category}: stratum has no subjects "
+                f"(total={self.total})"
             )
         if self.total > _MAX_COUNT:
-            raise InputError(
-                f"category {self.category}: total exceeds the largest double "
-                f"({sys.float_info.max:g})"
-            )
+            raise InputError(f"category {self.category}: total exceeds {_LARGEST}")
         if self.events < 0:
             raise InputError(f"category {self.category}: negative event count")
+        if self.events > _MAX_COUNT:
+            raise InputError(f"category {self.category}: events exceed {_LARGEST}")
         if self.events > self.total:
             raise InputError(
                 f"category {self.category}: events ({self.events}) exceed "
@@ -128,6 +134,24 @@ class CategoryTable:
         return sum(r.events for r in self.rows)
 
 
+def _count(field: str) -> int:
+    """The count in ``field``, whose characters the caller has checked."""
+    # strip before int(): str.strip also removes \x1c-\x1f, int() does not
+    text = field.strip()
+    if len(text) <= _MAX_DIGITS:
+        return int(text)
+    sign = text[0] if text[0] in "+-" else ""
+    digits = text[len(sign):]
+    if not digits.isdigit():
+        raise ValueError
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
+        # no double holds it, and int() reads at most 4300 digits: one past
+        # the bound stands in, which CategoryRow refuses by column
+        return -_MAX_COUNT - 1 if sign == "-" else _MAX_COUNT + 1
+    return int(sign + digits)
+
+
 def parse_category_table(text: str) -> CategoryTable:
     """Parse ``category,total,events`` CSV content into a CategoryTable.
 
@@ -169,8 +193,7 @@ def parse_category_table(text: str) -> CategoryTable:
                 line.isascii() or "".join(map(str.strip, fields)).isascii()
             ):
                 raise ValueError
-            # strip before int(): str.strip also removes \x1c-\x1f, int() does not
-            numbers = int(category.strip()), int(total.strip()), int(events.strip())
+            numbers = _count(category), _count(total), _count(events)
         except ValueError:
             raise ParseError(f"non-integer value in row {line!r}", lineno) from None
         try:

@@ -227,6 +227,32 @@ class TestWilsonCommand:
             "(1.79769e+308)\n",
         )
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (f"{'9' * 5000},10,5", "category index exceeds the largest double"),
+            (f"1,{'9' * 5000},1", "category 1: total exceeds the largest double"),
+            (f"1,10,{'9' * 5000}", "category 1: events exceed the largest double"),
+            (f"1,10,-{'9' * 5000}", "category 1: negative event count"),
+            (f"1,10,{'9' * 400}", "category 1: events exceed the largest double"),
+            ("1,-5,1", "category 1: stratum has no subjects (total=-5)"),
+        ],
+        ids=[
+            "category", "total", "events", "negative_events", "events_over_total",
+            "negative_total",
+        ],
+    )
+    def test_a_count_refusal_names_its_column_in_one_short_line(
+        self, capsys, tmp_path, row, message
+    ):
+        # a count of 5000 digits echoed its whole row (5047 bytes of stderr)
+        table = tmp_path / "counts.csv"
+        table.write_text(f"category,total,events\n{row}\n")
+        code, out, err = run(capsys, "wilson", str(table))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line 2: {message}")
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_table_alpha_out_of_range_exits_2(self, capsys, vrag_path):
         code, out, err = run(capsys, "wilson", str(vrag_path), "--alpha", "1.5")
         assert (code, out) == (2, "")

@@ -237,6 +237,64 @@ class TestParsing:
             "line 3: category 2: total exceeds the largest double (1.79769e+308)"
         )
 
+    @pytest.mark.parametrize(
+        "digits", ["9" * 309, "1" + "0" * 309, "9" * 5000], ids=["309", "310", "5000"]
+    )
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("{},10,5", "category index exceeds"),
+            ("2,{},5", "category 2: total exceeds"),
+            ("2,10,{}", "category 2: events exceed"),
+            ("-{},10,5", "category index is below minus"),
+            ("2,-{},5", "category 2: total is below minus"),
+        ],
+        ids=["category", "total", "events", "negative_category", "negative_total"],
+    )
+    def test_counts_with_no_double_are_refused_by_column(self, digits, row, message):
+        # more than 309 digits has no double, whatever its value, and int()
+        # reads no more than 4300; at 309, 9s are past the bound too
+        text = f"category,total,events\n{row.format(digits)}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(text)
+        assert str(exc.value) == (
+            f"line 2: {message} the largest double (1.79769e+308)"
+        )
+
+    @pytest.mark.parametrize("digits", ["9" * 309, "1" + "0" * 309, "9" * 5000])
+    def test_negative_events_of_any_length_are_refused_in_one_line(self, digits):
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(f"category,total,events\n2,10,-{digits}\n")
+        assert str(exc.value) == "line 2: category 2: negative event count"
+
+    def test_counts_of_309_digits_within_the_bound_parse(self):
+        count = 10**308
+        (row,) = parse_category_table(
+            f"category,total,events\n{count},{count},{count}\n"
+        ).rows
+        assert (row.category, row.total, row.events) == (count, count, count)
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        # 5000 zeros and a 7 is 7, which int() alone refuses
+        zeros = "0" * 5000
+        text = f"category,total,events\n+{zeros}7,{zeros}10,-{zeros}\n"
+        (row,) = parse_category_table(text).rows
+        assert (row.category, row.total, row.events) == (7, 10, 0)
+
+    def test_events_past_the_largest_double_are_refused_before_the_total(self):
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(f"category,total,events\n1,10,{'9' * 400}\n")
+        assert str(exc.value) == (
+            "line 2: category 1: events exceed the largest double (1.79769e+308)"
+        )
+
+    def test_a_negative_total_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse_category_table("category,total,events\n1,-5,1\n")
+        assert str(exc.value) == (
+            "line 2: category 1: stratum has no subjects (total=-5)"
+        )
+
     @given(tables())
     def test_serialize_parse_round_trip(self, table):
         text = "category,total,events\n" + "".join(
