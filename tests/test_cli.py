@@ -1100,6 +1100,72 @@ class TestSimulateCommand:
         assert run(capsys, "simulate", str(config), "--format", "csv") == (0, unset, "")
 
 
+# single-outcome, threshold, repeated, then single-outcome of the same size
+MIXED_KINDS = (
+    "[first]\ndistribution = point\np = 0.5\nsample_size = 2\n"
+    "[cohort]\nmodel = threshold\nthreshold_location = 0.5\n"
+    "provocation_rate = 2.0\nstrength_location = 0.0\nfollow_up = 1.0\n"
+    "cohort_size = 5\nseed = 3\n"
+    "[repeated]\ndistribution = point\np = 0.5\nsample_size = 2\nrepeats = 2\n"
+    "seed = 4\n"
+    "[last]\ndistribution = two_point\np1 = 1.0\nw1 = 0.5\np2 = 0.0\n"
+    "sample_size = 2\n"
+)
+
+
+class TestSectionKinds:
+    """Each section's kind, in config order; the values are tested elsewhere."""
+
+    def _keys(self, capsys, config, *extra):
+        code, out, err = run(capsys, "simulate", str(config), "--format", "csv", *extra)
+        assert (code, err) == (0, "")
+        seed = [line for line in comment_lines(out) if line.startswith("# seed:")]
+        return [tuple(row.split(",")[:3]) for row in data_lines(out)[1:]], seed
+
+    def test_each_kind_keeps_its_rows_in_config_order(self, capsys, tmp_path):
+        config = tmp_path / "kinds.cfg"
+        config.write_text(MIXED_KINDS, encoding="utf-8")
+        keys, seed = self._keys(capsys, config)
+        counts = [("count_distribution", str(k)) for k in range(3)]
+        clustering = ["statistic", "df", "p_value", "p_value_permutation", "undefined"]
+        assert keys == [
+            *(("first", *key) for key in counts),
+            ("cohort", "threshold", "cohort_size"),
+            ("cohort", "threshold", "observed_frequency"),
+            ("cohort", "threshold", "mean_latent_risk"),
+            *(("repeated", "clustering", key) for key in clustering),
+            ("repeated", "icc", "estimate"),
+            ("repeated", "icc", "undefined"),
+            *(("last", *key) for key in counts),
+            ("first|last", "tv_distance", "value"),
+        ]
+        assert seed == ["# seed: cohort=3 repeated=4"]
+
+    def test_reps_1_makes_every_mixture_single_outcome(self, capsys, tmp_path):
+        # a one-person design of 3 repeats runs once --reps 1 leaves it one
+        # outcome, and the first two single-outcome sections in config order
+        # are paired
+        config = tmp_path / "kinds.cfg"
+        config.write_text(
+            f"{MIXED_KINDS}[tiny]\ndistribution = point\np = 0.5\n"
+            "sample_size = 1\nrepeats = 3\n",
+            encoding="utf-8",
+        )
+        keys, seed = self._keys(capsys, config, "--reps", "1")
+        counts = [("count_distribution", str(k)) for k in range(3)]
+        assert keys == [
+            *(("first", *key) for key in counts),
+            ("cohort", "threshold", "cohort_size"),
+            ("cohort", "threshold", "observed_frequency"),
+            ("cohort", "threshold", "mean_latent_risk"),
+            *(("repeated", *key) for key in counts),
+            *(("last", *key) for key in counts),
+            *(("tiny", *key) for key in counts[:2]),
+            ("first|repeated", "tv_distance", "value"),
+        ]
+        assert seed == ["# seed: 3"]
+
+
 class TestRefutedCommand:
     BANNER = (
         "# REFUTED CONSTRUCTION: the bounds below are not a valid confidence"
