@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import _EXPORTS, _SOURCE, __version__
 from .data import InputError, NumericalError, expand_weights, parse_category_table
 from .refuted import (
     REFUTATION_BANNER,
@@ -33,33 +33,24 @@ from .wilson import exact_coverage, score_bounds, wilson_interval
 FORMATS = ("csv", "tsv", "pretty")
 DEFAULT_DIGITS = 4
 
-# the submodules that load numpy, and the names this module takes from them;
-# cmd_fit and cmd_simulate bind theirs with _load, and __getattr__ serves any
-# other read, so each name is an attribute here, as an import would make it
-# (predict_risk is read here from outside; cmd_fit calls predict_bounds)
-_LAZY = {
-    "identifiability": (
-        "ScenarioSpec", "ThresholdScenario", "clustering_test",
-        "exact_count_distribution", "icc_estimate", "marginal_equivalence_check",
-        "read_scenario_config", "simulate_repeated", "simulate_threshold_cohort",
-    ),
-    "logistic": ("fit_grouped_logistic", "predict_bounds", "predict_risk", "trend_test"),
-}
-_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+# cmd_fit and cmd_simulate bind the names the package exports from the
+# submodules that load numpy with _load, and __getattr__ serves any other
+# read, so each exported name is an attribute here, as an import would make it
 
 
-def _load(module: str) -> None:
-    """Bind ``module``'s names in ``_LAZY`` here, keeping any already bound:
-    a name replaced by ``setattr`` before the first call stays replaced."""
+def _load(module: str):
+    """Bind ``module``'s names in ``_EXPORTS`` here and return it, keeping any
+    name already bound: one replaced by ``setattr`` before the first call."""
     source = importlib.import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
+    for name in _EXPORTS[module]:
         globals().setdefault(name, getattr(source, name))
+    return source
 
 
 def __getattr__(name: str):
-    if name not in _LAZY_SOURCE:
+    if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_LAZY_SOURCE[name])
+    _load(_SOURCE[name])
     return globals()[name]
 
 
@@ -271,7 +262,7 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
 
 
 def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
-    _load("logistic")
+    predict_bounds = _load("logistic").predict_bounds  # not exported
     try:
         alphas = [float(part) for part in args.alpha.split(",") if part]
     except ValueError:
@@ -343,38 +334,33 @@ def cmd_coverage(args: argparse.Namespace, digits: int) -> Report:
 def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     _load("identifiability")
     specs = read_scenario_config(_read_text(args.config))
+    # each section's kind, in config order: mixture or threshold section
+    mixtures = [name for name, spec in specs.items() if isinstance(spec, ScenarioSpec)]
     if args.reps is not None:
         if args.reps < 1:
             raise InputError("--reps must be >= 1")
-        if all(isinstance(spec, ThresholdScenario) for spec in specs.values()):
+        if not mixtures:
             raise InputError(
                 "--reps applies to risk-mixture sections only, and every "
                 f"section is a threshold section: {', '.join(specs)}"
             )
     # --seed replaces every section's seed, --reps each mixture's repeats
-    new_seed = {} if args.seed is None else {"seed": args.seed}
-    new_reps = {} if args.reps is None else {"repeats": args.reps}
-    specs = {
-        name: replace(
-            spec,
-            **new_seed,
-            **({} if isinstance(spec, ThresholdScenario) else new_reps),
-        )
-        for name, spec in specs.items()
-    }
-    # a repeated design's clustering test compares people
     for name, spec in specs.items():
-        if isinstance(spec, ScenarioSpec) and spec.repeats > 1 and spec.sample_size < 2:
+        changes = {} if args.seed is None else {"seed": args.seed}
+        if args.reps is not None and name in mixtures:
+            changes["repeats"] = args.reps
+        specs[name] = replace(spec, **changes)
+    single_outcome = [name for name in mixtures if specs[name].repeats == 1]
+    # a repeated design's clustering test compares people
+    for name in mixtures:
+        spec = specs[name]
+        if name not in single_outcome and spec.sample_size < 2:
             raise InputError(
                 f"section [{name}]: a design of {spec.repeats} repeats needs "
                 f"sample_size >= 2 for its clustering test, got {spec.sample_size}"
             )
     # seed of each section that draws numbers
-    drawn = {
-        name: spec.seed
-        for name, spec in specs.items()
-        if isinstance(spec, ThresholdScenario) or spec.repeats > 1
-    }
+    drawn = {name: s.seed for name, s in specs.items() if name not in single_outcome}
     if not drawn and args.seed is not None:
         raise InputError(
             "--seed applies to sections that draw random numbers, and every "
@@ -389,13 +375,11 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
     columns = ["section", "record", "key", "value"]
     rows: list[list[object]] = []
     panels = {}  # outcome arrays of each section that draws
-    single_outcome: list[tuple[str, ScenarioSpec]] = []
-
     for name, spec in specs.items():
         # a section that fails as it runs (its people do not fit in memory,
         # say) is named, as a config error is
         try:
-            if isinstance(spec, ThresholdScenario):
+            if name not in mixtures:
                 cohort = simulate_threshold_cohort(
                     spec.model, spec.cohort_size, spec.seed
                 )
@@ -406,11 +390,10 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
                 rows.append([name, "threshold", "mean_latent_risk", latent])
                 panels[name] = cohort.outcomes.outcomes
                 continue
-            if spec.repeats == 1:
+            if name in single_outcome:
                 dist = exact_count_distribution(spec)
                 for k, prob in enumerate(dist):
                     rows.append([name, "count_distribution", k, float(prob)])
-                single_outcome.append((name, spec))
                 continue
             data = simulate_repeated(spec)
             cluster = clustering_test(data, permutation_seed=spec.seed)
@@ -428,7 +411,8 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             raise InputError(f"section [{name}]: {exc}") from exc
 
     if len(single_outcome) >= 2:
-        (name_a, spec_a), (name_b, spec_b) = single_outcome[0], single_outcome[1]
+        name_a, name_b = single_outcome[:2]
+        spec_a, spec_b = specs[name_a], specs[name_b]
         if spec_a.sample_size == spec_b.sample_size:
             tv = marginal_equivalence_check(
                 spec_a, spec_b, spec_a.sample_size, strict=False

@@ -1802,25 +1802,57 @@ def test_a_call_loads_only_the_modules_it_uses(argv, unloaded):
     assert stdout == "0 []\n"
 
 
-def test_a_name_set_before_the_first_call_is_kept(vrag_path):
+@pytest.mark.parametrize(
+    "module, name, argv, calls, other",
+    [
+        ("logistic", "fit_grouped_logistic", ["fit", "vrag_categories.csv"], 1,
+         "trend_test"),
+        ("identifiability", "simulate_repeated",
+         ["simulate", "scenarios_repeated.cfg"], 2, "clustering_test"),
+    ],
+    ids=["fit", "simulate"],
+)
+def test_a_name_set_before_the_first_call_is_kept(module, name, argv, calls, other):
     # perfbench/tracing.py replaces riskbounds.cli's names by setattr
     # before any call; loading the submodule on first use must keep them
+    argv = [str(ROOT / "data" / a) if a.endswith((".csv", ".cfg")) else a for a in argv]
     stdout = _fresh_python(
         "import contextlib, io, sys\n"
         "from riskbounds import cli\n"
-        "print('riskbounds.logistic' in sys.modules)\n"
-        "from riskbounds import logistic\n"
+        f"print('riskbounds.{module}' in sys.modules)\n"
+        f"from riskbounds import {module} as source\n"
         "calls = []\n"
-        "def spy(table):\n"
-        "    calls.append(table)\n"
-        "    return logistic.fit_grouped_logistic(table)\n"
-        "setattr(cli, 'fit_grouped_logistic', spy)\n"
+        "def spy(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        f"    return source.{name}(*args, **kwargs)\n"
+        f"setattr(cli, {name!r}, spy)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main(['fit', {str(vrag_path)!r}])\n"
-        "print(code, len(calls), cli.fit_grouped_logistic is spy)\n"
-        "print(cli.trend_test is logistic.trend_test)\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, len(calls), cli.{name} is spy)\n"
+        f"print(cli.{other} is source.{other})\n"
     )
-    assert stdout.splitlines() == ["False", "0 1 True", "True"]
+    assert stdout.splitlines() == ["False", f"0 {calls} True", "True"]
+
+
+def test_the_exported_names_of_the_numpy_modules_read_from_cli():
+    # before any call, each name the package exports from identifiability
+    # and logistic is an attribute of cli, the package's own object; a name
+    # the package does not export is not
+    stdout = _fresh_python(
+        "import riskbounds\n"
+        "from riskbounds import cli\n"
+        "names = [*riskbounds._EXPORTS['identifiability'],\n"
+        "         *riskbounds._EXPORTS['logistic']]\n"
+        "same = [getattr(cli, n) is getattr(riskbounds, n) for n in names]\n"
+        "print(len(names), all(same))\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert stdout.splitlines() == [
+        "26 True", "module 'riskbounds.cli' has no attribute 'no_such_name'"
+    ]
 
 
 def test_import_riskbounds_loads_no_numpy_scipy_or_submodule():
