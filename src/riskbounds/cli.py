@@ -469,19 +469,23 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
     }
     if args.mode == "hmc":
         est = hmc_individual_interval(args.theta, args.alpha)
-        columns = ["theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"]
-        rows = [
-            [args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid, est.note]
+        columns = [
+            "theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"
         ]
+        rows = [[
+            args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid,
+            est.note,
+        ]]
     else:
         est = cm1_pseudo_interval(
             args.beta0, args.beta1, args.sigma, args.n, args.x_bar, args.ss_x,
             args.x_new, args.alpha, args.df,
         )
         columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
-        rows = [
-            [est.point, est.lower, est.upper, est.level, est.method, est.valid, est.note]
-        ]
+        rows = [[
+            est.point, est.lower, est.upper, est.level, est.method, est.valid,
+            est.note,
+        ]]
     return Report(columns, rows, parameters, banner=REFUTATION_BANNER)
 
 

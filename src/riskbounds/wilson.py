@@ -360,10 +360,14 @@ def _reserve_outcomes(n: int) -> None:
     try:
         _numpy().empty(n + 1)
     except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
-        raise ValueError(f"n = {n}: its {n + 1} outcomes do not fit in memory") from None
+        raise ValueError(
+            f"n = {n}: its {n + 1} outcomes do not fit in memory"
+        ) from None
 
 
-def binomial_pmf_array(n: int, p: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def binomial_pmf_array(
+    n: int, p: float, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
     """Binomial(n, p) mass at every k in lo..hi (default 0..n), as a float
     array of hi - lo + 1 entries.
 

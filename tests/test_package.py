@@ -1,14 +1,18 @@
-"""The package namespace: ``__all__``, lazy names and ``import *``.
+"""The package namespace: ``__all__``, lazy names and ``import *``; and
+the package's source lines, none longer than 88 characters.
 
 ``tests/test_cli.py`` checks in a fresh interpreter that ``import
 riskbounds`` loads no submodule; these tests check the names it serves.
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
 import riskbounds
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "riskbounds"
 
 # the public surface, in the order the package has always listed it
 ALL = [
@@ -92,3 +96,13 @@ def test_star_import_binds_every_public_name():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(ALL)
     assert all(namespace[name] is getattr(riskbounds, name) for name in ALL)
+
+
+def test_no_package_line_runs_past_88_characters():
+    long = [
+        f"{path.name}:{number}: {len(line)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if len(line) > 88
+    ]
+    assert long == []
