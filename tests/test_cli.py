@@ -31,6 +31,7 @@ from riskbounds.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 EPOCH = "1700000000"
+LARGEST = "the largest double (1.79769e+308)"
 TIMESTAMP = "# timestamp: 2023-11-14T22:13:20Z"
 
 
@@ -230,11 +231,11 @@ class TestWilsonCommand:
     @pytest.mark.parametrize(
         "row,message",
         [
-            (f"{'9' * 5000},10,5", "category index exceeds the largest double"),
-            (f"1,{'9' * 5000},1", "category 1: total exceeds the largest double"),
-            (f"1,10,{'9' * 5000}", "category 1: events exceed the largest double"),
+            (f"{'9' * 5000},10,5", f"category index exceeds {LARGEST}"),
+            (f"1,{'9' * 5000},1", f"category 1: total exceeds {LARGEST}"),
+            (f"1,10,{'9' * 5000}", f"category 1: events exceed {LARGEST}"),
             (f"1,10,-{'9' * 5000}", "category 1: negative event count"),
-            (f"1,10,{'9' * 400}", "category 1: events exceed the largest double"),
+            (f"1,10,{'9' * 400}", f"category 1: events exceed {LARGEST}"),
             ("1,-5,1", "category 1: stratum has no subjects (total=-5)"),
         ],
         ids=[
@@ -249,9 +250,8 @@ class TestWilsonCommand:
         table = tmp_path / "counts.csv"
         table.write_text(f"category,total,events\n{row}\n")
         code, out, err = run(capsys, "wilson", str(table))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: line 2: {message}")
-        assert err.count("\n") == 1 and len(err) < 200
+        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+        assert len(err) < 200
 
     def test_table_alpha_out_of_range_exits_2(self, capsys, vrag_path):
         code, out, err = run(capsys, "wilson", str(vrag_path), "--alpha", "1.5")
