@@ -1,35 +1,15 @@
 #!/usr/bin/env python3
-"""Print one ``sha256 exit argv`` line per CLI call over a fixed corpus: the
-README's calls, both shipped tables in each format at five ``--round`` values,
-``simulate`` on each shipped config in each format and on the repeated and
-threshold configs at a two-word and a five-word seed, ``simulate --reps 3`` on
-the repeated config (n*m = 30, so the permutation route runs) in each format
-and at a two-word seed, ``refuted --mode cm1`` at the README's values and where
-the lower bound underflows to 0, a ``fit`` with ``--expand``, ``coverage`` at
-four designs (one printing subnormal masses in full), ``simulate`` on one
-bad config per spec type, on a repeated design of one person and on a
-Poisson rate too large to draw, bad or empty ``--fictitious`` and
-``--alpha`` lists, ``simulate --reps 0``, ``refuted --mode cm1`` at the
-README's values with ``--n 2``, alpha = 1e-17 on ``wilson`` (table and
-``--fictitious``), ``fit`` and both ``refuted`` modes, a ``coverage`` level
-one ulp below 1 and ``wilson --fictitious`` at alpha = 2**-53 (each refused
-with exit 2), ``wilson``, ``fit`` and ``refuted --mode cm1`` at alpha =
-2**-52 and ``coverage`` at level 1 - 2**-52 (which still run), a
-``refuted --mode cm1`` whose (x_new - x_bar)**2 overflows (exit 3), a
-``coverage`` level so close to 0 that 1 - level rounds to 1, a ``refuted
---mode cm1`` whose x_new - x_bar overflows, ``simulate --round 12`` on two
-repeated designs whose chi-square p-values take an even df (n = 11, m = 4)
-and a large one (n = 2001, all-or-none at m = 2), ``--help`` at the top
-level and for each subcommand, ``--version`` and seven usage errors, with
-argparse wrapping at COLUMNS=80, ``wilson`` and ``fit`` on a table whose
-total is too large for a double, a ``fit`` whose ``--expand`` makes one,
-``wilson --fictitious`` at an n whose 4 n**2 underflows, a ``fit`` whose
-Newton sums overflow, and ``wilson`` and ``fit`` on seeded tables, the
-first 20 at ``--round 12`` as well, run in-process with SOURCE_DATE_EPOCH
-pinned.  Two trees print the same stdout, stderr and written files exactly
-when their digests ``diff`` clean.  ``--scripts`` prints instead one
-``sha256 exit script`` line per experiment script, hashing its stdout with
-the tree's path taken off the ``inputs:`` lines.
+"""Print one ``sha256 exit argv`` line per CLI call over a fixed corpus.
+
+The corpus is the README's calls, then the fixed calls that ``corpus``
+builds from the constants below (their comments say what each covers), then
+``wilson`` and ``fit`` on ``--tables`` tables drawn from ``--seed``.  Each
+call runs in-process with SOURCE_DATE_EPOCH pinned and argparse wrapping at
+COLUMNS=80; its line hashes stdout, stderr and any file it wrote.  Two trees
+print the same bytes exactly when their digests ``diff`` clean.
+``--scripts`` prints instead one ``sha256 exit script`` line per experiment
+script, hashing its stdout with the tree's path taken off the ``inputs:``
+lines.
 """
 
 import argparse
