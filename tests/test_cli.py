@@ -26,6 +26,7 @@ from riskbounds import (
     simulate_repeated,
     simulate_threshold_cohort,
 )
+from riskbounds import logistic
 from riskbounds.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1485,6 +1486,12 @@ class TestNumericalFailures:
             "",
             "numerical failure: the Newton sums overflow at iteration 1: the "
             "totals are too large for doubles\n",
+        )
+
+    def test_fit_past_the_iteration_limit_exits_3(self, capsys, monkeypatch, vrag_path):
+        monkeypatch.setattr(logistic, "MAX_ITERATIONS", 1)
+        assert run(capsys, "fit", str(vrag_path)) == (
+            3, "", "numerical failure: no convergence after 1 iterations\n"
         )
 
     def test_failed_wilson_snap_exits_3(self, capsys):

@@ -187,6 +187,21 @@ class TestScenarioSpecType:
         with pytest.raises(InputError, match="^seed must be an integer >= 0, got -1$"):
             ScenarioSpec(PointRisk(0.5), 2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "p1,w1,p2,message",
+        [
+            (1.5, 2.0, -1.0, r"p1 must be in \[0,1\], got 1.5"),
+            (0.5, 2.0, -1.0, r"p2 must be in \[0,1\], got -1.0"),
+            (0.5, 2.0, 0.5, r"w1 must be in \[0,1\], got 2.0"),
+        ],
+    )
+    def test_two_point_risk_names_its_first_value_out_of_range(
+        self, p1, w1, p2, message
+    ):
+        # p1, then p2, then w1
+        with pytest.raises(InputError, match=f"^{message}$"):
+            TwoPointRisk(p1=p1, w1=w1, p2=p2)
+
 
 class TestRepeatedOutcomesType:
     def test_rejects_non_binary(self):
@@ -211,6 +226,12 @@ class TestRepeatedOutcomesType:
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(InputError):
             RepeatedOutcomes(np.array([0, 1]))
+
+    def test_rejects_zero_repeats(self):
+        with pytest.raises(
+            InputError, match="^each individual needs at least one observation$"
+        ):
+            RepeatedOutcomes(np.zeros((3, 0), dtype=int))
 
 
 def _permutation_route_reference(

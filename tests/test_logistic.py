@@ -197,6 +197,15 @@ class TestFit:
         else:
             assert fit_grouped_logistic(vrag_table).converged
 
+    def test_iteration_limit_raises_with_trace(self, monkeypatch, vrag_table):
+        # VRAG converges at iteration 5; a limit of 1 stops after one step
+        monkeypatch.setattr(logistic, "MAX_ITERATIONS", 1)
+        with pytest.raises(
+            NonConvergenceError, match="^no convergence after 1 iterations$"
+        ) as exc:
+            fit_grouped_logistic(vrag_table)
+        assert [entry[0] for entry in exc.value.trace] == [0, 1]
+
     def test_weight_expansion_leaves_mle_fixed(self, vrag_table, vrag_fit):
         fit100 = fit_grouped_logistic(expand_weights(vrag_table, 100))
         assert fit100.beta0 == pytest.approx(vrag_fit.beta0, abs=1e-10)
@@ -391,6 +400,19 @@ class TestLogisticFitType:
         )
         c[0, 0] = 2.0
         assert fit.cov[0, 0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (4,)])
+    def test_rejects_covariance_that_is_not_2x2(self, shape):
+        with pytest.raises(ValueError) as exc:
+            LogisticFit(
+                beta0=0.0,
+                beta1=0.0,
+                cov=np.ones(shape),
+                deviance=0.0,
+                iterations=1,
+                converged=True,
+            )
+        assert str(exc.value) == f"covariance must be 2x2, got shape {shape}"
 
     @pytest.mark.parametrize("entry", [math.inf, -math.inf])
     def test_rejects_non_finite_covariance(self, entry):

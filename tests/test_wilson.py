@@ -110,6 +110,21 @@ class TestIntervalEstimate:
         with pytest.raises(ValueError):
             IntervalEstimate(0.9, 0.1, 0.2, 0.95, "wilson")
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
+    def test_rejects_level_outside_open_unit_interval(self, level):
+        with pytest.raises(
+            ValueError, match=rf"^confidence level must be in \(0,1\), got {level}$"
+        ):
+            IntervalEstimate(0.5, 0.4, 0.6, level, "wilson")
+
+    @pytest.mark.parametrize("point", [-0.1, 1.5])
+    def test_rejects_point_outside_unit_interval(self, point):
+        # a refuted method skips the containment check, not the range check
+        with pytest.raises(
+            ValueError, match=rf"^point estimate must be in \[0,1\], got {point}$"
+        ):
+            IntervalEstimate(point, 0.4, 0.6, 0.95, "cm1_pseudo")
+
 
 class TestWilsonInterval:
     def test_golden_two_decimal_bounds(self, vrag_table):
