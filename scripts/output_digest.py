@@ -120,6 +120,8 @@ REFUSED_CALLS = (
     # x_new - x_bar overflows
     "refuted --mode cm1 --beta0 0 --beta1 0 --sigma 0 --x-bar=-1e308 --ss-x 1 "
     "--x-new 1e308 --n 5",
+    # the README's cm1 call without --x-new: --sigma is given
+    "refuted --mode cm1 " + CM1[0].replace(" --x-new 20", ""),
 )
 
 # the parser's own output: each --help, --version and usage errors (no
@@ -144,7 +146,8 @@ PARSER_CALLS = (
 # a total of 10**400, which no double holds, beside a second stratum
 HUGE_TABLE = f"category,total,events\n1,{10**400},1\n2,10,5\n"
 # rows of counts no double holds (5000 digits is past the 4300 that int()
-# reads), events past their total and a negative total, one table each
+# reads), events past their total, a negative total, and a non-integer
+# field beside a long one and alone, one table each
 NINES = "9" * 5000
 COUNT_ROWS = {
     "long_category": f"{NINES},10,5",
@@ -153,6 +156,8 @@ COUNT_ROWS = {
     "long_negative_events": f"1,10,-{NINES}",
     "events_over_total": f"1,10,{'9' * 400}",
     "negative_total": "1,-5,1",
+    "long_row_non_integer": f"x,{NINES},1",
+    "non_integer_total": "1,2x,1",
 }
 
 

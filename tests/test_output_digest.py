@@ -41,13 +41,13 @@ def test_two_table_corpus(monkeypatch):
     # 8 README calls, 2 tables x 3 formats x 5 roundings x (wilson, fit),
     # 3 configs x 3 formats, 2 configs x 2 wide seeds, the small repeated
     # design in 3 formats and at a wide seed, 2 cm1 calls, one expanded fit,
-    # 4 coverage calls, 8 bad configs, 20 calls refused or failing after
+    # 4 coverage calls, 8 bad configs, 21 calls refused or failing after
     # parsing or at the edge of a refusal, 2 repeated designs for the
     # p-value, 14 calls of the parser's own output, 5 calls on a count
-    # too large for a double or an n too small for one, 6 tables of a count
-    # too long or out of range, and wilson + fit on each seeded table, at
-    # the default rounding and at --round 12
-    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 20 + 2 + 14 + 5 + 6 + 8
+    # too large for a double or an n too small for one, 8 tables of a count
+    # too long, out of range or not an integer, and wilson + fit on each
+    # seeded table, at the default rounding and at --round 12
+    assert len(lines) == 8 + 60 + 9 + 4 + 4 + 2 + 1 + 4 + 8 + 21 + 2 + 14 + 5 + 8 + 8
     assert [argv.split()[0] for _, _, argv in lines[:8]] == [
         "wilson", "wilson", "fit", "coverage", "simulate", "simulate",
         "refuted", "refuted",
@@ -79,8 +79,8 @@ def test_two_table_corpus(monkeypatch):
     # levels too close to 0 or 1, each refused; four calls at alpha = 2**-52
     # or level = 1 - 2**-52, which run, and one at alpha = 2**-53, refused;
     # then a cm1 overflow, exit 3, a coverage level too close to 0, refused,
-    # and a cm1 difference that overflows, exit 3
-    refused = [(code, argv.split()[0]) for _, code, argv in lines[100:120]]
+    # a cm1 difference that overflows, exit 3, and cm1 without --x-new, refused
+    refused = [(code, argv.split()[0]) for _, code, argv in lines[100:121]]
     assert refused == [
         (2, command)
         for command in [
@@ -90,9 +90,10 @@ def test_two_table_corpus(monkeypatch):
     ] + [
         (0, "wilson"), (0, "fit"), (0, "refuted"), (0, "coverage"),
         (2, "wilson"), (3, "refuted"), (2, "coverage"), (3, "refuted"),
+        (2, "refuted"),
     ]
     # an even df and a large one, each run
-    assert [(code, argv) for _, code, argv in lines[120:122]] == [
+    assert [(code, argv) for _, code, argv in lines[121:123]] == [
         (0, f"simulate tables/{name}.cfg --round 12")
         for name in ["even_df", "large_df"]
     ]
@@ -100,7 +101,7 @@ def test_two_table_corpus(monkeypatch):
     # total of 10**400 and a fit whose --expand makes one, each refused,
     # an n whose 4 n**2 underflows and a fit whose sums overflow, failing
     helps = ["wilson", "fit", "coverage", "simulate", "refuted"]
-    assert [(code, argv) for _, code, argv in lines[122:141]] == [
+    assert [(code, argv) for _, code, argv in lines[123:142]] == [
         (0, "--help"), *((0, f"{name} --help") for name in helps), (0, "--version"),
         (2, "(no arguments)"), (2, "bogus"), (2, "coverage --p 0.2"),
         (2, "coverage --n x --p 0.2"), (2, "wilson --format xml"),
@@ -111,12 +112,14 @@ def test_two_table_corpus(monkeypatch):
         (3, f"fit data/vrag_categories.csv --expand {10**306}"),
     ]
     # a category, total or events of 5000 digits, negative events that long,
-    # events past their total and a negative total, each refused
-    assert [(code, argv) for _, code, argv in lines[141:147]] == [
+    # events past their total, a negative total and two non-integer fields,
+    # each refused
+    assert [(code, argv) for _, code, argv in lines[142:150]] == [
         (2, f"wilson tables/{name}.csv")
         for name in [
             "long_category", "long_total", "long_events", "long_negative_events",
-            "events_over_total", "negative_total",
+            "events_over_total", "negative_total", "long_row_non_integer",
+            "non_integer_total",
         ]
     ]
     assert [argv for _, _, argv in lines[-2:]] == [
