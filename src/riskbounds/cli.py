@@ -458,7 +458,7 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
     for names, verb in ((unused, "does not use"), (missing, "requires")):
         if names:
             flags = ", ".join("--" + k.replace("_", "-") for k in names)
-            if verb == "requires" and args.mode == "cm1":
+            if verb == "requires" and "sigma" in names:
                 flags += (
                     " (sigma has no default by design: the fit provides no "
                     "such quantity)"

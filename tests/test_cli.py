@@ -1249,6 +1249,35 @@ class TestRefutedCommand:
         assert "--sigma" in err
 
     @pytest.mark.parametrize(
+        "dropped,message",
+        [
+            (
+                ["--sigma"],
+                "--mode cm1 requires --sigma (sigma has no default by design: "
+                "the fit provides no such quantity)",
+            ),
+            (["--x-new"], "--mode cm1 requires --x-new"),
+            (
+                ["--sigma", "--x-new"],
+                "--mode cm1 requires --sigma, --x-new (sigma has no default by "
+                "design: the fit provides no such quantity)",
+            ),
+        ],
+    )
+    def test_cm1_sigma_note_only_when_sigma_is_missing(
+        self, capsys, dropped, message
+    ):
+        values = {"--sigma": "1.0", "--x-new": "20"}
+        for flag in dropped:
+            del values[flag]
+        code, out, err = run(
+            capsys, "refuted", "--mode", "cm1", "--beta0", "-2.0", "--beta1",
+            "0.5", "--n", "255", "--x-bar", "20", "--ss-x", "5000",
+            *(part for item in values.items() for part in item),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "flag,value,field",
         [
             ("--sigma", "inf", "sigma_hat"),
