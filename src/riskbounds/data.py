@@ -135,9 +135,13 @@ class CategoryTable:
 
 
 def _count(field: str) -> int:
-    """The count in ``field``, whose characters the caller has checked."""
-    # strip before int(): str.strip also removes \x1c-\x1f, int() does not
+    """The count in ``field``: an optional sign and ASCII digits 0-9."""
+    # strip before int(): str.strip also removes \x1c-\x1f, int() does not;
+    # int() also reads 1_000 and non-ASCII digits such as \u0663\u0660 (30),
+    # so only the padding str.strip removes may be non-ASCII
     text = field.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError
     if len(text) <= _MAX_DIGITS:
         return int(text)
     sign = text[0] if text[0] in "+-" else ""
@@ -184,18 +188,15 @@ def parse_category_table(text: str) -> CategoryTable:
             raise ParseError(
                 f"expected 3 comma-separated values, got {len(fields)}", lineno
             )
-        category, total, events = fields
-        try:
-            # a count is an optional sign and ASCII digits 0-9, but int() also
-            # reads 1_000 and non-ASCII digits such as \u0663\u0660 (30); only
-            # the padding str.strip removes may be non-ASCII
-            if "_" in line or not (
-                line.isascii() or "".join(map(str.strip, fields)).isascii()
-            ):
-                raise ValueError
-            numbers = _count(category), _count(total), _count(events)
-        except ValueError:
-            raise ParseError(f"non-integer value in row {line!r}", lineno) from None
+        numbers = []
+        for name, field in zip(_HEADER_FIELDS, fields):
+            try:
+                numbers.append(_count(field))
+            except ValueError:
+                # the field, cut to its first 40 characters
+                text = field.strip()
+                shown = repr(text[:40]) + ("" if len(text) <= 40 else "...")
+                raise ParseError(f"non-integer {name} {shown}", lineno) from None
         try:
             row = CategoryRow(*numbers)
         except InputError as exc:

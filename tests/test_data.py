@@ -197,8 +197,26 @@ class TestParsing:
         text = f"category,total,events\n1,{total},2\n"
         with pytest.raises(ParseError) as exc:
             parse_category_table(text)
-        line = f"1,{total},2"
-        assert str(exc.value) == f"line 2: non-integer value in row {line!r}"
+        assert str(exc.value) == f"line 2: non-integer total {total!r}"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x,1_0,2x", "non-integer category 'x'"),
+            ("1,2x,1", "non-integer total '2x'"),
+            ("1,10, 2 x ", "non-integer events '2 x'"),
+            (f"x,{'9' * 5000},1", "non-integer category 'x'"),
+            (f"1,{'9' * 40}x,1", f"non-integer total '{'9' * 40}'..."),
+            (f"1,9,{'7' * 39}x", f"non-integer events '{'7' * 39}x'"),
+        ],
+    )
+    def test_non_integer_names_its_first_field_cut_to_40_characters(
+        self, row, message
+    ):
+        # the row is not echoed: a field of 5000 digits printed a 5047-byte line
+        with pytest.raises(ParseError) as exc:
+            parse_category_table(f"category,total,events\n{row}\n")
+        assert str(exc.value) == f"line 2: {message}"
 
     def test_unicode_padding_still_strips(self):
         # padding that str.strip removes is not part of the count
