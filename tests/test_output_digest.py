@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import platform
@@ -137,6 +138,32 @@ def test_two_table_corpus(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv.split()) == 0
     assert hashlib.sha256(f"{out.getvalue()}\0".encode()).hexdigest() == sha
+
+
+def test_each_refusal_is_one_short_stderr_line(monkeypatch, tmp_path):
+    # every corpus call that argparse accepts prints at most one stderr
+    # line, of at most 200 characters, however long its input
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    output_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_digest)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    (tmp_path / "data").symlink_to(ROOT / "data")
+    monkeypatch.chdir(tmp_path)
+    long_lines, parsed = [], 0
+    for argv in output_digest.corpus(7, 2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli._parser().parse_args(argv)
+            except SystemExit:
+                continue
+            cli.main(argv)
+        parsed += 1
+        lines = err.getvalue().splitlines()
+        if len(lines) > 1 or any(len(line) > 200 for line in lines):
+            long_lines.append((argv, [len(line) for line in lines]))
+    assert parsed > 100
+    assert long_lines == []
 
 
 def _check_digest(name: str, *args: str) -> None:
