@@ -208,6 +208,13 @@ def _digits(requested: int | None) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# the cells of an IntervalEstimate that every interval table prints, in order
+_INTERVAL_COLUMNS = ("lower", "upper", "level", "method", "valid")
+
+
+def _interval_cells(est) -> list[object]:
+    return [getattr(est, name) for name in _INTERVAL_COLUMNS]
+
 
 def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
     if args.fictitious is not None:
@@ -225,30 +232,18 @@ def cmd_wilson(args: argparse.Namespace, digits: int) -> Report:
             ) from None
         if not sizes:
             raise InputError("--fictitious n list is empty")
-        columns = ["n", "theta_hat", "lower", "upper", "level", "method", "valid"]
-        rows = []
-        for n in sizes:
-            est = wilson_interval(theta, n, args.alpha)
-            rows.append(
-                [n, theta, est.lower, est.upper, est.level, est.method, est.valid]
-            )
+        columns = ["n", "theta_hat", *_INTERVAL_COLUMNS]
+        rows = [
+            [n, theta, *_interval_cells(wilson_interval(theta, n, args.alpha))]
+            for n in sizes
+        ]
         parameters = {"alpha": args.alpha, "theta": theta, "n_list": n_text}
         return Report(columns, rows, parameters)
 
     if args.table is None:
         raise InputError("provide a table path or --fictitious THETA N_LIST")
     table = parse_category_table(_read_text(args.table))
-    columns = [
-        "category",
-        "total",
-        "events",
-        "theta_hat",
-        "lower",
-        "upper",
-        "level",
-        "method",
-        "valid",
-    ]
+    columns = ["category", "total", "events", "theta_hat", *_INTERVAL_COLUMNS]
     # every row is a real sample: CategoryRow holds integer counts with
     # 1 <= total and 0 <= events <= total, and no total past the largest
     # double, so float() converts each
@@ -313,7 +308,7 @@ def cmd_fit(args: argparse.Namespace, digits: int) -> Report:
         # manifest names that one alpha and no format
         fig_params = {"alpha": alphas[0], "expand": args.expand, "round": args.round}
         report.files[args.figure] = Report(
-            ["category", "observed", "fitted", "lower", "upper"],
+            [columns[1], *columns[4:]],
             [[row[1], *row[4:]] for row in rows[: len(table.rows)]],
             {**fig_params, "figure": args.figure},
             inputs=(args.table,),
@@ -398,12 +393,10 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             data = simulate_repeated(spec)
             cluster = clustering_test(data, permutation_seed=spec.seed)
             icc = icc_estimate(data)
-            rows.append([name, "clustering", "statistic", cluster.statistic])
-            rows.append([name, "clustering", "df", cluster.df])
-            rows.append([name, "clustering", "p_value", cluster.p_value])
-            if (permuted := cluster.p_value_permutation) is not None:
-                rows.append([name, "clustering", "p_value_permutation", permuted])
-            rows.append([name, "clustering", "undefined", cluster.undefined])
+            # ClusteringTest's field order is the printed order; None prints no row
+            for key, value in vars(cluster).items():
+                if value is not None:  # no permutation p-value
+                    rows.append([name, "clustering", key, value])
             rows.append([name, "icc", "estimate", icc.value])
             rows.append([name, "icc", "undefined", icc.undefined])
             panels[name] = data.outcomes
@@ -424,11 +417,10 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
         seed = " ".join(f"{name}={value}" for name, value in drawn.items())
     else:
         seed = next(iter(drawn.values()), None)
-    inputs, parameters = (args.config,), {"reps": args.reps}
-    report = Report(columns, rows, parameters, inputs=inputs, seed=seed)
+    report = Report(columns, rows, {"reps": args.reps}, (args.config,), seed)
     if args.outcomes is not None:
-        # the rows are built only when a file asks for them; one parameters
-        # dict, so the file repeats the manifest of stdout
+        # the rows are built only when a file asks for them; the file shares
+        # stdout's parameters dict, inputs and seed, so it repeats its manifest
         outcome_rows: list[list[object]] = [
             [name, i, j, value]
             for name, panel in panels.items()
@@ -436,8 +428,8 @@ def cmd_simulate(args: argparse.Namespace, digits: int) -> Report:
             for j, value in enumerate(person)
         ]
         outcome_columns = ["section", "individual", "rep", "outcome"]
-        report.files[args.outcomes] = Report(
-            outcome_columns, outcome_rows, parameters, inputs=inputs, seed=seed
+        report.files[args.outcomes] = replace(
+            report, columns=outcome_columns, rows=outcome_rows, files={}
         )
     return report
 
@@ -469,23 +461,15 @@ def cmd_refuted(args: argparse.Namespace, digits: int) -> Report:
     }
     if args.mode == "hmc":
         est = hmc_individual_interval(args.theta, args.alpha)
-        columns = [
-            "theta_hat", "n", "lower", "upper", "level", "method", "valid", "note"
-        ]
-        rows = [[
-            args.theta, 1, est.lower, est.upper, est.level, est.method, est.valid,
-            est.note,
-        ]]
+        lead = {"theta_hat": args.theta, "n": 1}  # the cells before the interval
     else:
         est = cm1_pseudo_interval(
             args.beta0, args.beta1, args.sigma, args.n, args.x_bar, args.ss_x,
             args.x_new, args.alpha, args.df,
         )
-        columns = ["point", "lower", "upper", "level", "method", "valid", "note"]
-        rows = [[
-            est.point, est.lower, est.upper, est.level, est.method, est.valid,
-            est.note,
-        ]]
+        lead = {"point": est.point}
+    columns = [*lead, *_INTERVAL_COLUMNS, "note"]
+    rows = [[*lead.values(), *_interval_cells(est), est.note]]
     return Report(columns, rows, parameters, banner=REFUTATION_BANNER)
 
 

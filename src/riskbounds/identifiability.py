@@ -209,12 +209,10 @@ class TwoPointRisk:
     p2: float
 
     def __post_init__(self):
-        for name in ("p1", "p2"):
+        for name in ("p1", "p2", "w1"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must be in [0,1], got {value}")
-        if not 0.0 <= self.w1 <= 1.0:
-            raise InputError(f"w1 must be in [0,1], got {self.w1}")
 
     def mean(self) -> float:
         return self.w1 * self.p1 + (1.0 - self.w1) * self.p2
