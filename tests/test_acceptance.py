@@ -5,7 +5,8 @@ report. Tolerances here are part of the package contract: bounds compared
 against the published tables allow 0.01 per bound after two-decimal
 rounding, percent-scale rows allow one percentage point, and the
 equivalence and derivative checks pin hard numerical tolerances. Do not
-loosen any of them.
+loosen any of them. Beside the gate, test_02b holds every published cell
+to the digit, with one named cell checked under a stated double rounding.
 """
 
 import time
@@ -71,6 +72,48 @@ def test_02_published_interval_tables(vrag_table, vrag_fit):
             assert abs(_printed(pred.interval.upper, 2) - hi) <= BOUND_TOL
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
+
+
+# the one published cell that the package's value does not print: category
+# 2's 95% logistic lower bound, 0.04496..., prints 0.04 at two decimals where
+# the table has 0.05; rounded to 4 decimals first (0.0450), then to 2, it
+# prints 0.05
+ROUNDED_TWICE = ("logistic 95%", 2, "lower")
+
+
+def test_02b_every_published_cell_to_the_digit(vrag_table, vrag_fit):
+    # (table, category or n, bound, package value, published value, decimals)
+    cells = [
+        ("proportion", row.category, "point", row.proportion, published, 2)
+        for row, published in zip(vrag_table.rows, goldens.VRAG_PROPORTIONS_2DP)
+    ]
+    for row, (lo, hi) in zip(vrag_table.rows, goldens.WILSON_95_BOUNDS):
+        est = wilson_interval(row.proportion, row.total, 0.05)
+        cells.append(("wilson 95%", row.category, "lower", est.lower, lo, 2))
+        cells.append(("wilson 95%", row.category, "upper", est.upper, hi, 2))
+    for alpha, name, table in (
+        (0.05, "logistic 95%", goldens.LOGISTIC_95_BOUNDS),
+        (0.20, "logistic 80%", goldens.LOGISTIC_80_BOUNDS),
+    ):
+        for row, (lo, hi) in zip(vrag_table.rows, table):
+            est = predict_risk(vrag_fit, row.category, alpha).interval
+            cells.append((name, row.category, "lower", est.lower, lo, 2))
+            cells.append((name, row.category, "upper", est.upper, hi, 2))
+    sweep = [(*row, 0) for row in goldens.PERCENT_SWEEP]
+    for n, events, lo_pct, hi_pct, digits in [*sweep, (*goldens.LARGE_SAMPLE_ROW, 1)]:
+        est = wilson_interval(0.13 if events is None else events / n, n, 0.05)
+        cells.append(("percent", n, "lower", est.lower * 100.0, lo_pct, digits))
+        cells.append(("percent", n, "upper", est.upper * 100.0, hi_pct, digits))
+    assert len(cells) == 9 + 18 + 36 + 14
+    misses = {
+        cell[:3]: cell[3:]
+        for cell in cells
+        if _printed(cell[3], cell[5]) != cell[4]
+    }
+    assert list(misses) == [ROUNDED_TWICE]
+    value, published, digits = misses[ROUNDED_TWICE]
+    assert (_printed(value, digits), published) == (0.04, 0.05)
+    assert _printed(_printed(value, 4), digits) == published, ROUNDED_TWICE
 
 
 def test_03_percent_scale_small_sample_rows():
