@@ -156,6 +156,18 @@ def _count(field: str) -> int:
     return int(sign + digits)
 
 
+def _non_integer(fields: list[str]) -> str:
+    """Name the first of ``fields`` that holds no count, by its column, with
+    at most 40 of its characters: one field may be thousands long."""
+    for name, field in zip(_HEADER_FIELDS, fields):
+        try:
+            _count(field)
+        except ValueError:
+            break
+    text = field.strip()
+    return f"non-integer {name} {text[:40]!r}" + ("..." if len(text) > 40 else "")
+
+
 def parse_category_table(text: str) -> CategoryTable:
     """Parse ``category,total,events`` CSV content into a CategoryTable.
 
@@ -188,15 +200,11 @@ def parse_category_table(text: str) -> CategoryTable:
             raise ParseError(
                 f"expected 3 comma-separated values, got {len(fields)}", lineno
             )
-        numbers = []
-        for name, field in zip(_HEADER_FIELDS, fields):
-            try:
-                numbers.append(_count(field))
-            except ValueError:
-                # the field, cut to its first 40 characters
-                text = field.strip()
-                shown = repr(text[:40]) + ("" if len(text) <= 40 else "...")
-                raise ParseError(f"non-integer {name} {shown}", lineno) from None
+        category, total, events = fields
+        try:
+            numbers = _count(category), _count(total), _count(events)
+        except ValueError:
+            raise ParseError(_non_integer(fields), lineno) from None
         try:
             row = CategoryRow(*numbers)
         except InputError as exc:
