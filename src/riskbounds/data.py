@@ -157,8 +157,9 @@ def _count(field: str) -> int:
 
 
 def _non_integer(fields: list[str]) -> str:
-    """Name the first of ``fields`` that holds no count, by its column, with
-    at most 40 of its characters: one field may be thousands long."""
+    """Name the first of ``fields`` that holds no count (the caller saw one
+    fail) by its column, with at most 40 of its characters: one field may be
+    thousands long."""
     for name, field in zip(_HEADER_FIELDS, fields):
         try:
             _count(field)
